@@ -16,15 +16,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from svjd.black_scholes import Quote, bs_price, bs_vega, implied_vol, no_arbitrage_bounds
-from svjd.models import (
-    BGMParams,
-    BatesParams,
-    HestonParams,
-    HKDEParams,
-    KouJumpParams,
-    MarketContext,
-    ModelParams,
-)
+from svjd.models import MODELS, MarketContext, ModelParams
 from svjd.proj import GridSpec, price_strike_slice
 
 __all__ = ["MaturitySlice", "QuoteSurface", "CalibrationResult", "ErrorMetrics",
@@ -158,46 +150,29 @@ def objective(model: ModelParams, surface: QuoteSurface,
 
 
 # ---------------------------------------------------------------------------
-# Parameter vector packing
+# Parameter vectors: bounds and starts per flat field
 # ---------------------------------------------------------------------------
 
-_PACKERS = {
-    "heston": (
-        ("v0", "theta", "kappa", "sigma_v", "rho"),
-        lambda x: HestonParams(*x),
-        lambda m: [m.v0, m.theta, m.kappa, m.sigma_v, m.rho],
-    ),
-    "hkde": (
-        ("v0", "theta", "kappa", "sigma_v", "rho", "lam", "p", "eta1", "eta2"),
-        lambda x: HKDEParams(HestonParams(*x[:5]), KouJumpParams(*x[5:])),
-        lambda m: [m.heston.v0, m.heston.theta, m.heston.kappa, m.heston.sigma_v,
-                   m.heston.rho, m.jumps.lam, m.jumps.p, m.jumps.eta1, m.jumps.eta2],
-    ),
-    "bates": (
-        ("v0", "theta", "kappa", "sigma_v", "rho", "lam", "mu_j", "sigma_j"),
-        lambda x: BatesParams(HestonParams(*x[:5]), *x[5:]),
-        lambda m: [m.heston.v0, m.heston.theta, m.heston.kappa, m.heston.sigma_v,
-                   m.heston.rho, m.lam, m.mu_j, m.sigma_j],
-    ),
-    "bgm": (
-        ("alpha_p", "lam_p", "alpha_m", "lam_m", "sigma"),
-        lambda x: BGMParams(*x),
-        lambda m: [m.alpha_p, m.lam_p, m.alpha_m, m.lam_m, m.sigma],
-    ),
+# field: (lower bound, upper bound, default start); a None start is set from
+# the surface's ATM implied vols in default_init
+_FIELD_BOUNDS = {
+    "v0": (1e-6, 4.0, None), "theta": (1e-6, 4.0, None), "kappa": (1e-3, 100.0, 3.0),
+    "sigma_v": (1e-3, 12.0, 1.0), "rho": (-0.999, 0.999, -0.5),
+    "lam": (0.0, 250.0, 1.0), "p": (0.0, 1.0, 0.5), "eta1": (1.01, 300.0, 20.0),
+    "eta2": (0.01, 300.0, 20.0), "mu_j": (-50.0, 5.0, -0.1), "sigma_j": (1e-3, 12.0, 0.3),
+    "alpha_p": (1e-4, 100.0, 1.0), "alpha_m": (1e-4, 100.0, 1.0),
+    "lam_p": (1.01, 500.0, 15.0), "lam_m": (0.01, 500.0, 15.0), "sigma": (1e-4, 3.0, None),
 }
 
-_FIELD_BOUNDS = {
-    "v0": (1e-6, 4.0), "theta": (1e-6, 4.0), "kappa": (1e-3, 100.0),
-    "sigma_v": (1e-3, 12.0), "rho": (-0.999, 0.999),
-    "lam": (0.0, 250.0), "p": (0.0, 1.0), "eta1": (1.01, 300.0), "eta2": (0.01, 300.0),
-    "mu_j": (-50.0, 5.0), "sigma_j": (1e-3, 12.0),
-    "alpha_p": (1e-4, 100.0), "alpha_m": (1e-4, 100.0),
-    "lam_p": (1.01, 500.0), "lam_m": (0.01, 500.0), "sigma": (1e-4, 3.0),
-}
+
+def _model_class(model_kind: str):
+    if model_kind not in MODELS:
+        raise ValueError(f"unknown model kind '{model_kind}'")
+    return MODELS[model_kind]
 
 
 def default_bounds(model_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    names = _PACKERS[model_kind][0]
+    names = _model_class(model_kind).FIELDS
     lo = np.array([_FIELD_BOUNDS[f][0] for f in names])
     hi = np.array([_FIELD_BOUNDS[f][1] for f in names])
     return lo, hi
@@ -210,21 +185,13 @@ def _atm_iv(surface: QuoteSurface, sl: MaturitySlice) -> float:
 
 def default_init(model_kind: str, surface: QuoteSurface) -> ModelParams:
     """Smile-informed seed: short/long ATM variance levels plus neutral jump settings."""
+    cls = _model_class(model_kind)
     v_short = _atm_iv(surface, surface.slices[0]) ** 2
     v_long = _atm_iv(surface, surface.slices[-1]) ** 2
-    heston = [v_short, v_long, 3.0, 1.0, -0.5]
-    if model_kind == "heston":
-        x = heston
-    elif model_kind == "hkde":
-        x = heston + [1.0, 0.5, 20.0, 20.0]
-    elif model_kind == "bates":
-        x = heston + [1.0, -0.1, 0.3]
-    elif model_kind == "bgm":
-        x = [1.0, 15.0, 1.0, 15.0, max(math.sqrt(v_short), 0.05)]
-    else:
-        raise ValueError(f"unknown model kind '{model_kind}'")
+    atm = {"v0": v_short, "theta": v_long, "sigma": max(math.sqrt(v_short), 0.05)}
+    x = [atm[f] if f in atm else _FIELD_BOUNDS[f][2] for f in cls.FIELDS]
     lo, hi = default_bounds(model_kind)
-    return _PACKERS[model_kind][1](np.clip(x, lo, hi))
+    return cls.from_flat(np.clip(x, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +206,16 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
     Each pass terminates on the relative change of the cost function (ftol);
     the Jacobian uses forward differences with relative step 1e-6.
     """
-    if model_kind not in _PACKERS:
-        raise ValueError(f"unknown model kind '{model_kind}'")
-    names, unpack, pack = _PACKERS[model_kind]
+    cls = _model_class(model_kind)
     lo, hi = bounds if bounds is not None else default_bounds(model_kind)
+    inverted = [f"{f} [{a}, {b}]" for f, a, b in zip(cls.FIELDS, lo, hi) if not a < b]
+    if inverted:
+        raise ValueError(f"bounds need lower < upper; violated for {', '.join(inverted)}")
     if init is None:
         init = default_init(model_kind, surface)
-    x0 = np.clip(np.asarray(pack(init), dtype=float), lo, hi)
-    if np.any(x0 < lo) or np.any(x0 > hi):
-        raise ValueError("initial guess violates bounds")
+    elif init.NAME != model_kind:
+        raise ValueError(f"initial guess is a {init.NAME} model, not {model_kind}")
+    x0 = np.clip(np.asarray(init.flat(), dtype=float), lo, hi)
 
     weights = surface.weights()
     n_res = surface.n_quotes
@@ -255,13 +223,13 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
 
     def fun(x):
         try:
-            r = residuals(unpack(x), surface, weights=weights, grid_spec=grid_spec)
+            r = residuals(cls.from_flat(x), surface, weights=weights, grid_spec=grid_spec)
         except (ValueError, FloatingPointError, OverflowError):
             return penalty_vec
         return np.where(np.isfinite(r), r, penalty_vec)
 
-    x = x0
-    trace = [float(fun(x) @ fun(x))]
+    x, r = x0, fun(x0)
+    trace = [float(r @ r)]
     n_iter = 0
     stagnated = False
     for tol in schedule:
@@ -271,14 +239,13 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
         with np.errstate(divide="ignore", invalid="ignore"):
             res = least_squares(fun, x, bounds=(lo, hi), method="trf",
                                 diff_step=1e-6, ftol=tol, xtol=None, gtol=1e-14)
-        x = res.x
+        x, r = res.x, res.fun
         n_iter += res.nfev
         trace.append(2.0 * float(res.cost))   # scipy cost is half the SSE
         if res.status == 0:
             stagnated = True
 
-    final = unpack(x)
-    r = fun(x)
+    final = cls.from_flat(x)
     metrics = error_metrics(final, surface, grid_spec=grid_spec)
     return CalibrationResult(params=final, objective=float(r @ r),
                              per_quote_residuals=r, mape_pct=metrics.mape_pct,
@@ -325,7 +292,6 @@ def synthetic_surface(model: ModelParams, spot: float, rate: float, div_yield: f
                       grid_spec: GridSpec = GridSpec()) -> QuoteSurface:
     """Noiseless OTM surface priced from a model: puts below the forward, calls above."""
     rows = []
-    ctx_all = []
     for t in maturities:
         ctx = MarketContext(spot=spot, rate=rate, div_yield=div_yield)
         fwd = ctx.forward(t)
@@ -336,5 +302,4 @@ def synthetic_surface(model: ModelParams, spot: float, rate: float, div_yield: f
             iv = implied_vol(ctx, t, k, float(price), flag)
             rows.append((t, rate, div_yield,
                          Quote(maturity=t, strike=k, is_call=flag, price=float(price), iv=iv)))
-        ctx_all.append(ctx)
     return QuoteSurface.build(spot, rows)

@@ -17,10 +17,11 @@ import numpy as np
 
 from svjd.black_scholes import Quote, bs_price, implied_vol, no_arbitrage_bounds
 from svjd.calibration import QuoteSurface, calibrate, synthetic_surface
-from svjd.models import MarketContext, ModelParams, model_from_dict, model_to_dict
+from svjd.models import MODEL_NAMES, MarketContext, ModelParams, model_from_dict, model_to_dict
 from svjd.montecarlo import (
     EXOTIC_KINDS,
     ExoticSpec,
+    McEstimate,
     MonitoringSchedule,
     SimConfig,
     price_exotic,
@@ -32,6 +33,10 @@ QUOTE_HEADER = ["maturity_yrs", "strike", "option_type", "mid_price", "iv",
                 "rate", "div_yield", "spot"]
 
 _FMT = "%.17g"
+
+_EUROPEAN_KINDS = ("european_call", "european_put")
+_CONTRACT_NUMBERS = ("maturity", "spot", "rate", "div_yield", "strike", "cap", "floor",
+                     "global_cap", "global_floor", "barrier_up", "barrier_down")
 
 
 def _fmt(x: float) -> str:
@@ -123,11 +128,27 @@ def _load_params(path: str) -> ModelParams:
 
 
 def _load_contract(path: str) -> dict:
+    """Read a contract JSON and check its kind and field types before any pricing."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("contract file must hold a JSON object")
     for key in ("kind", "maturity", "spot", "rate"):
         if key not in doc:
             raise ValueError(f"contract file needs '{key}'")
+    if doc["kind"] not in _EUROPEAN_KINDS + EXOTIC_KINDS:
+        raise ValueError(f"contract field 'kind' must be one of "
+                         f"{', '.join(_EUROPEAN_KINDS + EXOTIC_KINDS)}; got {doc['kind']!r}")
+    if doc["kind"] in _EUROPEAN_KINDS and "strike" not in doc:
+        raise ValueError("contract file needs 'strike'")
+    for key in _CONTRACT_NUMBERS:
+        value = doc.get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ValueError(f"contract field '{key}' must be a finite JSON number; got {value!r}")
+    if not isinstance(doc.get("is_call", True), bool):
+        raise ValueError(f"contract field 'is_call' must be a JSON boolean "
+                         f"(true or false); got {doc['is_call']!r}")
     return doc
 
 
@@ -142,7 +163,7 @@ def _contract_exotic(doc: dict) -> ExoticSpec:
         spacing=doc.get("spacing", "span"))
     return ExoticSpec(
         kind=doc["kind"], schedule=schedule, strike=float(doc.get("strike", 0.0)),
-        is_call=bool(doc.get("is_call", True)),
+        is_call=doc.get("is_call", True),
         cap=doc.get("cap"), floor=doc.get("floor"),
         global_cap=doc.get("global_cap"), global_floor=doc.get("global_floor"),
         barrier_up=doc.get("barrier_up"), barrier_down=doc.get("barrier_down"))
@@ -190,30 +211,42 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _price_contract(model, doc, args):
-    ctx = _contract_ctx(doc)
-    kind = doc["kind"]
-    t = float(doc["maturity"])
-    if kind in ("european_call", "european_put"):
-        spec = GridSpec(n=args.n, l1=args.l1)
-        value = price_european(model, ctx, t, float(doc["strike"]),
-                               kind == "european_call", spec)
-        return {"price": value, "method": "proj"}
-    if kind in EXOTIC_KINDS:
-        config = SimConfig(n_paths=args.paths, seed=args.seed,
-                           steps_per_interval=args.steps_per_interval,
-                           antithetic=not args.no_antithetic)
-        est = price_exotic(model, ctx, _contract_exotic(doc), config)
-        return {"price": est.price, "std_err": est.std_err,
-                "ci95_half_width": est.ci95_half_width, "n_paths": est.n_paths,
-                "method": "mc"}
-    raise ValueError(f"unknown contract kind '{kind}'")
+def _sim_config(args) -> SimConfig:
+    return SimConfig(n_paths=args.paths, seed=args.seed,
+                     steps_per_interval=args.steps_per_interval,
+                     antithetic=not args.no_antithetic)
+
+
+def _proj_price(model: ModelParams, doc: dict, args) -> float | None:
+    """Projection price of a European contract; None for path-dependent kinds,
+    which have no transform pricer."""
+    if doc["kind"] not in _EUROPEAN_KINDS:
+        return None
+    return price_european(model, _contract_ctx(doc), float(doc["maturity"]),
+                          float(doc["strike"]), doc["kind"] == "european_call",
+                          GridSpec(n=args.n, l1=args.l1))
+
+
+def _mc_price(model: ModelParams, doc: dict, args) -> McEstimate:
+    """Monte Carlo price of any contract kind."""
+    ctx, config = _contract_ctx(doc), _sim_config(args)
+    if doc["kind"] in _EUROPEAN_KINDS:
+        return price_european_mc(model, ctx, float(doc["maturity"]), float(doc["strike"]),
+                                 doc["kind"] == "european_call", config)
+    return price_exotic(model, ctx, _contract_exotic(doc), config)
 
 
 def cmd_price(args) -> int:
     model = _load_params(args.params)
     doc = _load_contract(args.contract)
-    result = _price_contract(model, doc, args)
+    value = _proj_price(model, doc, args)
+    if value is not None:
+        result = {"price": value, "method": "proj"}
+    else:
+        est = _mc_price(model, doc, args)
+        result = {"price": est.price, "std_err": est.std_err,
+                  "ci95_half_width": est.ci95_half_width, "n_paths": est.n_paths,
+                  "method": "mc"}
     out = {"inputs": {"command": "price", "params": args.params, "contract": doc,
                       "paths": args.paths, "seed": args.seed,
                       "steps_per_interval": args.steps_per_interval,
@@ -255,37 +288,20 @@ def cmd_smile(args) -> int:
 def cmd_mc_compare(args) -> int:
     model = _load_params(args.params)
     doc = _load_contract(args.contract)
-    ctx = _contract_ctx(doc)
     kind = doc["kind"]
-    t = float(doc["maturity"])
-    config = SimConfig(n_paths=args.paths, seed=args.seed,
-                       steps_per_interval=args.steps_per_interval,
-                       antithetic=not args.no_antithetic)
-
-    if kind in ("european_call", "european_put"):
-        spec = GridSpec(n=args.n, l1=args.l1)
-        t0 = time.perf_counter()
-        proj_value = price_european(model, ctx, t, float(doc["strike"]),
-                                    kind == "european_call", spec)
-        proj_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        est = price_european_mc(model, ctx, t, float(doc["strike"]),
-                                kind == "european_call", config)
-        mc_time = time.perf_counter() - t0
-        proj_out = _fmt(proj_value)
-    elif kind in EXOTIC_KINDS:
-        proj_out, proj_time = "n/a", 0.0   # transform-based exotics are out of scope
-        t0 = time.perf_counter()
-        est = price_exotic(model, ctx, _contract_exotic(doc), config)
-        mc_time = time.perf_counter() - t0
-    else:
-        raise ValueError(f"unknown contract kind '{kind}'")
+    t0 = time.perf_counter()
+    proj_value = _proj_price(model, doc, args)
+    proj_time = time.perf_counter() - t0 if proj_value is not None else 0.0
+    t0 = time.perf_counter()
+    est = _mc_price(model, doc, args)
+    mc_time = time.perf_counter() - t0
+    proj_out = "n/a" if proj_value is None else _fmt(proj_value)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "strike", "maturity", "proj", "mc",
                          "mc_ci95_half_width", "time_proj_s", "time_mc_s"])
-        writer.writerow([kind, _fmt(doc.get("strike", 0.0)), _fmt(t), proj_out,
+        writer.writerow([kind, _fmt(doc.get("strike", 0.0)), _fmt(doc["maturity"]), proj_out,
                          _fmt(est.price), _fmt(est.ci95_half_width),
                          _fmt(proj_time), _fmt(mc_time)])
     print(f"{kind}: proj {proj_out} mc {est.price:.6f} +/- {est.ci95_half_width:.6f} "
@@ -333,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="fit a model to a quote surface")
-    p.add_argument("--model", required=True, choices=["hkde", "heston", "bates", "bgm"])
+    p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--quotes", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tol-schedule", default="1e-4,1e-6,1e-8")

@@ -5,6 +5,17 @@ Heston + double-exponential jumps (HKDE), Heston + normal jumps (Bates),
 and bilateral-gamma motion with a diffusion component (BGM). All transform
 machinery works off the characteristic exponent psi(xi, t) = ln E[exp(i xi ln S_t)],
 which every model provides in closed form.
+
+Each frozen parameter class is the single definition of its model and carries:
+
+- ``NAME``: the model name used in JSON documents, the CLI and calibration;
+- ``FIELDS``: the flat parameter names, in JSON and calibration-vector order;
+- ``flat()`` / ``from_flat(x)``: the parameter values in ``FIELDS`` order and back;
+- ``exponent(ctx, xi, t)``: the characteristic exponent psi(xi, t);
+- ``frequency_scale()``: the scale in xi over which psi varies (sets FD steps);
+- ``omega()``: the drift compensator that makes exp(-(r-q)t) S_t a martingale.
+
+``MODELS`` maps each name to its class; everything else dispatches through it.
 """
 from __future__ import annotations
 
@@ -19,7 +30,7 @@ __all__ = [
     "MarketContext", "ModelParams", "omega_kde", "omega_bates", "omega_bgm",
     "cf_heston", "cf_kou", "cf_model", "char_exponent", "cumulants_kou",
     "cumulants_numeric", "frequency_scale", "model_to_dict", "model_from_dict",
-    "MODEL_NAMES",
+    "MODELS", "MODEL_NAMES",
 ]
 
 
@@ -27,9 +38,22 @@ __all__ = [
 # Parameter containers
 # ---------------------------------------------------------------------------
 
+class _FlatFields:
+    """flat()/from_flat() for a class whose FIELDS are its own dataclass fields."""
+
+    def flat(self) -> list:
+        return [getattr(self, f) for f in self.FIELDS]
+
+    @classmethod
+    def from_flat(cls, x):
+        return cls(*x)
+
+
 @dataclass(frozen=True)
-class HestonParams:
+class HestonParams(_FlatFields):
     """CIR variance process: dV = kappa(theta - V)dt + sigma_v sqrt(V) dW."""
+    NAME = "heston"
+    FIELDS = ("v0", "theta", "kappa", "sigma_v", "rho")
     v0: float
     theta: float
     kappa: float
@@ -42,10 +66,36 @@ class HestonParams:
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
 
+    def exponent(self, ctx: MarketContext, xi, t: float):
+        """ln phi_Hes in the branch-stable (ratio / "little trap") parameterization.
+
+        beta - d is formed as -sigma_v^2(i xi + xi^2)/(beta + d) to avoid the
+        cancellation that otherwise pollutes cumulant finite differences.
+        """
+        xi = np.asarray(xi, dtype=complex)
+        sv2 = self.sigma_v * self.sigma_v
+        beta = self.kappa - 1j * xi * self.sigma_v * self.rho
+        lin = 1j * xi + xi * xi
+        d = np.sqrt(beta * beta + sv2 * lin)
+        bmd = -sv2 * lin / (beta + d)
+        g = bmd / (beta + d)
+        edt = np.exp(-d * t)
+        log_term = _clog1p(-g * edt) - _clog1p(-g)
+        a = self.kappa * self.theta / sv2 * (bmd * t - 2.0 * log_term)
+        b = bmd / sv2 * (1.0 - edt) / (1.0 - g * edt)
+        return 1j * xi * (math.log(ctx.spot) + (ctx.rate - ctx.div_yield) * t) + a + b * self.v0
+
+    def frequency_scale(self) -> float:
+        return 1.0
+
+    def omega(self) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
-class KouJumpParams:
+class KouJumpParams(_FlatFields):
     """Compound-Poisson double-exponential jumps in the log price."""
+    FIELDS = ("lam", "p", "eta1", "eta2")
     lam: float
     p: float
     eta1: float
@@ -65,13 +115,39 @@ class KouJumpParams:
 
 @dataclass(frozen=True)
 class HKDEParams:
+    NAME = "hkde"
+    FIELDS = HestonParams.FIELDS + KouJumpParams.FIELDS
     heston: HestonParams
     jumps: KouJumpParams
+
+    def flat(self) -> list:
+        return self.heston.flat() + self.jumps.flat()
+
+    @classmethod
+    def from_flat(cls, x):
+        return cls(HestonParams(*x[:5]), KouJumpParams(*x[5:]))
+
+    def exponent(self, ctx: MarketContext, xi, t: float):
+        return self.heston.exponent(ctx, xi, t) + _kou_exponent(xi, t, self.jumps)
+
+    def frequency_scale(self) -> float:
+        j = self.jumps
+        scales = [1.0]
+        if j.lam > 0 and j.p > 0:
+            scales.append(j.eta1)
+        if j.lam > 0 and j.p < 1:
+            scales.append(j.eta2)
+        return min(scales)
+
+    def omega(self) -> float:
+        return omega_kde(self.jumps)
 
 
 @dataclass(frozen=True)
 class BatesParams:
     """Heston variance plus normally distributed log-price jumps."""
+    NAME = "bates"
+    FIELDS = HestonParams.FIELDS + ("lam", "mu_j", "sigma_j")
     heston: HestonParams
     lam: float
     mu_j: float
@@ -83,10 +159,33 @@ class BatesParams:
         if self.sigma_j <= 0:
             raise ValueError("sigma_j must be positive")
 
+    def flat(self) -> list:
+        return self.heston.flat() + [self.lam, self.mu_j, self.sigma_j]
+
+    @classmethod
+    def from_flat(cls, x):
+        return cls(HestonParams(*x[:5]), *x[5:])
+
+    def exponent(self, ctx: MarketContext, xi, t: float):
+        xi = np.asarray(xi, dtype=complex)
+        jump_cf = np.exp(1j * xi * self.mu_j - 0.5 * self.sigma_j * self.sigma_j * xi * xi)
+        return (self.heston.exponent(ctx, xi, t)
+                + t * (self.lam * (jump_cf - 1.0) + 1j * xi * self.omega()))
+
+    def frequency_scale(self) -> float:
+        if self.lam > 0:
+            return min(1.0, 1.0 / (abs(self.mu_j) + self.sigma_j))
+        return 1.0
+
+    def omega(self) -> float:
+        return omega_bates(self.lam, self.mu_j, self.sigma_j)
+
 
 @dataclass(frozen=True)
-class BGMParams:
+class BGMParams(_FlatFields):
     """Bilateral gamma motion plus an independent Brownian component."""
+    NAME = "bgm"
+    FIELDS = ("alpha_p", "lam_p", "alpha_m", "lam_m", "sigma")
     alpha_p: float
     lam_p: float
     alpha_m: float
@@ -100,8 +199,26 @@ class BGMParams:
             # lam_p > 1 keeps E[exp(X)] finite for the martingale drift
             raise ValueError("lam_p must exceed 1")
 
+    def exponent(self, ctx: MarketContext, xi, t: float):
+        xi = np.asarray(xi, dtype=complex)
+        ix = 1j * xi
+        psi = (-0.5 * self.sigma**2 * xi * xi
+               + self.alpha_p * (np.log(self.lam_p) - np.log(self.lam_p - ix))
+               + self.alpha_m * (np.log(self.lam_m) - np.log(self.lam_m + ix))
+               + ix * self.omega())
+        return ix * (math.log(ctx.spot) + (ctx.rate - ctx.div_yield) * t) + t * psi
+
+    def frequency_scale(self) -> float:
+        return min(1.0, self.lam_p, self.lam_m)
+
+    def omega(self) -> float:
+        return omega_bgm(self)
+
 
 ModelParams = Union[HKDEParams, HestonParams, BatesParams, BGMParams]
+
+MODELS = {cls.NAME: cls for cls in (HKDEParams, HestonParams, BatesParams, BGMParams)}
+MODEL_NAMES = tuple(MODELS)
 
 
 @dataclass(frozen=True)
@@ -149,26 +266,6 @@ def _clog1p(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.log1p(2.0 * x + x * x + y * y) + 1j * np.arctan2(y, 1.0 + x)
 
 
-def _heston_exponent(xi, t: float, p: HestonParams, ctx: MarketContext):
-    """ln phi_Hes in the branch-stable (ratio / "little trap") parameterization.
-
-    beta - d is formed as -sigma_v^2(i xi + xi^2)/(beta + d) to avoid the
-    cancellation that otherwise pollutes cumulant finite differences.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    sv2 = p.sigma_v * p.sigma_v
-    beta = p.kappa - 1j * xi * p.sigma_v * p.rho
-    lin = 1j * xi + xi * xi
-    d = np.sqrt(beta * beta + sv2 * lin)
-    bmd = -sv2 * lin / (beta + d)
-    g = bmd / (beta + d)
-    edt = np.exp(-d * t)
-    log_term = _clog1p(-g * edt) - _clog1p(-g)
-    a = p.kappa * p.theta / sv2 * (bmd * t - 2.0 * log_term)
-    b = bmd / sv2 * (1.0 - edt) / (1.0 - g * edt)
-    return 1j * xi * (math.log(ctx.spot) + (ctx.rate - ctx.div_yield) * t) + a + b * p.v0
-
-
 def _kou_exponent(xi, t: float, j: KouJumpParams):
     """ln phi_Kou = t(lam(p eta1/(eta1 - i xi) + (1-p) eta2/(eta2 + i xi) - 1) + i xi omega).
 
@@ -182,41 +279,16 @@ def _kou_exponent(xi, t: float, j: KouJumpParams):
     return t * j.lam * ix * bracket
 
 
-def _bates_jump_exponent(xi, t: float, lam: float, mu_j: float, sigma_j: float):
-    xi = np.asarray(xi, dtype=complex)
-    jump_cf = np.exp(1j * xi * mu_j - 0.5 * sigma_j * sigma_j * xi * xi)
-    return t * (lam * (jump_cf - 1.0) + 1j * xi * omega_bates(lam, mu_j, sigma_j))
-
-
-def _bgm_exponent(xi, t: float, p: BGMParams, ctx: MarketContext):
-    xi = np.asarray(xi, dtype=complex)
-    ix = 1j * xi
-    psi = (-0.5 * p.sigma**2 * xi * xi
-           + p.alpha_p * (np.log(p.lam_p) - np.log(p.lam_p - ix))
-           + p.alpha_m * (np.log(p.lam_m) - np.log(p.lam_m + ix))
-           + ix * omega_bgm(p))
-    return ix * (math.log(ctx.spot) + (ctx.rate - ctx.div_yield) * t) + t * psi
-
-
 def char_exponent(model: ModelParams, ctx: MarketContext, xi, t: float):
     """ln E[exp(i xi ln S_t)] for any supported model; accepts complex xi."""
-    if isinstance(model, HestonParams):
-        return _heston_exponent(xi, t, model, ctx)
-    if isinstance(model, HKDEParams):
-        return _heston_exponent(xi, t, model.heston, ctx) + _kou_exponent(xi, t, model.jumps)
-    if isinstance(model, BatesParams):
-        return (_heston_exponent(xi, t, model.heston, ctx)
-                + _bates_jump_exponent(xi, t, model.lam, model.mu_j, model.sigma_j))
-    if isinstance(model, BGMParams):
-        return _bgm_exponent(xi, t, model, ctx)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model.exponent(ctx, xi, t)
 
 
 def cf_heston(xi, t: float, params: HestonParams, ctx: MarketContext):
     """Heston characteristic function of ln S_t."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return np.exp(_heston_exponent(xi, t, params, ctx))
+    return np.exp(params.exponent(ctx, xi, t))
 
 
 def cf_kou(xi, t: float, jumps: KouJumpParams):
@@ -252,23 +324,7 @@ def frequency_scale(model: ModelParams) -> float:
 
     Jump sides carrying zero weight do not contribute structure and are ignored.
     """
-    if isinstance(model, HestonParams):
-        return 1.0
-    if isinstance(model, HKDEParams):
-        j = model.jumps
-        scales = [1.0]
-        if j.lam > 0 and j.p > 0:
-            scales.append(j.eta1)
-        if j.lam > 0 and j.p < 1:
-            scales.append(j.eta2)
-        return min(scales)
-    if isinstance(model, BatesParams):
-        if model.lam > 0:
-            return min(1.0, 1.0 / (abs(model.mu_j) + model.sigma_j))
-        return 1.0
-    if isinstance(model, BGMParams):
-        return min(1.0, model.lam_p, model.lam_m)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model.frequency_scale()
 
 
 # Central O(h^2) stencils for psi-derivatives; psi(0) = 0 is used implicitly.
@@ -325,29 +381,9 @@ def cumulants_numeric(model: ModelParams, ctx: MarketContext, t: float, n: int) 
 # JSON parameter schema
 # ---------------------------------------------------------------------------
 
-MODEL_NAMES = ("hkde", "heston", "bates", "bgm")
-
-_HESTON_FIELDS = ("v0", "theta", "kappa", "sigma_v", "rho")
-
-
 def model_to_dict(model: ModelParams) -> dict:
     """Serialize to {"model": name, "params": {flat field: value}}."""
-    if isinstance(model, HestonParams):
-        return {"model": "heston", "params": {f: getattr(model, f) for f in _HESTON_FIELDS}}
-    if isinstance(model, HKDEParams):
-        params = {f: getattr(model.heston, f) for f in _HESTON_FIELDS}
-        params.update(lam=model.jumps.lam, p=model.jumps.p,
-                      eta1=model.jumps.eta1, eta2=model.jumps.eta2)
-        return {"model": "hkde", "params": params}
-    if isinstance(model, BatesParams):
-        params = {f: getattr(model.heston, f) for f in _HESTON_FIELDS}
-        params.update(lam=model.lam, mu_j=model.mu_j, sigma_j=model.sigma_j)
-        return {"model": "bates", "params": params}
-    if isinstance(model, BGMParams):
-        return {"model": "bgm", "params": {
-            "alpha_p": model.alpha_p, "lam_p": model.lam_p,
-            "alpha_m": model.alpha_m, "lam_m": model.lam_m, "sigma": model.sigma}}
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return {"model": model.NAME, "params": dict(zip(model.FIELDS, model.flat()))}
 
 
 def model_from_dict(doc: dict) -> ModelParams:
@@ -357,24 +393,13 @@ def model_from_dict(doc: dict) -> ModelParams:
         params = dict(doc["params"])
     except (KeyError, TypeError) as exc:
         raise ValueError("parameter document needs 'model' and 'params' entries") from exc
-
-    def take(*names):
-        missing = [f for f in names if f not in params]
-        if missing:
-            raise ValueError(f"{kind}: missing parameter(s) {', '.join(missing)}")
-        vals = [float(params.pop(f)) for f in names]
-        if params:
-            raise ValueError(f"{kind}: unexpected parameter(s) {', '.join(sorted(params))}")
-        return vals
-
-    if kind == "heston":
-        return HestonParams(*take(*_HESTON_FIELDS))
-    if kind == "hkde":
-        *h, lam, p, eta1, eta2 = take(*_HESTON_FIELDS, "lam", "p", "eta1", "eta2")
-        return HKDEParams(HestonParams(*h), KouJumpParams(lam, p, eta1, eta2))
-    if kind == "bates":
-        *h, lam, mu_j, sigma_j = take(*_HESTON_FIELDS, "lam", "mu_j", "sigma_j")
-        return BatesParams(HestonParams(*h), lam, mu_j, sigma_j)
-    if kind == "bgm":
-        return BGMParams(*take("alpha_p", "lam_p", "alpha_m", "lam_m", "sigma"))
-    raise ValueError(f"unknown model '{kind}'; expected one of {', '.join(MODEL_NAMES)}")
+    if kind not in MODEL_NAMES:
+        raise ValueError(f"unknown model '{kind}'; expected one of {', '.join(MODEL_NAMES)}")
+    cls = MODELS[kind]
+    missing = [f for f in cls.FIELDS if f not in params]
+    if missing:
+        raise ValueError(f"{kind}: missing parameter(s) {', '.join(missing)}")
+    unexpected = sorted(set(params) - set(cls.FIELDS))
+    if unexpected:
+        raise ValueError(f"{kind}: unexpected parameter(s) {', '.join(unexpected)}")
+    return cls.from_flat([float(params[f]) for f in cls.FIELDS])

@@ -20,14 +20,10 @@ import numpy as np
 from svjd.models import (
     BGMParams,
     BatesParams,
-    HestonParams,
     HKDEParams,
     KouJumpParams,
     MarketContext,
     ModelParams,
-    omega_bates,
-    omega_bgm,
-    omega_kde,
 )
 
 __all__ = ["SimConfig", "MonitoringSchedule", "PathBatch", "ExoticSpec", "McEstimate",
@@ -225,11 +221,10 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
     x = np.full(n, math.log(ctx.spot))
     xs = np.empty((n, n_dates))
     xs[:, 0] = x
-    base_drift = ctx.rate - ctx.div_yield
+    drift = ctx.rate - ctx.div_yield + model.omega()
     taus = np.diff(np.asarray(schedule.dates))
 
     if isinstance(model, BGMParams):
-        drift = base_drift + omega_bgm(model)
         for m, tau in enumerate(taus):
             for _ in range(sub[m]):
                 dt = tau / sub[m]
@@ -239,18 +234,7 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
             xs[:, m + 1] = x
         return PathBatch(log_prices=xs, variance=None, schedule=schedule)
 
-    if isinstance(model, HestonParams):
-        heston, jump_kind = model, None
-        drift = base_drift
-    elif isinstance(model, HKDEParams):
-        heston, jump_kind = model.heston, "kou"
-        drift = base_drift + omega_kde(model.jumps)
-    elif isinstance(model, BatesParams):
-        heston, jump_kind = model.heston, "bates"
-        drift = base_drift + omega_bates(model.lam, model.mu_j, model.sigma_j)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-
+    heston = getattr(model, "heston", model)   # a bare Heston model is its own variance leg
     rho = heston.rho
     rho_c = math.sqrt(1.0 - rho * rho)
     v = np.full(n, heston.v0)
@@ -269,11 +253,11 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
         # jumps are independent of the diffusion, so the interval's compound-
         # Poisson total may be added once at the interval end (exact in law
         # for values observed at monitoring dates)
-        if jump_kind == "kou":
+        if isinstance(model, HKDEParams):
             x += _poisson_jump_total(
                 rng, n, model.jumps.lam * tau,
                 lambda k: sample_double_exponential(rng, model.jumps, k))
-        elif jump_kind == "bates":
+        elif isinstance(model, BatesParams):
             counts = rng.poisson(model.lam * tau, size=n)
             x += model.mu_j * counts + model.sigma_j * np.sqrt(counts) * rng.standard_normal(n)
         xs[:, m + 1] = x

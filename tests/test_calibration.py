@@ -16,7 +16,8 @@ from svjd.calibration import (
     synthetic_surface,
     PRICING_PENALTY,
 )
-from svjd.models import HestonParams, MarketContext
+import svjd.calibration
+from svjd.models import MODELS, MODEL_NAMES, HestonParams, MarketContext, model_to_dict
 from svjd.proj import GridSpec
 
 from conftest import PARAM_ROWS, degenerate_hkde
@@ -150,13 +151,38 @@ def test_calibrate_heston_round_trip_small(heston_surface):
 
 
 def test_default_init_within_bounds(heston_surface):
-    for kind in ("heston", "hkde", "bates", "bgm"):
-        model = default_init(kind, heston_surface)
+    for kind in MODEL_NAMES:
+        cls = MODELS[kind]
         lo, hi = default_bounds(kind)
-        assert model is not None
-        assert lo.shape == hi.shape
+        assert len(lo) == len(hi) == len(cls.FIELDS)
+        x = np.asarray(default_init(kind, heston_surface).flat())
+        assert np.all(x >= lo) and np.all(x <= hi)
+        assert list(model_to_dict(cls.from_flat(x))["params"]) == list(cls.FIELDS)
+
+
+def test_calibrate_prices_surface_once_without_passes(heston_surface, monkeypatch):
+    calls = []
+    original = svjd.calibration.residuals
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(svjd.calibration, "residuals", counted)
+    truth = PARAM_ROWS["heston"]["SPOT"]
+    result = calibrate("heston", heston_surface, init=truth, schedule=())
+    assert len(calls) == 1
+    assert result.trace == [result.objective]
+
+
+def test_calibrate_rejects_inverted_bounds(heston_surface):
+    lo, hi = default_bounds("heston")
+    with pytest.raises(ValueError, match=r"lower < upper; violated for v0"):
+        calibrate("heston", heston_surface, bounds=(hi, lo))
 
 
 def test_calibrate_rejects_unknown_kind(heston_surface):
     with pytest.raises(ValueError):
         calibrate("sabr", heston_surface)
+    with pytest.raises(ValueError, match="not heston"):
+        calibrate("heston", heston_surface, init=PARAM_ROWS["bgm"]["SPOT"])

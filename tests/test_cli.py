@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from svjd.cli import load_quotes, main, write_quotes
+from svjd.cli import build_parser, load_quotes, main, write_quotes
 from svjd.calibration import synthetic_surface
-from svjd.models import model_to_dict
+from svjd.models import MODEL_NAMES, model_to_dict
 from svjd.proj import GridSpec, price_european
 from svjd.models import MarketContext
 
@@ -102,6 +102,8 @@ def test_cmd_calibrate_smoke(tmp_path, spot_heston_file, capsys):
     assert doc["params"]["model"] == "heston"
     assert doc["metrics"]["rmse"] < 1e-5
     assert doc["metrics"]["mape_pct"] < 1e-3
+    calibrate_parser = build_parser()._subparsers._group_actions[0].choices["calibrate"]
+    assert tuple(calibrate_parser._option_string_actions["--model"].choices) == MODEL_NAMES
 
 
 def test_cmd_price_european_matches_library(tmp_path, shop_hkde_file, capsys):
@@ -192,3 +194,31 @@ def test_cli_rejects_bad_bump(tmp_path, shop_hkde_file, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "notaparam" in capsys.readouterr().err
+
+
+_BARRIER = {"kind": "barrier_uo", "strike": 100.0, "barrier_up": 140.0, "maturity": 0.5,
+            "monitoring": 2, "spot": 100.0, "rate": 0.05}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kind", "digital_call"),
+    ("is_call", "false"),
+    ("is_call", 0),
+    ("barrier_up", "140"),
+    ("strike", None),
+    ("maturity", "0.5"),
+    ("spot", True),
+    ("rate", float("nan")),
+    ("cap", "0.06"),
+    ("floor", "0.0"),
+])
+def test_cli_rejects_bad_contract_field(tmp_path, shop_hkde_file, capsys, field, value):
+    contract = tmp_path / "c.json"
+    contract.write_text(json.dumps({**_BARRIER, field: value}))
+    for cmd in (["price"], ["mc-compare", "--out", str(tmp_path / "x.csv")]):
+        rc = main(cmd + ["--params", shop_hkde_file, "--contract", str(contract),
+                         "--paths", "100"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and f"'{field}'" in err
+        assert "\n" not in err
