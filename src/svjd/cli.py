@@ -47,6 +47,14 @@ def _fmt(x: float) -> str:
 # Quote file I/O
 # ---------------------------------------------------------------------------
 
+def _csv_number(path: str, line_no: int, rec: list, col: int) -> float:
+    try:
+        return float(rec[col])
+    except ValueError:
+        raise ValueError(f"{path}:{line_no}: column '{QUOTE_HEADER[col]}' must be a number; "
+                         f"got {rec[col]!r}") from None
+
+
 def load_quotes(path: str) -> QuoteSurface:
     """Parse and validate a quote CSV; arbitrage-violating rows are reported
     on stderr with their line numbers and skipped."""
@@ -66,16 +74,16 @@ def load_quotes(path: str) -> QuoteSurface:
                 continue
             if len(rec) != len(QUOTE_HEADER):
                 raise ValueError(f"{path}:{line_no}: expected {len(QUOTE_HEADER)} fields")
-            t = float(rec[0])
-            strike = float(rec[1])
+            t = _csv_number(path, line_no, rec, 0)
+            strike = _csv_number(path, line_no, rec, 1)
             opt = rec[2].strip().upper()
             if opt not in ("C", "P"):
                 raise ValueError(f"{path}:{line_no}: option_type must be C or P")
-            price = float(rec[3]) if rec[3].strip() else None
-            iv = float(rec[4]) if rec[4].strip() else None
-            rate = float(rec[5])
-            div_yield = float(rec[6])
-            row_spot = float(rec[7])
+            price = _csv_number(path, line_no, rec, 3) if rec[3].strip() else None
+            iv = _csv_number(path, line_no, rec, 4) if rec[4].strip() else None
+            rate = _csv_number(path, line_no, rec, 5)
+            div_yield = _csv_number(path, line_no, rec, 6)
+            row_spot = _csv_number(path, line_no, rec, 7)
             if spot is None:
                 spot = row_spot
             elif row_spot != spot:
@@ -146,6 +154,10 @@ def _load_contract(path: str) -> dict:
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
                 or not math.isfinite(value):
             raise ValueError(f"contract field '{key}' must be a finite JSON number; got {value!r}")
+    monitoring = doc.get("monitoring", 1)
+    if isinstance(monitoring, bool) or not isinstance(monitoring, int) or monitoring < 1:
+        raise ValueError(f"contract field 'monitoring' must be a JSON integer >= 1; "
+                         f"got {monitoring!r}")
     if not isinstance(doc.get("is_call", True), bool):
         raise ValueError(f"contract field 'is_call' must be a JSON boolean "
                          f"(true or false); got {doc['is_call']!r}")
@@ -159,7 +171,7 @@ def _contract_ctx(doc: dict) -> MarketContext:
 
 def _contract_exotic(doc: dict) -> ExoticSpec:
     schedule = MonitoringSchedule.uniform(
-        float(doc["maturity"]), int(doc.get("monitoring", 1)),
+        float(doc["maturity"]), doc.get("monitoring", 1),
         spacing=doc.get("spacing", "span"))
     return ExoticSpec(
         kind=doc["kind"], schedule=schedule, strike=float(doc.get("strike", 0.0)),

@@ -27,10 +27,9 @@ import numpy as np
 
 __all__ = [
     "HestonParams", "KouJumpParams", "HKDEParams", "BatesParams", "BGMParams",
-    "MarketContext", "ModelParams", "omega_kde", "omega_bates", "omega_bgm",
-    "cf_heston", "cf_kou", "cf_model", "char_exponent", "cumulants_kou",
-    "cumulants_numeric", "frequency_scale", "model_to_dict", "model_from_dict",
-    "MODELS", "MODEL_NAMES",
+    "MarketContext", "ModelParams", "omega_kde", "cf_heston", "cf_kou", "cf_model",
+    "char_exponent", "cumulants_kou", "cumulants_numeric", "model_to_dict",
+    "model_from_dict", "MODELS", "MODEL_NAMES",
 ]
 
 
@@ -131,6 +130,7 @@ class HKDEParams:
         return self.heston.exponent(ctx, xi, t) + _kou_exponent(xi, t, self.jumps)
 
     def frequency_scale(self) -> float:
+        """Jump sides carrying zero weight add no structure and are ignored."""
         j = self.jumps
         scales = [1.0]
         if j.lam > 0 and j.p > 0:
@@ -178,7 +178,7 @@ class BatesParams:
         return 1.0
 
     def omega(self) -> float:
-        return omega_bates(self.lam, self.mu_j, self.sigma_j)
+        return -self.lam * math.expm1(self.mu_j + 0.5 * self.sigma_j * self.sigma_j)
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,9 @@ class BGMParams(_FlatFields):
         return min(1.0, self.lam_p, self.lam_m)
 
     def omega(self) -> float:
-        return omega_bgm(self)
+        return (-0.5 * self.sigma**2
+                - self.alpha_p * math.log(self.lam_p / (self.lam_p - 1.0))
+                - self.alpha_m * math.log(self.lam_m / (self.lam_m + 1.0)))
 
 
 ModelParams = Union[HKDEParams, HestonParams, BatesParams, BGMParams]
@@ -243,16 +245,6 @@ class MarketContext:
 def omega_kde(jumps: KouJumpParams) -> float:
     """Jump drift compensator -lam*(p*eta1/(eta1-1) + (1-p)*eta2/(eta2+1) - 1)."""
     return -jumps.lam * (jumps.p / (jumps.eta1 - 1.0) - (1.0 - jumps.p) / (jumps.eta2 + 1.0))
-
-
-def omega_bates(lam: float, mu_j: float, sigma_j: float) -> float:
-    return -lam * math.expm1(mu_j + 0.5 * sigma_j * sigma_j)
-
-
-def omega_bgm(params: BGMParams) -> float:
-    return (-0.5 * params.sigma**2
-            - params.alpha_p * math.log(params.lam_p / (params.lam_p - 1.0))
-            - params.alpha_m * math.log(params.lam_m / (params.lam_m + 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,50 +311,48 @@ def cumulants_kou(jumps: KouJumpParams, t: float, n: int) -> float:
     return math.factorial(n) * t * j.lam * (j.p / j.eta1**n + (-1) ** n * (1.0 - j.p) / j.eta2**n)
 
 
-def frequency_scale(model: ModelParams) -> float:
-    """Scale (in xi) over which the characteristic exponent varies; sets FD steps.
-
-    Jump sides carrying zero weight do not contribute structure and are ignored.
-    """
-    return model.frequency_scale()
-
-
-# Central O(h^2) stencils for psi-derivatives; psi(0) = 0 is used implicitly.
-_FD_NODES = {1: (1.0, -1.0), 2: (1.0, -1.0), 3: (2.0, 1.0, -1.0, -2.0), 4: (2.0, 1.0, -1.0, -2.0)}
-_FD_WEIGHTS = {1: (0.5, -0.5), 2: (1.0, 1.0), 3: (0.5, -1.0, 1.0, -0.5), 4: (1.0, -4.0, -4.0, 1.0)}
+# Central O(h^2) stencils for psi-derivatives on the nodes h*(2, 1, -1, -2);
+# psi(0) = 0 is used implicitly. Orders 1 and 2 read only the +-h columns.
+_FD_NODES = np.array([2.0, 1.0, -1.0, -2.0])
+_FD_STENCILS = (
+    (1, slice(1, 3), np.array([0.5, -0.5])),
+    (2, slice(1, 3), np.array([1.0, 1.0])),
+    (3, slice(0, 4), np.array([0.5, -1.0, 1.0, -0.5])),
+    (4, slice(0, 4), np.array([1.0, -4.0, -4.0, 1.0])),
+)
 
 
-def _fd_derivative(psi, n: int, scale: float, shrink: float = 1.2, nlev: int = 36):
-    """n-th derivative of psi at 0 from a ladder of central differences.
+def _fd_derivatives(psi, scale: float, shrink: float = 1.2, nlev: int = 36) -> list:
+    """Derivatives of orders 1..4 of psi at 0 from one ladder of central differences.
 
-    One Richardson refinement per ladder rung; the returned value is the rung
-    whose refined estimates agree best over three consecutive levels, scanning
-    from the largest step and stopping once the agreement deteriorates (which
-    marks the onset of roundoff noise).
+    psi is evaluated once on every rung. Each order gets one Richardson
+    refinement per rung; its returned value is the rung whose refined estimates
+    agree best over three consecutive levels, scanning from the largest step and
+    stopping once the agreement deteriorates (which marks the onset of roundoff
+    noise).
     """
     hs = 0.5 * scale / shrink ** np.arange(nlev)
-    nodes = np.asarray(_FD_NODES[n])
-    weights = np.asarray(_FD_WEIGHTS[n])
-    vals = psi((hs[:, None] * nodes[None, :]).ravel()).reshape(nlev, nodes.size)
-    d = (vals * weights[None, :]).sum(axis=1) / hs**n
+    vals = psi((hs[:, None] * _FD_NODES[None, :]).ravel()).reshape(nlev, _FD_NODES.size)
     s2 = shrink * shrink
-    r = (s2 * d[1:] - d[:-1]) / (s2 - 1.0)
-    err = np.maximum(np.abs(r[:-2] - r[1:-1]), np.abs(r[1:-1] - r[2:]))
-    best_i, best_err, grew = 0, np.inf, 0
-    for i, e in enumerate(err):
-        if e <= best_err:
-            best_i, best_err, grew = i, e, 0
-        elif e > 10.0 * best_err:
-            grew += 1
-            if grew >= 3:
-                break
-    return r[best_i + 1]
+    derivs = []
+    for n, cols, weights in _FD_STENCILS:
+        d = (vals[:, cols] * weights[None, :]).sum(axis=1) / hs**n
+        r = (s2 * d[1:] - d[:-1]) / (s2 - 1.0)
+        err = np.maximum(np.abs(r[:-2] - r[1:-1]), np.abs(r[1:-1] - r[2:]))
+        best_i, best_err, grew = 0, np.inf, 0
+        for i, e in enumerate(err):
+            if e <= best_err:
+                best_i, best_err, grew = i, e, 0
+            elif e > 10.0 * best_err:
+                grew += 1
+                if grew >= 3:
+                    break
+        derivs.append(r[best_i + 1])
+    return derivs
 
 
-def cumulants_numeric(model: ModelParams, ctx: MarketContext, t: float, n: int) -> float:
-    """n-th cumulant of ln S_t from finite differences of the characteristic exponent."""
-    if n not in (1, 2, 3, 4):
-        raise ValueError("cumulant order must be 1..4")
+def cumulants_numeric(model: ModelParams, ctx: MarketContext, t: float) -> tuple:
+    """Cumulants (k1, k2, k3, k4) of ln S_t from finite differences of the characteristic exponent."""
     # The deterministic i xi (ln S0 + (r-q)t) term is differentiated analytically;
     # the FD only sees the slowly varying stochastic part.
     shift = math.log(ctx.spot) + (ctx.rate - ctx.div_yield) * t
@@ -370,11 +360,9 @@ def cumulants_numeric(model: ModelParams, ctx: MarketContext, t: float, n: int) 
     def psi(xi):
         return char_exponent(model, ctx, xi, t) - 1j * np.asarray(xi, dtype=complex) * shift
 
-    deriv = _fd_derivative(psi, n, frequency_scale(model))
-    cum = (deriv / 1j**n).real
-    if n == 1:
-        cum += shift
-    return float(cum)
+    k1, k2, k3, k4 = (float((deriv / 1j**n).real)
+                      for n, deriv in enumerate(_fd_derivatives(psi, model.frequency_scale()), 1))
+    return k1 + shift, k2, k3, k4
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from svjd.models import MarketContext, ModelParams, char_exponent, cumulants_numeric
 
-__all__ = ["GridSpec", "ProjGrid", "ProjCoefficients", "alpha_bar", "alpha_bar_from_cumulants",
+__all__ = ["GridSpec", "ProjGrid", "ProjCoefficients", "alpha_bar_from_cumulants",
            "build_grid", "proj_coefficients", "density", "price_european", "price_strike_slice",
            "bspline3", "dual_zeta"]
 
@@ -88,19 +88,16 @@ def alpha_bar_from_cumulants(c2: float, c4: float, t: float, l1: float) -> float
     return max(0.5, l1 * math.sqrt(max(c2, 0.0) * t + math.sqrt(max(c4, 0.0) * t)))
 
 
-def alpha_bar(model: ModelParams, ctx: MarketContext, t: float, l1: float) -> float:
-    """Half-width from the model's second and fourth cumulants at unit horizon."""
-    if t <= 0 or l1 <= 0:
-        raise ValueError("t and l1 must be positive")
-    c2 = cumulants_numeric(model, ctx, 1.0, 2)
-    c4 = cumulants_numeric(model, ctx, 1.0, 4)
-    return alpha_bar_from_cumulants(c2, c4, t, l1)
-
-
 def build_grid(model: ModelParams, ctx: MarketContext, t: float, spec: GridSpec = GridSpec()) -> ProjGrid:
-    """Log-return grid centered on the unit-horizon drift scaled to maturity."""
-    c1 = cumulants_numeric(model, ctx, 1.0, 1) - math.log(ctx.spot)
-    half_width = alpha_bar(model, ctx, t, spec.l1)
+    """Log-return grid centered on the unit-horizon drift scaled to maturity.
+
+    The half-width comes from the second and fourth cumulants at unit horizon.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    k1, k2, _, k4 = cumulants_numeric(model, ctx, 1.0)
+    c1 = k1 - math.log(ctx.spot)
+    half_width = alpha_bar_from_cumulants(k2, k4, t, spec.l1)
     delta = 2.0 * half_width / (spec.n - 1)
     a = 1.0 / delta
     return ProjGrid(n_basis=spec.n, alpha_bar=half_width, x1=c1 * t - half_width,
@@ -143,19 +140,6 @@ def _payoff_constants(delta: float):
 _KNOT_LO = np.arange(4, dtype=float) - 2.0    # knot interval lower edges in u units
 
 
-def _straddle_put_integrals(beta: np.ndarray, xk: np.ndarray, y_star: float,
-                            grid: ProjGrid, strike: float, spot: float) -> float:
-    """GL quadrature of the put payoff against the basis elements whose support
-    contains the kink; the knot interval holding the kink is split there."""
-    lo = _KNOT_LO[None, :]
-    hi = np.minimum(lo + 1.0, (y_star - xk[:, None]) * grid.a)
-    width = np.maximum(hi - lo, 0.0)
-    u = lo[:, :, None] + width[:, :, None] * _GL01_X[None, None, :]
-    vals = bspline3(u) * (strike - spot * np.exp(xk[:, None, None] + u * grid.delta))
-    per_element = (width[:, :, None] * _GL01_W[None, None, :] * vals).sum(axis=(1, 2))
-    return float(beta @ per_element)
-
-
 def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
                        strikes: Sequence[float], is_calls: Sequence[bool],
                        spec: GridSpec = GridSpec(),
@@ -163,7 +147,10 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
     """Price one maturity slice of European options off a single coefficient build.
 
     The bounded put leg is integrated directly; calls follow from parity with
-    the analytic forward, which keeps wide, heavy-tailed grids stable.
+    the analytic forward, which keeps wide, heavy-tailed grids stable. Elements
+    wholly below a strike's log-moneyness enter through cumulative sums; the
+    four elements whose support holds the kink are integrated by GL quadrature,
+    with the knot interval holding the kink split there.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or np.any(strikes <= 0):
@@ -180,6 +167,16 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
         coeffs = proj_coefficients(model, ctx, t, build_grid(model, ctx, t, spec))
     grid = coeffs.grid
     n = grid.n_basis
+    y_star = np.log(strikes / ctx.spot)
+    pos = (y_star - grid.x1) * grid.a
+    off_grid = np.flatnonzero(~((pos >= 2.0) & (pos <= n - 3.0)))
+    if off_grid.size:
+        i = off_grid[0]
+        raise ValueError(
+            f"strike {strikes[i]} at log-moneyness {y_star[i]:.4f} is outside the "
+            f"projection grid [{grid.x1:.4f}, {grid.x1 + (n - 1) * grid.delta:.4f}]; "
+            "increase L1 (or N) in the grid spec")
+
     xk = grid.x1 + grid.delta * np.arange(n)
     exp_const, one_const = _payoff_constants(grid.delta)
     cum_mass = np.cumsum(coeffs.beta)
@@ -190,27 +187,23 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
     fwd_leg = ctx.spot * math.exp(-ctx.div_yield * t) - strikes * disc
     scale = grid.delta * math.sqrt(grid.a)
 
-    out = np.empty_like(strikes)
-    for i, (k_strike, call_flag) in enumerate(zip(strikes, is_calls)):
-        y_star = math.log(k_strike / ctx.spot)
-        pos = (y_star - grid.x1) * grid.a
-        if not 2.0 <= pos <= n - 3.0:
-            raise ValueError(
-                f"strike {k_strike} at log-moneyness {y_star:.4f} is outside the "
-                f"projection grid [{grid.x1:.4f}, {grid.x1 + (n - 1) * grid.delta:.4f}]; "
-                "increase L1 (or N) in the grid spec")
-        k_full = int(math.floor(pos)) - 2          # last element fully below the kink
-        k_stop = min(int(math.floor(pos)) + 2, n - 1)
-        put_val = 0.0
-        if k_full >= 0:
-            put_val += scale * (k_strike * one_const * cum_mass[k_full]
-                                - ctx.spot * exp_const * cum_exp[k_full])
-        straddle = slice(max(k_full + 1, 0), k_stop + 1)
-        put_val += scale * _straddle_put_integrals(
-            coeffs.beta[straddle], xk[straddle], y_star, grid, k_strike, ctx.spot)
-        put_val *= disc
-        out[i] = put_val + fwd_leg[i] if call_flag else put_val
-    return out
+    k_full = np.floor(pos).astype(int) - 2       # last element fully below each kink
+    below = scale * (strikes * one_const * cum_mass[k_full]
+                     - ctx.spot * exp_const * cum_exp[k_full])
+    # (strike, element, knot interval, GL node) for the four straddling elements
+    near = k_full[:, None] + np.arange(1, 5)
+    x_near = xk[near][:, :, None]
+    hi = np.minimum(_KNOT_LO + 1.0, (y_star[:, None, None] - x_near) * grid.a)
+    width = np.maximum(hi - _KNOT_LO, 0.0)[..., None]
+    u = _KNOT_LO[:, None] + width * _GL01_X
+    vals = bspline3(u) * (strikes[:, None, None, None]
+                          - ctx.spot * np.exp(x_near[..., None] + u * grid.delta))
+    per_element = (width * _GL01_W * vals).sum(axis=(2, 3))
+    # a stacked matmul rounds each 4-term dot as a 1-d `@` does;
+    # einsum and multiply-then-sum round differently
+    straddle = (coeffs.beta[near][:, None, :] @ per_element[:, :, None])[:, 0, 0]
+    put = (below + scale * straddle) * disc
+    return np.where(is_calls, put + fwd_leg, put)
 
 
 def price_european(model: ModelParams, ctx: MarketContext, t: float, strike: float,

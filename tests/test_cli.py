@@ -85,6 +85,15 @@ def test_load_quotes_price_iv_disagreement_warns_price_wins(tmp_path, capsys):
     assert q.price == pytest.approx(good * 1.05)      # price took precedence
 
 
+def test_load_quotes_names_bad_cell(tmp_path):
+    f = tmp_path / "q.csv"
+    f.write_text("maturity_yrs,strike,option_type,mid_price,iv,rate,div_yield,spot\n"
+                 "0.5,abc,C,,0.3,0.05,0.0,100\n")
+    with pytest.raises(ValueError) as info:
+        load_quotes(str(f))
+    assert str(info.value) == f"{f}:2: column 'strike' must be a number; got 'abc'"
+
+
 # ---------------------------------------------------------------------------
 # calibrate / price / smile / mc-compare
 # ---------------------------------------------------------------------------
@@ -211,6 +220,11 @@ _BARRIER = {"kind": "barrier_uo", "strike": 100.0, "barrier_up": 140.0, "maturit
     ("rate", float("nan")),
     ("cap", "0.06"),
     ("floor", "0.0"),
+    ("monitoring", 4.9),
+    ("monitoring", 4.0),
+    ("monitoring", "4"),
+    ("monitoring", True),
+    ("monitoring", 0),
 ])
 def test_cli_rejects_bad_contract_field(tmp_path, shop_hkde_file, capsys, field, value):
     contract = tmp_path / "c.json"

@@ -254,22 +254,21 @@ def test_cumulants_numeric_matches_kou_closed_form():
         eta2 = 10 ** rng.uniform(math.log10(0.01), math.log10(300))
         t = rng.uniform(0.05, 2.0)
         jumps = KouJumpParams(lam, p, eta1, eta2)
-        model = pure_jump_hkde(jumps)
+        numeric = cumulants_numeric(pure_jump_hkde(jumps), ctx, t)
         for n in (1, 2, 3, 4):
             exact = cumulants_kou(jumps, t, n)
-            numeric = cumulants_numeric(model, ctx, t, n)
-            assert numeric == pytest.approx(exact, rel=1e-5, abs=1e-13), (jumps, t, n)
+            assert numeric[n - 1] == pytest.approx(exact, rel=1e-5, abs=1e-13), (jumps, t, n)
 
 
 def test_cumulants_numeric_variance_positive(ctx):
     for _, _, params in ALL_ROWS:
-        assert cumulants_numeric(params, ctx, 1.0, 2) > 0.0
+        assert cumulants_numeric(params, ctx, 1.0)[1] > 0.0
 
 
 def test_cumulants_numeric_first_carries_forward_drift(ctx):
     # k1 = ln S0 + (r-q)t + jump/diffusion drift corrections
     model = degenerate_hkde(0.2)
-    k1 = cumulants_numeric(model, ctx, 1.0, 1)
+    k1 = cumulants_numeric(model, ctx, 1.0)[0]
     expected = math.log(100.0) + 0.05 - 0.5 * 0.04
     assert k1 == pytest.approx(expected, rel=1e-10)
 

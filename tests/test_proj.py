@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
+import svjd.models
 from svjd.black_scholes import bs_price
 from svjd.models import HestonParams, HKDEParams, KouJumpParams, MarketContext, cumulants_numeric
 from svjd.proj import (
+    _GL01_W,
+    _GL01_X,
     GridSpec,
-    alpha_bar,
+    _payoff_constants,
     alpha_bar_from_cumulants,
     bspline3,
     build_grid,
@@ -35,10 +39,24 @@ def test_alpha_bar_forced_arithmetic():
 
 
 def test_alpha_bar_amzn_matches_hand_evaluation(ctx, amzn_hkde):
-    c2 = cumulants_numeric(amzn_hkde, ctx, 1.0, 2)
-    c4 = cumulants_numeric(amzn_hkde, ctx, 1.0, 4)
+    _, c2, _, c4 = cumulants_numeric(amzn_hkde, ctx, 1.0)
     by_hand = max(0.5, 12.0 * math.sqrt(c2 * 0.5 + math.sqrt(c4 * 0.5)))
-    assert alpha_bar(amzn_hkde, ctx, 0.5, 12.0) == pytest.approx(by_hand, rel=1e-12)
+    grid = build_grid(amzn_hkde, ctx, 0.5, GridSpec(4096, 12.0))
+    assert grid.alpha_bar == pytest.approx(by_hand, rel=1e-12)
+
+
+def test_build_grid_makes_one_exponent_call(ctx, amzn_hkde, monkeypatch):
+    # one finite-difference ladder yields all four cumulants
+    calls = []
+    original = svjd.models.char_exponent
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(svjd.models, "char_exponent", counted)
+    build_grid(amzn_hkde, ctx, 0.5)
+    assert len(calls) == 1
 
 
 def test_grid_invariants(ctx, amzn_hkde):
@@ -77,7 +95,7 @@ def test_bspline3_shape():
     assert bspline3(2.0) == 0.0
     assert bspline3(-1.5) == bspline3(1.5)
     u = np.linspace(-2.5, 2.5, 501)
-    assert np.trapezoid(bspline3(u), u) == pytest.approx(1.0, abs=1e-6)
+    assert trapezoid(bspline3(u), u) == pytest.approx(1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +124,7 @@ def test_amzn_density_mass_via_quadrature(ctx, amzn_hkde):
     grid = build_grid(amzn_hkde, ctx, 1.0, GridSpec(4096, 12.0))
     coeffs = proj_coefficients(amzn_hkde, ctx, 1.0, grid)
     x = np.linspace(grid.x1, grid.x1 + (grid.n_basis - 1) * grid.delta, 200001)
-    mass = np.trapezoid(density(coeffs, x), x)
+    mass = trapezoid(density(coeffs, x), x)
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
@@ -160,7 +178,42 @@ def test_slice_equals_individual_prices(ctx, shop_hkde):
     sliced = price_strike_slice(shop_hkde, ctx, 0.75, strikes, flags)
     looped = np.array([price_european(shop_hkde, ctx, 0.75, float(k), bool(f))
                        for k, f in zip(strikes, flags)])
-    assert np.max(np.abs(sliced - looped)) < 1e-12
+    assert np.array_equal(sliced, looped)
+
+
+def _put_leg_by_strike(coeffs, ctx, t, strikes):
+    """Discounted put leg one strike at a time: cumulative sums below the kink,
+    GL quadrature on the four straddling elements with the kink interval split."""
+    g = coeffs.grid
+    xk = g.x1 + g.delta * np.arange(g.n_basis)
+    exp_const, one_const = _payoff_constants(g.delta)
+    cum_mass = np.cumsum(coeffs.beta)
+    cum_exp = np.cumsum(coeffs.beta * np.exp(np.minimum(xk, 700.0)))
+    scale = g.delta * math.sqrt(g.a)
+    out = []
+    for k, y_star in zip(strikes, np.log(strikes / ctx.spot)):
+        k_full = int(math.floor((y_star - g.x1) * g.a)) - 2
+        below = scale * (k * one_const * cum_mass[k_full] - ctx.spot * exp_const * cum_exp[k_full])
+        x = xk[k_full + 1:k_full + 5]
+        lo = np.arange(4.0)[None, :] - 2.0
+        width = np.maximum(np.minimum(lo + 1.0, (y_star - x[:, None]) * g.a) - lo, 0.0)
+        u = lo[:, :, None] + width[:, :, None] * _GL01_X
+        vals = bspline3(u) * (k - ctx.spot * np.exp(x[:, None, None] + u * g.delta))
+        per_element = (width[:, :, None] * _GL01_W * vals).sum(axis=(1, 2))
+        straddle = float(coeffs.beta[k_full + 1:k_full + 5] @ per_element)
+        out.append((below + scale * straddle) * math.exp(-ctx.rate * t))
+    return np.array(out)
+
+
+def test_slice_equals_per_strike_reference(ctx):
+    for kind in ("hkde", "bgm"):
+        model = PARAM_ROWS[kind]["AMZN"]
+        for t in (0.1, 1.0):
+            strikes = np.arange(60.0, 160.0, 0.5)
+            coeffs = proj_coefficients(model, ctx, t, build_grid(model, ctx, t))
+            puts = price_strike_slice(model, ctx, t, strikes, [False] * strikes.size,
+                                      coeffs=coeffs)
+            assert np.array_equal(puts, _put_leg_by_strike(coeffs, ctx, t, strikes)), (kind, t)
 
 
 def test_single_strike_slice_equals_price_european(ctx, amzn_hkde):
@@ -175,6 +228,9 @@ def test_strike_outside_grid_raises(ctx):
         price_european(tiny, ctx, 0.25, 250.0, True)
     with pytest.raises(ValueError):
         price_european(tiny, ctx, 0.25, 30.0, False)
+    # a slice names its first off-grid strike
+    with pytest.raises(ValueError, match=r"strike 250\.0 .*L1"):
+        price_strike_slice(tiny, ctx, 0.25, [100.0, 250.0, 300.0], [True] * 3)
 
 
 def test_slice_input_validation(ctx, amzn_hkde):
