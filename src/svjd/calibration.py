@@ -78,6 +78,9 @@ class QuoteSurface:
             if key in by_t and (by_t[key][0] != rate or by_t[key][1] != div_yield):
                 raise ValueError(f"maturity {t}: inconsistent rate or dividend yield")
             by_t.setdefault(key, (rate, div_yield, []))[2].append(filled)
+        if n_dropped and not by_t:
+            raise ValueError(f"no out-of-the-money quotes: all {n_dropped} were in the money "
+                             f"against the forward")
         slices = []
         for key in sorted(by_t):
             rate, div_yield, quotes = by_t[key]

@@ -49,10 +49,13 @@ def _fmt(x: float) -> str:
 
 def _csv_number(path: str, line_no: int, rec: list, col: int) -> float:
     try:
-        return float(rec[col])
+        value = float(rec[col])
     except ValueError:
-        raise ValueError(f"{path}:{line_no}: column '{QUOTE_HEADER[col]}' must be a number; "
-                         f"got {rec[col]!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{line_no}: column '{QUOTE_HEADER[col]}' must be a finite "
+                         f"number; got {rec[col]!r}")
+    return value
 
 
 def load_quotes(path: str) -> QuoteSurface:
@@ -108,7 +111,11 @@ def load_quotes(path: str) -> QuoteSurface:
         print(f"warning: {path}:{line_no}: rejected, {reason}", file=sys.stderr)
     if not rows:
         raise ValueError(f"{path}: no usable quotes")
-    return QuoteSurface.build(spot, rows)
+    surface = QuoteSurface.build(spot, rows)
+    if surface.n_dropped_itm:
+        print(f"warning: {path}: dropped {surface.n_dropped_itm} in-the-money quotes; "
+              f"the call/put pivot is the forward", file=sys.stderr)
+    return surface
 
 
 def write_quotes(path: str, surface: QuoteSurface) -> None:

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = ["SimConfig", "MonitoringSchedule", "PathBatch", "ExoticSpec", "McEsti
 
 _CHUNK = 1 << 18          # paths per worker chunk; part of the reproducibility key
 _MAX_DT = 1.0 / 250.0     # default substep cap for discretized models
+_BLOCK = 1 << 15          # paths per cache block of the Euler substep arithmetic
 
 EXOTIC_KINDS = ("asian_call", "asian_put", "variance_swap", "variance_call",
                 "cliquet", "barrier_uo", "barrier_do", "barrier_double")
@@ -95,10 +97,21 @@ class MonitoringSchedule:
 
 @dataclass
 class PathBatch:
-    """Log prices (and positive-part variance for diffusive models) at monitoring dates."""
+    """Log prices at monitoring dates; simulate_paths also fills the positive-part
+    variance of diffusive models (None elsewhere)."""
     log_prices: np.ndarray
     variance: Optional[np.ndarray]
     schedule: MonitoringSchedule
+
+    @cached_property
+    def returns(self) -> np.ndarray:
+        """Log returns between consecutive monitoring dates."""
+        return np.diff(self.log_prices, axis=1)
+
+    @cached_property
+    def simple_returns(self) -> np.ndarray:
+        """Simple returns S_k / S_{k-1} - 1 between consecutive monitoring dates."""
+        return np.expm1(self.returns)
 
 
 @dataclass(frozen=True)
@@ -160,14 +173,16 @@ def sample_double_exponential(rng: np.random.Generator, jumps: KouJumpParams, si
 
 def _poisson_jump_total(rng, n, lam_dt, size_sampler) -> np.ndarray:
     """Sum of a Poisson(lam_dt) number of iid jump sizes per path."""
-    total = np.zeros(n)
     if lam_dt <= 0:
-        return total
+        return np.zeros(n)
     counts = rng.poisson(lam_dt, size=n)
-    for j in range(int(counts.max()) if counts.size else 0):
-        mask = counts > j
-        total[mask] += size_sampler(int(mask.sum()))
-    return total
+    top = int(counts.max())
+    if top == 0:
+        return np.zeros(n)
+    # j-major order: the j-th jumps of every path that has one, for j = 0, 1, ...;
+    # bincount then adds each path's jumps in that order, starting from 0.0
+    paths = np.concatenate([np.flatnonzero(counts > j) for j in range(top)])
+    return np.bincount(paths, weights=size_sampler(paths.size), minlength=n)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +223,18 @@ def _chunk_sizes(n_paths: int, antithetic: bool) -> list[int]:
 
 
 def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
-                    sub: list[int], n: int, rng: np.random.Generator, antithetic: bool) -> PathBatch:
+                    sub: list[int], n: int, rng: np.random.Generator, antithetic: bool,
+                    keep_variance: bool = False) -> PathBatch:
     half = n // 2
 
-    def gauss():
+    def gauss(out: np.ndarray) -> np.ndarray:
+        """Fill out with standard normals; antithetic: the second half negates the first."""
         if antithetic:
-            z = rng.standard_normal(half)
-            return np.concatenate([z, -z])
-        return rng.standard_normal(n)
+            rng.standard_normal(out=out[:half])
+            np.negative(out[:half], out=out[half:])
+        else:
+            rng.standard_normal(out=out)
+        return out
 
     n_dates = len(schedule.dates)
     x = np.full(n, math.log(ctx.spot))
@@ -225,31 +244,59 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
     taus = np.diff(np.asarray(schedule.dates))
 
     if isinstance(model, BGMParams):
+        z = np.empty(n)
         for m, tau in enumerate(taus):
             for _ in range(sub[m]):
                 dt = tau / sub[m]
-                x = (x + drift * dt + model.sigma * math.sqrt(dt) * gauss()
+                x = (x + drift * dt + model.sigma * math.sqrt(dt) * gauss(z)
                      + rng.gamma(model.alpha_p * dt, 1.0 / model.lam_p, size=n)
                      - rng.gamma(model.alpha_m * dt, 1.0 / model.lam_m, size=n))
             xs[:, m + 1] = x
         return PathBatch(log_prices=xs, variance=None, schedule=schedule)
 
     heston = getattr(model, "heston", model)   # a bare Heston model is its own variance leg
-    rho = heston.rho
+    kappa, theta, sigma_v, rho = heston.kappa, heston.theta, heston.sigma_v, heston.rho
     rho_c = math.sqrt(1.0 - rho * rho)
     v = np.full(n, heston.v0)
-    vs = np.empty((n, n_dates))
-    vs[:, 0] = heston.v0
+    vs = None
+    if keep_variance:
+        vs = np.empty((n, n_dates))
+        vs[:, 0] = heston.v0
+    # per-chunk work buffers: the substep below is the full-truncation Euler step
+    #   x += (drift_dt - (0.5*dt)*v+) + sqrt(v+ dt)*z_s
+    #   v += (kappa*(theta - v+))*dt + sigma_v*(sqrt(v+ dt)*z_v)
+    # evaluated in place with the same operand grouping, so paths stay bit-identical;
+    # the normals are drawn for the whole chunk, the arithmetic runs block by block
+    # so that each block's seven arrays stay in cache
+    z_v, z_s, v_plus, sq_v, tmp = (np.empty(n) for _ in range(5))
+    blocks = [tuple(a[i:i + _BLOCK] for a in (x, v, z_v, z_s, v_plus, sq_v, tmp))
+              for i in range(0, n, _BLOCK)]
     for m, tau in enumerate(taus):
         dt = tau / sub[m]
         drift_dt = drift * dt
+        half_dt = 0.5 * dt
         for _ in range(sub[m]):
-            z_v = gauss()
-            z_s = rho * z_v + rho_c * gauss()
-            v_plus = np.maximum(v, 0.0)
-            sq_v = np.sqrt(v_plus * dt)
-            x += drift_dt - 0.5 * dt * v_plus + sq_v * z_s
-            v += heston.kappa * (heston.theta - v_plus) * dt + heston.sigma_v * (sq_v * z_v)
+            gauss(z_v)
+            gauss(z_s)
+            for x_b, v_b, zv_b, zs_b, vp_b, sq_b, tmp_b in blocks:
+                np.multiply(zs_b, rho_c, out=zs_b)
+                np.multiply(zv_b, rho, out=tmp_b)
+                np.add(tmp_b, zs_b, out=zs_b)             # z_s = rho*z_v + rho_c*z_2
+                np.maximum(v_b, 0.0, out=vp_b)
+                np.multiply(vp_b, dt, out=sq_b)
+                np.sqrt(sq_b, out=sq_b)
+                np.multiply(vp_b, half_dt, out=tmp_b)
+                np.subtract(drift_dt, tmp_b, out=tmp_b)
+                np.multiply(sq_b, zs_b, out=zs_b)
+                np.add(tmp_b, zs_b, out=tmp_b)
+                np.add(x_b, tmp_b, out=x_b)
+                np.subtract(theta, vp_b, out=tmp_b)
+                np.multiply(tmp_b, kappa, out=tmp_b)
+                np.multiply(tmp_b, dt, out=tmp_b)
+                np.multiply(sq_b, zv_b, out=zv_b)
+                np.multiply(zv_b, sigma_v, out=zv_b)
+                np.add(tmp_b, zv_b, out=tmp_b)
+                np.add(v_b, tmp_b, out=v_b)
         # jumps are independent of the diffusion, so the interval's compound-
         # Poisson total may be added once at the interval end (exact in law
         # for values observed at monitoring dates)
@@ -261,7 +308,8 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
             counts = rng.poisson(model.lam * tau, size=n)
             x += model.mu_j * counts + model.sigma_j * np.sqrt(counts) * rng.standard_normal(n)
         xs[:, m + 1] = x
-        vs[:, m + 1] = np.maximum(v, 0.0)
+        if keep_variance:
+            np.maximum(v, 0.0, out=vs[:, m + 1])
     return PathBatch(log_prices=xs, variance=vs, schedule=schedule)
 
 
@@ -270,7 +318,8 @@ def simulate_paths(model: ModelParams, ctx: MarketContext, schedule: MonitoringS
     """Materialize all paths at the monitoring dates (memory: n_paths x dates)."""
     sub = _substeps(schedule, config, model)
     batches = [
-        _simulate_chunk(model, ctx, schedule, sub, size, _chunk_rng(config.seed, i), config.antithetic)
+        _simulate_chunk(model, ctx, schedule, sub, size, _chunk_rng(config.seed, i),
+                        config.antithetic, keep_variance=True)
         for i, size in enumerate(_chunk_sizes(config.n_paths, config.antithetic))
     ]
     log_prices = np.concatenate([b.log_prices for b in batches])
@@ -280,13 +329,21 @@ def simulate_paths(model: ModelParams, ctx: MarketContext, schedule: MonitoringS
 
 
 def _thread_count() -> int:
-    return max(1, int(os.environ.get("SVJD_THREADS", "1")))
+    raw = os.environ.get("SVJD_THREADS", "1")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"SVJD_THREADS must be a positive integer; got {raw!r}")
+    return n
 
 
 def mc_run(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
            config: SimConfig, payoff_fn: Callable[[PathBatch], np.ndarray]) -> list[McEstimate]:
-    """Chunked estimator: payoff_fn maps a PathBatch to discounted per-path payoffs
-    of shape (n_outputs, n_chunk_paths); returns one estimate per output row.
+    """Chunked estimator: payoff_fn maps a PathBatch (variance None) to discounted
+    per-path payoffs of shape (n_outputs, n_chunk_paths); returns one estimate per
+    output row.
 
     With antithetic sampling the estimator and its standard error are computed
     over pair averages (path i pairs with path i + n/2 within a chunk).
@@ -340,14 +397,13 @@ def evaluate_payoff(spec: ExoticSpec, batch: PathBatch) -> np.ndarray:
         return np.maximum(avg - spec.strike, 0.0) if kind == "asian_call" \
             else np.maximum(spec.strike - avg, 0.0)
 
-    returns = np.diff(logs, axis=1)
     t = batch.schedule.maturity
     if kind == "variance_swap":
-        return (returns ** 2).sum(axis=1) / t - spec.strike
+        return (batch.returns ** 2).sum(axis=1) / t - spec.strike
     if kind == "variance_call":
-        return np.maximum((np.expm1(returns) ** 2).sum(axis=1) / t - spec.strike, 0.0)
+        return np.maximum((batch.simple_returns ** 2).sum(axis=1) / t - spec.strike, 0.0)
     if kind == "cliquet":
-        period = np.clip(np.expm1(returns), spec.floor, spec.cap)
+        period = np.clip(batch.simple_returns, spec.floor, spec.cap)
         return spec.strike * np.clip(period.sum(axis=1), spec.global_floor, spec.global_cap)
 
     # knock-out barriers: monitored at t_1..t_M, payoff on S at the last date

@@ -50,6 +50,15 @@ def test_surface_build_groups_and_filters():
             assert q.price is not None and q.iv is not None
 
 
+def test_surface_build_names_all_in_the_money():
+    rows = [(0.5, 0.05, 0.0, Quote(maturity=0.5, strike=k, is_call=True, iv=0.3))
+            for k in (90.0, 100.0)]
+    with pytest.raises(ValueError) as info:
+        QuoteSurface.build(100.0, rows)
+    assert str(info.value) == ("no out-of-the-money quotes: all 2 were in the money "
+                               "against the forward")
+
+
 def test_surface_rejects_sparse_maturity():
     rows = [(1.0, 0.05, 0.0, Quote(maturity=1.0, strike=110.0, is_call=True, iv=0.3)),
             (1.0, 0.05, 0.0, Quote(maturity=1.0, strike=120.0, is_call=True, iv=0.3))]

@@ -87,11 +87,34 @@ def test_load_quotes_price_iv_disagreement_warns_price_wins(tmp_path, capsys):
 
 def test_load_quotes_names_bad_cell(tmp_path):
     f = tmp_path / "q.csv"
-    f.write_text("maturity_yrs,strike,option_type,mid_price,iv,rate,div_yield,spot\n"
-                 "0.5,abc,C,,0.3,0.05,0.0,100\n")
+    header = "maturity_yrs,strike,option_type,mid_price,iv,rate,div_yield,spot\n"
+    for cell in ("abc", "nan", "inf", "-inf"):
+        f.write_text(header + f"0.5,{cell},C,,0.3,0.05,0.0,100\n")
+        with pytest.raises(ValueError) as info:
+            load_quotes(str(f))
+        assert str(info.value) == f"{f}:2: column 'strike' must be a finite number; got '{cell}'"
+    # a non-finite iv is rejected even beside a usable price
+    f.write_text(header + "0.5,110,C,3.0,0.3,0.05,0.0,100\n0.5,120,C,2.0,nan,0.05,0.0,100\n")
     with pytest.raises(ValueError) as info:
         load_quotes(str(f))
-    assert str(info.value) == f"{f}:2: column 'strike' must be a number; got 'abc'"
+    assert str(info.value) == f"{f}:3: column 'iv' must be a finite number; got 'nan'"
+
+
+def test_load_quotes_reports_dropped_in_the_money_quotes(tmp_path, capsys):
+    f = tmp_path / "q.csv"
+    header = "maturity_yrs,strike,option_type,mid_price,iv,rate,div_yield,spot\n"
+    f.write_text(header + "0.5,100,C,,0.3,0.05,0.0,100\n")     # forward 102.5: in the money
+    with pytest.raises(ValueError) as info:
+        load_quotes(str(f))
+    assert str(info.value) == ("no out-of-the-money quotes: all 1 were in the money "
+                               "against the forward")
+    rows = [f"0.5,{k},C,,0.3,0.05,0.0,100\n" for k in (95, 100, 110, 120, 130)]
+    f.write_text(header + "".join(rows))
+    surface = load_quotes(str(f))
+    assert surface.n_quotes == 3 and surface.n_dropped_itm == 2
+    err = capsys.readouterr().err
+    assert err == (f"warning: {f}: dropped 2 in-the-money quotes; "
+                   f"the call/put pivot is the forward\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from svjd.models import HestonParams, HKDEParams, KouJumpParams, MarketContext
+import svjd.montecarlo as montecarlo
+from svjd.models import BatesParams, HestonParams, HKDEParams, KouJumpParams, MarketContext
 from svjd.montecarlo import (
     ExoticSpec,
     MonitoringSchedule,
     PathBatch,
     SimConfig,
+    _chunk_rng,
+    _poisson_jump_total,
+    _simulate_chunk,
+    _thread_count,
     evaluate_payoff,
+    mc_run,
     price_european_mc,
     price_exotic,
     price_exotic_batch,
@@ -335,3 +341,146 @@ def test_cf_and_second_cumulant_vs_million_path_sample(ctx, amzn_hkde):
     centered = ret - ret.mean()
     se_var = math.sqrt((np.mean(centered**4) - sample_var**2) / n)
     assert abs(sample_var - k2) < 3 * se_var
+
+
+# ---------------------------------------------------------------------------
+# Chunk kernel against the allocating reference form
+# ---------------------------------------------------------------------------
+
+def _reference_jump_total(rng, n, lam_dt, size_sampler):
+    """Per-count loop: the j-th jumps of all paths that have one, j = 0, 1, ..."""
+    total = np.zeros(n)
+    if lam_dt <= 0:
+        return total
+    counts = rng.poisson(lam_dt, size=n)
+    for j in range(int(counts.max()) if counts.size else 0):
+        mask = counts > j
+        total[mask] += size_sampler(int(mask.sum()))
+    return total
+
+
+def _reference_chunk(model, ctx, schedule, sub, n, rng, antithetic):
+    """Full-truncation Euler chunk in allocating expression form."""
+    half = n // 2
+
+    def gauss():
+        if antithetic:
+            z = rng.standard_normal(half)
+            return np.concatenate([z, -z])
+        return rng.standard_normal(n)
+
+    x = np.full(n, math.log(ctx.spot))
+    xs = np.empty((n, len(schedule.dates)))
+    xs[:, 0] = x
+    drift = ctx.rate - ctx.div_yield + model.omega()
+    heston = getattr(model, "heston", model)
+    rho_c = math.sqrt(1.0 - heston.rho * heston.rho)
+    v = np.full(n, heston.v0)
+    vs = np.empty_like(xs)
+    vs[:, 0] = heston.v0
+    for m, tau in enumerate(np.diff(np.asarray(schedule.dates))):
+        dt = tau / sub[m]
+        drift_dt = drift * dt
+        for _ in range(sub[m]):
+            z_v = gauss()
+            z_s = heston.rho * z_v + rho_c * gauss()
+            v_plus = np.maximum(v, 0.0)
+            sq_v = np.sqrt(v_plus * dt)
+            x += drift_dt - 0.5 * dt * v_plus + sq_v * z_s
+            v += heston.kappa * (heston.theta - v_plus) * dt + heston.sigma_v * (sq_v * z_v)
+        if isinstance(model, HKDEParams):
+            x += _reference_jump_total(
+                rng, n, model.jumps.lam * tau,
+                lambda k: sample_double_exponential(rng, model.jumps, k))
+        elif isinstance(model, BatesParams):
+            counts = rng.poisson(model.lam * tau, size=n)
+            x += model.mu_j * counts + model.sigma_j * np.sqrt(counts) * rng.standard_normal(n)
+        xs[:, m + 1] = x
+        vs[:, m + 1] = np.maximum(v, 0.0)
+    return xs, vs
+
+
+@pytest.mark.parametrize("kind,name", [("heston", "SHOP"), ("hkde", "NFLX"), ("bates", "AMZN")])
+@pytest.mark.parametrize("antithetic,n", [(True, 1_000), (False, 1_001)])
+@pytest.mark.parametrize("block", [96, None])    # 96: ten cache blocks and a short tail
+def test_chunk_kernel_equals_allocating_reference(ctx, monkeypatch, kind, name, antithetic, n,
+                                                  block):
+    if block is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    model = PARAM_ROWS[kind][name]
+    sched = MonitoringSchedule.uniform(1.0, 4)
+    sub = [3, 1, 5, 2]
+    batch = _simulate_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic,
+                            keep_variance=True)
+    xs, vs = _reference_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic)
+    assert np.array_equal(batch.log_prices, xs)
+    assert np.array_equal(batch.variance, vs)
+    assert _simulate_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic).variance is None
+
+
+@pytest.mark.parametrize("lam_dt", [0.0, 1e-9, PARAM_ROWS["hkde"]["NFLX"].jumps.lam * 0.1])
+def test_jump_total_equals_per_count_loop(lam_dt):
+    jumps = PARAM_ROWS["hkde"]["NFLX"].jumps      # lam ~ 104
+    results = []
+    for fn in (_poisson_jump_total, _reference_jump_total):
+        rng = _chunk_rng(3, 1)
+        total = fn(rng, 5_000, lam_dt, lambda k: sample_double_exponential(rng, jumps, k))
+        results.append((total, rng.standard_normal(4)))
+    (total, after), (ref_total, ref_after) = results
+    assert np.array_equal(total, ref_total)
+    assert np.array_equal(after, ref_after)        # the generator is left in the same state
+    if lam_dt < 1e-6:
+        assert not total.any()                     # no path jumps
+    else:
+        assert (total != 0.0).mean() > 0.99
+
+
+def test_mc_run_hands_payoffs_no_variance(ctx, amzn_hkde):
+    sched = MonitoringSchedule.uniform(0.5, 3)
+    cfg = SimConfig(n_paths=1_000, seed=3, steps_per_interval=2)
+    seen = []
+
+    def payoff(batch):
+        seen.append(batch.variance)
+        return batch.log_prices[:, -1][None, :]
+
+    mc_run(amzn_hkde, ctx, sched, cfg, payoff)
+    assert seen == [None]
+    assert simulate_paths(amzn_hkde, ctx, sched, cfg).variance.shape == (1_000, 4)
+
+
+def test_payoffs_do_not_depend_on_evaluation_order(ctx, amzn_hkde):
+    sched = MonitoringSchedule.uniform(1.0, 12)
+    specs = [ExoticSpec(kind="variance_swap", schedule=sched, strike=0.02),
+             ExoticSpec(kind="variance_call", schedule=sched, strike=0.03),
+             ExoticSpec(kind="cliquet", schedule=sched, strike=1.0, cap=0.06, floor=0.01,
+                        global_cap=1.8, global_floor=0.5),
+             ExoticSpec(kind="asian_call", schedule=sched, strike=100.0),
+             ExoticSpec(kind="barrier_uo", schedule=sched, strike=100.0, barrier_up=130.0)]
+
+    def fresh():
+        return simulate_paths(amzn_hkde, ctx, sched,
+                              SimConfig(n_paths=2_000, seed=4, steps_per_interval=2))
+
+    forward_batch, reverse_batch = fresh(), fresh()
+    forward = [evaluate_payoff(s, forward_batch) for s in specs]
+    reverse = [evaluate_payoff(s, reverse_batch) for s in reversed(specs)][::-1]
+    for a, b in zip(forward, reverse):
+        assert np.array_equal(a, b)
+    assert np.array_equal(forward_batch.returns, np.diff(forward_batch.log_prices, axis=1))
+    assert np.array_equal(forward_batch.simple_returns, np.expm1(forward_batch.returns))
+
+
+@pytest.mark.parametrize("raw", ["two", "0", "-3"])
+def test_thread_count_rejects_non_positive_integers(monkeypatch, raw):
+    monkeypatch.setenv("SVJD_THREADS", raw)
+    with pytest.raises(ValueError) as info:
+        _thread_count()
+    assert str(info.value) == f"SVJD_THREADS must be a positive integer; got '{raw}'"
+
+
+def test_thread_count_defaults_to_one(monkeypatch):
+    monkeypatch.delenv("SVJD_THREADS", raising=False)
+    assert _thread_count() == 1
+    monkeypatch.setenv("SVJD_THREADS", "3")
+    assert _thread_count() == 3
