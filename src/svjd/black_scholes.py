@@ -1,16 +1,19 @@
-"""Black-Scholes pricing, the vega weight kernel, and implied-volatility inversion."""
+"""Black-Scholes pricing, the vega weight kernel, and implied-volatility inversion
+on scalars or broadcasting arrays (the maturity is a scalar); scalars in give a float out."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+from scipy.special import ndtr
+
 from svjd.models import MarketContext
 
 __all__ = ["Quote", "bs_price", "bs_vega", "bs_vega_greek", "implied_vol",
-           "no_arbitrage_bounds", "norm_cdf", "norm_pdf"]
+           "no_arbitrage_bounds"]
 
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # inversion bracket and convergence targets
@@ -18,13 +21,16 @@ VOL_LO = 1e-4
 VOL_HI = 5.0
 MAX_ITER = 200
 
+# why _invert could not invert an element: failure code -> (exception, message)
+_FAILURES = {1: (ValueError, "price {p} at strike {k} outside no-arbitrage bounds ({lo}, {hi})"),
+             2: (ValueError, f"price {{p}} at strike {{k}} requires vol above {VOL_HI}"),
+             3: (RuntimeError, "implied volatility did not converge at strike {k}")}
+_OUTSIDE, _ABOVE, _UNCONVERGED = _FAILURES
 
-def norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / _SQRT2)
 
-
-def norm_pdf(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+def _out(x):
+    """A float for a 0-d result, the array itself otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -45,90 +51,103 @@ class Quote:
             raise ValueError("quote needs a price or an implied volatility")
 
 
-def _d1(ctx: MarketContext, t: float, strike: float, vol: float) -> float:
-    return ((math.log(ctx.spot / strike) + t * (ctx.rate - ctx.div_yield + 0.5 * vol * vol))
+def _d1(ctx: MarketContext, t: float, strike, vol):
+    return ((np.log(ctx.spot / strike) + t * (ctx.rate - ctx.div_yield + 0.5 * vol * vol))
             / (vol * math.sqrt(t)))
 
 
-def bs_price(ctx: MarketContext, t: float, strike: float, vol: float, is_call: bool) -> float:
+def bs_price(ctx: MarketContext, t: float, strike, vol, is_call):
     """Black-Scholes price with continuous rate and dividend yield."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if vol <= 0:
+    if np.any(vol <= 0):
         raise ValueError("vol must be positive")
     fwd = ctx.spot * math.exp(-ctx.div_yield * t)
     disc_k = strike * math.exp(-ctx.rate * t)
     d1 = _d1(ctx, t, strike, vol)
     d2 = d1 - vol * math.sqrt(t)
-    if is_call:
-        return fwd * norm_cdf(d1) - disc_k * norm_cdf(d2)
-    return disc_k * norm_cdf(-d2) - fwd * norm_cdf(-d1)
+    # the put is the call formula with d1, d2 and the result negated
+    sign = np.where(is_call, 1.0, -1.0)
+    return _out(sign * (fwd * ndtr(sign * d1) - disc_k * ndtr(sign * d2)))
 
 
-def bs_vega(ctx: MarketContext, t: float, strike: float, vol: float) -> float:
+def bs_vega(ctx: MarketContext, t: float, strike, vol):
     """Weight kernel S0 * pdf(d1) * sqrt(t) used for vega-weighted calibration.
 
     Deliberately carries no dividend discounting; see bs_vega_greek for the
     derivative of bs_price with respect to vol.
     """
-    if vol <= 0:
+    if np.any(vol <= 0):
         raise ValueError("vol must be positive")
-    return ctx.spot * norm_pdf(_d1(ctx, t, strike, vol)) * math.sqrt(t)
+    d1 = _d1(ctx, t, strike, vol)
+    return _out(ctx.spot * (_INV_SQRT_2PI * np.exp(-0.5 * d1 * d1)) * math.sqrt(t))
 
 
-def bs_vega_greek(ctx: MarketContext, t: float, strike: float, vol: float) -> float:
+def bs_vega_greek(ctx: MarketContext, t: float, strike, vol):
     """dPrice/dVol, including the exp(-q t) factor."""
     return math.exp(-ctx.div_yield * t) * bs_vega(ctx, t, strike, vol)
 
 
-def no_arbitrage_bounds(ctx: MarketContext, t: float, strike: float, is_call: bool) -> tuple[float, float]:
+def no_arbitrage_bounds(ctx: MarketContext, t: float, strike, is_call) -> tuple:
     """(lower, upper) static bounds for a European option price."""
     fwd = ctx.spot * math.exp(-ctx.div_yield * t)
     disc_k = strike * math.exp(-ctx.rate * t)
-    if is_call:
-        return max(fwd - disc_k, 0.0), fwd
-    return max(disc_k - fwd, 0.0), disc_k
+    lower = np.maximum(np.where(is_call, fwd - disc_k, disc_k - fwd), 0.0)
+    return _out(lower), _out(np.where(is_call, fwd, disc_k))
 
 
-def implied_vol(ctx: MarketContext, t: float, strike: float, price: float, is_call: bool) -> float:
-    """Invert bs_price: safeguarded Newton on [VOL_LO, VOL_HI] with bisection fallback.
-
-    Raises ValueError for prices outside the static no-arbitrage bounds and
-    RuntimeError if MAX_ITER iterations do not reach |price error| < 1e-10 S0.
-    """
+def _invert(ctx: MarketContext, t: float, strike, price, is_call) -> tuple:
+    """Implied vols of equal-length 1-d arrays, by one safeguarded Newton iteration
+    over the unconverged elements, and per element 0 or its _FAILURES code (vol nan)."""
+    sigma = np.full(strike.shape, np.nan)
     lo_bound, hi_bound = no_arbitrage_bounds(ctx, t, strike, is_call)
-    if not lo_bound < price < hi_bound:
-        raise ValueError(
-            f"price {price} outside no-arbitrage bounds ({lo_bound}, {hi_bound})")
+    failure = np.where((lo_bound < price) & (price < hi_bound), 0, _OUTSIDE)
+    low = (failure == 0) & (bs_price(ctx, t, strike, VOL_LO, is_call) > price)
+    sigma[low] = VOL_LO  # price below the bracket: vanishing vol
+    failure[(failure == 0) & ~low & (bs_price(ctx, t, strike, VOL_HI, is_call) < price)] = _ABOVE
 
-    tol = 1e-10 * ctx.spot
-    lo, hi = VOL_LO, VOL_HI
-    f_lo = bs_price(ctx, t, strike, lo, is_call) - price
-    f_hi = bs_price(ctx, t, strike, hi, is_call) - price
-    if f_lo > 0:
-        return lo  # price below the bracket: vanishing vol
-    if f_hi < 0:
-        raise ValueError(f"price {price} requires vol above {VOL_HI}")
-
-    sigma = min(max(math.sqrt(2.0 * abs(math.log(ctx.spot / strike)
-                                        + (ctx.rate - ctx.div_yield) * t) / t) or 0.2, lo), hi)
-    for _ in range(MAX_ITER):
-        f = bs_price(ctx, t, strike, sigma, is_call) - price
-        if f > 0:
-            hi = sigma
-        else:
-            lo = sigma
-        vega = bs_vega_greek(ctx, t, strike, sigma)
-        if abs(f) < tol:
+    i = np.flatnonzero((failure == 0) & ~low)
+    k, p, c = strike[i], price[i], is_call[i]
+    lo, hi = np.full(i.size, VOL_LO), np.full(i.size, VOL_HI)
+    guess = np.sqrt(2.0 * np.abs(np.log(ctx.spot / k) + (ctx.rate - ctx.div_yield) * t) / t)
+    s = np.clip(np.where(guess == 0.0, 0.2, guess), lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_ITER):
+            if not i.size:
+                break
+            f = bs_price(ctx, t, k, s, c) - p
+            up = f > 0
+            hi, lo = np.where(up, s, hi), np.where(up, lo, s)
+            vega = bs_vega_greek(ctx, t, k, s)
+            step = f / vega
             # price converged; require vol-space convergence too, unless vega or
             # the remaining bracket is too small for the price to resolve it
-            vol_res = 1e-9 * max(sigma, 1e-2)
-            if vega <= 1e-12 or abs(f / vega) < vol_res or hi - lo < vol_res:
-                return sigma
-        if vega > 1e-14:
-            candidate = sigma - f / vega
-            if lo < candidate < hi:
-                sigma = candidate
-                continue
-        sigma = 0.5 * (lo + hi)
-    raise RuntimeError("implied volatility did not converge")
+            vol_res = 1e-9 * np.maximum(s, 1e-2)
+            done = (np.abs(f) < 1e-10 * ctx.spot) & (
+                (vega <= 1e-12) | (np.abs(step) < vol_res) | (hi - lo < vol_res))
+            sigma[i[done]] = s[done]
+            candidate = s - step
+            s = np.where((vega > 1e-14) & (lo < candidate) & (candidate < hi),
+                         candidate, 0.5 * (lo + hi))
+            i, k, p, c, s, lo, hi = (a[~done] for a in (i, k, p, c, s, lo, hi))
+    failure[i] = _UNCONVERGED
+    return sigma, failure
+
+
+def implied_vol(ctx: MarketContext, t: float, strike, price, is_call):
+    """Invert bs_price: safeguarded Newton on [VOL_LO, VOL_HI] with bisection
+    fallback, to |price error| < 1e-10 S0 and a vol step < 1e-9 max(vol, 1e-2).
+
+    Raises for the first element it cannot invert, naming its strike: ValueError
+    outside the static no-arbitrage bounds or above VOL_HI, RuntimeError if
+    MAX_ITER iterations do not converge.
+    """
+    strike, price, is_call = np.broadcast_arrays(strike, price, is_call)
+    sigma, failure = _invert(ctx, t, strike.ravel(), price.ravel(), is_call.ravel())
+    if failure.any():
+        j = np.flatnonzero(failure)[0]
+        k, p, c = float(strike.flat[j]), float(price.flat[j]), bool(is_call.flat[j])
+        lo, hi = no_arbitrage_bounds(ctx, t, k, c)
+        error, message = _FAILURES[failure[j]]
+        raise error(message.format(p=p, k=k, lo=lo, hi=hi))
+    return _out(sigma.reshape(strike.shape))

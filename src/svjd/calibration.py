@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from svjd.black_scholes import Quote, bs_price, bs_vega, implied_vol, no_arbitrage_bounds
+from svjd.black_scholes import Quote, _invert, bs_price, bs_vega, implied_vol
 from svjd.models import MODELS, MarketContext, ModelParams
 from svjd.proj import GridSpec, price_strike_slice
 
@@ -29,17 +29,36 @@ DEFAULT_SCHEDULE = (1e-4, 1e-6, 1e-8)
 
 @dataclass
 class MaturitySlice:
-    """All OTM quotes of one tenor with its own rate and dividend yield."""
+    """All OTM quotes of one tenor with its own rate and dividend yield.
+
+    Missing prices come from IVs and missing IVs from prices, one array call each.
+    The filled quotes are a tuple, in step with the arrays `strikes`, `is_calls`,
+    `prices` and `ivs` built from them.
+    """
     t: float
     ctx: MarketContext
-    quotes: list
+    quotes: tuple
 
     def __post_init__(self):
         if len(self.quotes) < 3:
             raise ValueError(f"maturity {self.t}: needs at least 3 quotes")
-        strikes = [q.strike for q in self.quotes]
-        if any(k2 <= k1 for k1, k2 in zip(strikes, strikes[1:])):
+        k, c, v, iv = (np.array(col, dtype=float) for col in
+                       zip(*((q.strike, q.is_call, q.price, q.iv) for q in self.quotes)))
+        if np.any(np.diff(k) <= 0):
             raise ValueError(f"maturity {self.t}: strikes must be strictly ascending")
+        c = c == 1.0
+        gap = np.isnan(v)
+        v[gap] = bs_price(self.ctx, self.t, k[gap], iv[gap], c[gap])
+        gap = np.isnan(iv)
+        iv[gap] = implied_vol(self.ctx, self.t, k[gap], v[gap], c[gap])
+        self.quotes = tuple(Quote(self.t, *q) for q in zip(k.tolist(), c.tolist(), v.tolist(),
+                                                          iv.tolist()))
+        self.strikes, self.is_calls, self.prices, self.ivs = k, c, v, iv
+
+    def model_prices(self, model: ModelParams, grid_spec: GridSpec) -> np.ndarray:
+        """The model's prices of this slice's quotes, from one slice pricing."""
+        return price_strike_slice(model, self.ctx, self.t, self.strikes, self.is_calls,
+                                  grid_spec)
 
 
 @dataclass
@@ -57,46 +76,28 @@ class QuoteSurface:
     @classmethod
     def build(cls, spot: float, rows: Sequence[tuple]) -> "QuoteSurface":
         """rows: (maturity, rate, div_yield, Quote). ITM quotes are dropped; the
-        call/put pivot is the forward. Missing prices come from IVs and missing
-        IVs from prices."""
+        call/put pivot is the forward; each slice fills in missing prices and IVs."""
         by_t: dict = {}
         n_dropped = 0
         for t, rate, div_yield, quote in rows:
-            ctx = MarketContext(spot=spot, rate=rate, div_yield=div_yield)
-            fwd = ctx.forward(t)
-            if quote.is_call != (quote.strike >= fwd):
+            if quote.is_call != (quote.strike >= MarketContext(spot, rate, div_yield).forward(t)):
                 n_dropped += 1
                 continue
-            price, iv = quote.price, quote.iv
-            if price is None:
-                price = bs_price(ctx, t, quote.strike, iv, quote.is_call)
-            if iv is None:
-                iv = implied_vol(ctx, t, quote.strike, price, quote.is_call)
-            filled = Quote(maturity=t, strike=quote.strike, is_call=quote.is_call,
-                           price=price, iv=iv)
             key = round(t, 12)
             if key in by_t and (by_t[key][0] != rate or by_t[key][1] != div_yield):
                 raise ValueError(f"maturity {t}: inconsistent rate or dividend yield")
-            by_t.setdefault(key, (rate, div_yield, []))[2].append(filled)
+            by_t.setdefault(key, (rate, div_yield, []))[2].append(quote)
         if n_dropped and not by_t:
             raise ValueError(f"no out-of-the-money quotes: all {n_dropped} were in the money "
                              f"against the forward")
-        slices = []
-        for key in sorted(by_t):
-            rate, div_yield, quotes = by_t[key]
-            quotes.sort(key=lambda q: q.strike)
-            slices.append(MaturitySlice(
-                t=float(key), ctx=MarketContext(spot=spot, rate=rate, div_yield=div_yield),
-                quotes=quotes))
+        slices = [MaturitySlice(float(key), MarketContext(spot, rate, div_yield),
+                                sorted(quotes, key=lambda q: q.strike))
+                  for key, (rate, div_yield, quotes) in sorted(by_t.items())]
         return cls(spot=spot, slices=slices, n_dropped_itm=n_dropped)
 
     def weights(self) -> list:
         """Per-slice vega weights 1/(S0 pdf(d1) sqrt(T)) at market IVs."""
-        out = []
-        for sl in self.slices:
-            out.append(np.array([1.0 / bs_vega(sl.ctx, sl.t, q.strike, q.iv)
-                                 for q in sl.quotes]))
-        return out
+        return [1.0 / bs_vega(sl.ctx, sl.t, sl.strikes, sl.ivs) for sl in self.slices]
 
     @property
     def n_quotes(self) -> int:
@@ -131,14 +132,8 @@ def residuals(model: ModelParams, surface: QuoteSurface, weights=None,
     """sqrt(w) (V_model - v_mkt) over the whole surface, one slice pricing per tenor."""
     if weights is None:
         weights = surface.weights()
-    parts = []
-    for sl, w in zip(surface.slices, weights):
-        strikes = [q.strike for q in sl.quotes]
-        flags = [q.is_call for q in sl.quotes]
-        model_prices = price_strike_slice(model, sl.ctx, sl.t, strikes, flags, grid_spec)
-        mkt = np.array([q.price for q in sl.quotes])
-        parts.append(np.sqrt(w) * (model_prices - mkt))
-    return np.concatenate(parts)
+    return np.concatenate([np.sqrt(w) * (sl.model_prices(model, grid_spec) - sl.prices)
+                           for sl, w in zip(surface.slices, weights)])
 
 
 def objective(model: ModelParams, surface: QuoteSurface,
@@ -181,16 +176,11 @@ def default_bounds(model_kind: str) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _atm_iv(surface: QuoteSurface, sl: MaturitySlice) -> float:
-    fwd = sl.ctx.forward(sl.t)
-    return min(sl.quotes, key=lambda q: abs(q.strike - fwd)).iv
-
-
 def default_init(model_kind: str, surface: QuoteSurface) -> ModelParams:
     """Smile-informed seed: short/long ATM variance levels plus neutral jump settings."""
     cls = _model_class(model_kind)
-    v_short = _atm_iv(surface, surface.slices[0]) ** 2
-    v_long = _atm_iv(surface, surface.slices[-1]) ** 2
+    v_short, v_long = (sl.ivs[np.argmin(np.abs(sl.strikes - sl.ctx.forward(sl.t)))] ** 2
+                       for sl in (surface.slices[0], surface.slices[-1]))
     atm = {"v0": v_short, "theta": v_long, "sigma": max(math.sqrt(v_short), 0.05)}
     x = [atm[f] if f in atm else _FIELD_BOUNDS[f][2] for f in cls.FIELDS]
     lo, hi = default_bounds(model_kind)
@@ -262,28 +252,15 @@ def error_metrics(model: ModelParams, surface: QuoteSurface,
 
     Quotes whose model price cannot be inverted are excluded and counted.
     """
-    abs_pct, sq = [], []
-    n_excluded = 0
-    for sl in surface.slices:
-        strikes = [q.strike for q in sl.quotes]
-        flags = [q.is_call for q in sl.quotes]
-        model_prices = price_strike_slice(model, sl.ctx, sl.t, strikes, flags, grid_spec)
-        for q, v in zip(sl.quotes, model_prices):
-            lo_b, hi_b = no_arbitrage_bounds(sl.ctx, sl.t, q.strike, q.is_call)
-            if not lo_b < v < hi_b:
-                n_excluded += 1
-                continue
-            try:
-                iv_model = implied_vol(sl.ctx, sl.t, q.strike, float(v), q.is_call)
-            except (ValueError, RuntimeError):
-                n_excluded += 1
-                continue
-            abs_pct.append(abs(iv_model - q.iv) / q.iv)
-            sq.append((iv_model - q.iv) ** 2)
-    if not abs_pct:
+    ivs, failures = zip(*(_invert(sl.ctx, sl.t, sl.strikes, sl.model_prices(model, grid_spec),
+                                  sl.is_calls) for sl in surface.slices))
+    ok = np.concatenate(failures) == 0
+    if not ok.any():
         raise ValueError("no quote could be inverted to an implied volatility")
-    return ErrorMetrics(mape_pct=100.0 * float(np.mean(abs_pct)),
-                        rmse=float(np.sqrt(np.mean(sq))), n_excluded=n_excluded)
+    iv_mkt = np.concatenate([sl.ivs for sl in surface.slices])[ok]
+    err = np.concatenate(ivs)[ok] - iv_mkt
+    return ErrorMetrics(mape_pct=100.0 * float(np.mean(np.abs(err) / iv_mkt)),
+                        rmse=float(np.sqrt(np.mean(err ** 2))), n_excluded=int((~ok).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +270,14 @@ def error_metrics(model: ModelParams, surface: QuoteSurface,
 def synthetic_surface(model: ModelParams, spot: float, rate: float, div_yield: float,
                       maturities: Sequence[float], log_moneyness: Sequence[float],
                       grid_spec: GridSpec = GridSpec()) -> QuoteSurface:
-    """Noiseless OTM surface priced from a model: puts below the forward, calls above."""
-    rows = []
-    for t in maturities:
-        ctx = MarketContext(spot=spot, rate=rate, div_yield=div_yield)
+    """Noiseless OTM surface priced from a model: puts below the forward, calls
+    above; each slice's IVs come from one inversion when it is built."""
+    ctx = MarketContext(spot=spot, rate=rate, div_yield=div_yield)
+    slices = []
+    for t in sorted(float(t) for t in maturities):
         fwd = ctx.forward(t)
-        strikes = [fwd * math.exp(m) for m in sorted(log_moneyness)]
-        flags = [k >= fwd for k in strikes]
-        prices = price_strike_slice(model, ctx, t, strikes, flags, grid_spec)
-        for k, flag, price in zip(strikes, flags, prices):
-            iv = implied_vol(ctx, t, k, float(price), flag)
-            rows.append((t, rate, div_yield,
-                         Quote(maturity=t, strike=k, is_call=flag, price=float(price), iv=iv)))
-    return QuoteSurface.build(spot, rows)
+        strikes = np.array([fwd * math.exp(m) for m in sorted(log_moneyness)])
+        prices = price_strike_slice(model, ctx, t, strikes, strikes >= fwd, grid_spec)
+        slices.append(MaturitySlice(t, ctx, [Quote(t, k, k >= fwd, v) for k, v in
+                                             zip(strikes.tolist(), prices.tolist())]))
+    return QuoteSurface(spot=spot, slices=slices)

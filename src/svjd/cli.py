@@ -276,31 +276,38 @@ def cmd_price(args) -> int:
     return 0
 
 
+def _ladder(text: str) -> np.ndarray:
+    """The inclusive ladder LO:HI:STEP; ValueError unless finite, STEP > 0 and LO <= HI."""
+    lo, hi, step = (float(v) for v in text.split(":"))
+    if not (np.isfinite([lo, hi, step]).all() and step > 0 and lo <= hi):
+        raise ValueError(text)
+    return np.arange(lo, hi + 0.5 * step, step)
+
+
 def cmd_smile(args) -> int:
+    t = args.maturity
+    if not t > 0:
+        raise ValueError("--maturity must be positive")
+    try:
+        strikes = _ladder(args.strikes)
+    except ValueError:
+        raise ValueError("--strikes must be LO:HI:STEP with positive STEP") from None
     model = _load_params(args.params)
     ctx = MarketContext(spot=args.spot, rate=args.rate, div_yield=args.div_yield)
-    lo, hi, step = (float(v) for v in args.strikes.split(":"))
-    if step <= 0 or hi < lo:
-        raise ValueError("--strikes must be LO:HI:STEP with positive STEP")
-    strikes = np.arange(lo, hi + 0.5 * step, step)
     spec = GridSpec(n=args.n, l1=args.l1)
     models = [("iv", model)]
     if args.bump:
         models.append(("iv_bumped", _bump_model(model, args.bump)))
-
-    curves = []
-    for _, m in models:
-        flags = [k >= ctx.forward(args.maturity) for k in strikes]
-        prices = price_strike_slice(m, ctx, args.maturity, strikes, flags, spec)
-        curves.append([implied_vol(ctx, args.maturity, float(k), float(v), flag)
-                       for k, v, flag in zip(strikes, prices, flags)])
+    flags = strikes >= ctx.forward(t)
+    curves = [implied_vol(ctx, t, strikes, price_strike_slice(m, ctx, t, strikes, flags, spec),
+                          flags) for _, m in models]
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["log_moneyness"] + [name for name, _ in models])
         for i, k in enumerate(strikes):
             writer.writerow([_fmt(math.log(k / ctx.spot))] + [_fmt(c[i]) for c in curves])
-    print(f"smile with {len(strikes)} strikes at T={args.maturity} -> {args.out}")
+    print(f"smile with {len(strikes)} strikes at T={t} -> {args.out}")
     return 0
 
 
@@ -333,11 +340,10 @@ def cmd_synth(args) -> int:
     try:
         t_part, m_part = args.grid.split("x")
         maturities = [float(v) for v in t_part.split(",")]
-        lo, hi, step = (float(v) for v in m_part.split(":"))
+        moneyness = _ladder(m_part)
     except ValueError:
         raise ValueError("--grid must look like T1,T2,...xLO:HI:STEP "
                          "(maturities x log-moneyness ladder)") from None
-    moneyness = np.arange(lo, hi + 0.5 * step, step)
     surface = synthetic_surface(model, args.spot, args.rate, args.div_yield,
                                 maturities, moneyness, GridSpec(n=args.n, l1=args.l1))
     write_quotes(args.out, surface)

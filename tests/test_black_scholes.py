@@ -5,16 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import svjd.black_scholes
 from svjd.black_scholes import (
+    VOL_HI,
     VOL_LO,
     Quote,
+    _invert,
     bs_price,
     bs_vega,
     bs_vega_greek,
     implied_vol,
     no_arbitrage_bounds,
 )
-from svjd.models import MarketContext
+from svjd.models import HestonParams, HKDEParams, KouJumpParams, MarketContext
+from svjd.proj import price_strike_slice
+
+from conftest import ALL_ROWS, PARAM_ROWS
 
 
 @pytest.fixture
@@ -123,3 +129,173 @@ def test_quote_validation():
         Quote(maturity=-1.0, strike=100.0, is_call=True, price=5.0)
     q = Quote(maturity=1.0, strike=100.0, is_call=True, iv=0.3)
     assert q.price is None and q.iv == 0.3
+
+
+# ---------------------------------------------------------------------------
+# Array form against the scalar inverter it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_price(ctx, t, strike, vol, is_call):
+    fwd = ctx.spot * math.exp(-ctx.div_yield * t)
+    disc_k = strike * math.exp(-ctx.rate * t)
+    d1 = ((math.log(ctx.spot / strike) + t * (ctx.rate - ctx.div_yield + 0.5 * vol * vol))
+          / (vol * math.sqrt(t)))
+    d2 = d1 - vol * math.sqrt(t)
+    cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
+    if is_call:
+        return fwd * cdf(d1) - disc_k * cdf(d2)
+    return disc_k * cdf(-d2) - fwd * cdf(-d1)
+
+
+def _reference_vega(ctx, t, strike, vol):
+    """S0 pdf(d1) sqrt(t) in scalar math, the form of the weight kernel."""
+    d1 = ((math.log(ctx.spot / strike) + t * (ctx.rate - ctx.div_yield + 0.5 * vol * vol))
+          / (vol * math.sqrt(t)))
+    return ctx.spot * (math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)) * math.sqrt(t)
+
+
+def _reference_implied_vol(ctx, t, strike, price, is_call):
+    """The scalar safeguarded Newton inverter that the array form replaced."""
+    fwd = ctx.spot * math.exp(-ctx.div_yield * t)
+    disc_k = strike * math.exp(-ctx.rate * t)
+    if is_call:
+        lo_bound, hi_bound = max(fwd - disc_k, 0.0), fwd
+    else:
+        lo_bound, hi_bound = max(disc_k - fwd, 0.0), disc_k
+    if not lo_bound < price < hi_bound:
+        raise ValueError(f"price {price} outside no-arbitrage bounds ({lo_bound}, {hi_bound})")
+    tol = 1e-10 * ctx.spot
+    lo, hi = VOL_LO, VOL_HI
+    if _reference_price(ctx, t, strike, lo, is_call) - price > 0:
+        return lo
+    if _reference_price(ctx, t, strike, hi, is_call) - price < 0:
+        raise ValueError(f"price {price} requires vol above {VOL_HI}")
+    sigma = min(max(math.sqrt(2.0 * abs(math.log(ctx.spot / strike)
+                                        + (ctx.rate - ctx.div_yield) * t) / t) or 0.2, lo), hi)
+    for _ in range(200):
+        f = _reference_price(ctx, t, strike, sigma, is_call) - price
+        if f > 0:
+            hi = sigma
+        else:
+            lo = sigma
+        vega = math.exp(-ctx.div_yield * t) * _reference_vega(ctx, t, strike, sigma)
+        if abs(f) < tol:
+            vol_res = 1e-9 * max(sigma, 1e-2)
+            if vega <= 1e-12 or abs(f / vega) < vol_res or hi - lo < vol_res:
+                return sigma
+        if vega > 1e-14:
+            candidate = sigma - f / vega
+            if lo < candidate < hi:
+                sigma = candidate
+                continue
+        sigma = 0.5 * (lo + hi)
+    raise RuntimeError("implied volatility did not converge")
+
+
+def _check_slice_against_reference(ctx, t, strikes, prices, flags):
+    """implied_vol on the whole slice equals the scalar reference per quote to
+    1e-10, and raises for the first quote the reference cannot invert."""
+    ref, first_error = [], None
+    for k, v, c in zip(strikes, prices, flags):
+        try:
+            ref.append(_reference_implied_vol(ctx, t, float(k), float(v), bool(c)))
+        except (ValueError, RuntimeError) as exc:
+            ref.append(np.nan)
+            first_error = first_error or (float(k), exc)
+    ref = np.array(ref)
+    vols, failure = _invert(ctx, t, strikes, prices, flags)
+    np.testing.assert_array_equal(failure != 0, np.isnan(ref))
+    assert np.max(np.abs(vols - ref), initial=0.0, where=failure == 0) <= 1e-10
+    if first_error is None:
+        assert np.max(np.abs(implied_vol(ctx, t, strikes, prices, flags) - ref)) <= 1e-10
+    else:
+        k, exc = first_error
+        with pytest.raises(type(exc), match=f"at strike {k} "):
+            implied_vol(ctx, t, strikes, prices, flags)
+    return int(failure.astype(bool).sum())
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
+def test_implied_vol_slices_match_scalar_reference(t):
+    ctx = MarketContext(spot=100.0, rate=0.05, div_yield=0.0)
+    strikes = np.arange(60.0, 160.25, 0.5)
+    flags = strikes >= ctx.forward(t)
+    failed = sum(_check_slice_against_reference(
+        ctx, t, strikes, price_strike_slice(model, ctx, t, strikes, flags), flags)
+        for _, _, model in ALL_ROWS)
+    # the known negative-call defect at T = 0.1 (four rows) is the only failure
+    assert (failed > 0) == (t == 0.1)
+
+
+def test_implied_vol_criterion_09_smiles_match_scalar_reference():
+    ctx = MarketContext(spot=100.0, rate=0.05, div_yield=0.0)
+    model, t = PARAM_ROWS["hkde"]["SHOP"], 0.25
+    strikes = ctx.spot * np.exp(np.linspace(-0.4, 0.4, 21))
+    flags = strikes >= ctx.forward(t)
+    h, j = model.heston, model.jumps
+    bumped = [model,
+              HKDEParams(HestonParams(h.v0, h.theta * 1.5, h.kappa, h.sigma_v, h.rho), j),
+              HKDEParams(HestonParams(h.v0, h.theta, h.kappa * 1.5, h.sigma_v, h.rho), j),
+              HKDEParams(h, KouJumpParams(j.lam * 1.5, j.p, j.eta1, j.eta2)),
+              HKDEParams(HestonParams(h.v0, h.theta, h.kappa, h.sigma_v * 1.5, h.rho), j),
+              HKDEParams(h, KouJumpParams(j.lam, j.p, j.eta1 * 0.5, j.eta2))]
+    for m in bumped:
+        prices = price_strike_slice(m, ctx, t, strikes, flags)
+        assert _check_slice_against_reference(ctx, t, strikes, prices, flags) == 0
+
+
+def test_scalars_in_give_floats_out(ctx):
+    price = bs_price(ctx, 0.5, 110.0, 0.3, True)
+    lo, hi = no_arbitrage_bounds(ctx, 0.5, 110.0, False)
+    for value in (price, bs_vega(ctx, 0.5, 110.0, 0.3), bs_vega_greek(ctx, 0.5, 110.0, 0.3),
+                  implied_vol(ctx, 0.5, 110.0, price, True), lo, hi):
+        assert type(value) is float
+
+
+def test_array_calls_equal_scalar_calls(ctx):
+    strikes = np.array([70.0, 95.0, 100.0, 105.0, 140.0])
+    vols = np.array([0.1, 0.25, 0.3, 0.45, 1.2])
+    flags = np.array([False, False, True, True, True])
+    prices = bs_price(ctx, 0.5, strikes, vols, flags)
+    lo, hi = no_arbitrage_bounds(ctx, 0.5, strikes, flags)
+    ivs = implied_vol(ctx, 0.5, strikes, prices, flags)
+    for i, (k, vol, c) in enumerate(zip(strikes, vols, flags)):
+        assert prices[i] == bs_price(ctx, 0.5, k, vol, c)
+        assert bs_vega(ctx, 0.5, strikes, vols)[i] == bs_vega(ctx, 0.5, k, vol)
+        assert bs_vega_greek(ctx, 0.5, strikes, vols)[i] == bs_vega_greek(ctx, 0.5, k, vol)
+        assert (lo[i], hi[i]) == no_arbitrage_bounds(ctx, 0.5, k, c)
+        assert ivs[i] == implied_vol(ctx, 0.5, k, prices[i], c)
+    # a scalar price broadcasts against a strike array, keeping its shape
+    assert implied_vol(ctx, 0.5, strikes[2:], 5.0, True).shape == (3,)
+
+
+def test_implied_vol_slice_names_out_of_bounds_strike(ctx):
+    strikes = np.array([90.0, 100.0, 110.0, 120.0])
+    prices = bs_price(ctx, 0.5, strikes, 0.3, True)
+    prices[2] = -1e-6
+    with pytest.raises(ValueError, match=r"price -1e-06 at strike 110.0 outside no-arbitrage bounds"):
+        implied_vol(ctx, 0.5, strikes, prices, True)
+
+
+def test_implied_vol_below_bracket_returns_vol_lo(ctx):
+    k = ctx.forward(1.0)    # at the money forward, the price at VOL_LO is ~0.4 S0 VOL_LO
+    price = 1e-3
+    assert no_arbitrage_bounds(ctx, 1.0, k, True)[0] < price < bs_price(ctx, 1.0, k, VOL_LO, True)
+    assert implied_vol(ctx, 1.0, k, price, True) == VOL_LO
+    vols = implied_vol(ctx, 1.0, np.array([k, 110.0]), np.array([price, 10.0]), True)
+    assert vols[0] == VOL_LO
+    assert vols[1] == pytest.approx(_reference_implied_vol(ctx, 1.0, 110.0, 10.0, True), abs=1e-10)
+
+
+def test_implied_vol_above_bracket_raises(ctx):
+    price = 0.5 * (bs_price(ctx, 1.0, 100.0, VOL_HI, True) + 100.0)   # below the upper bound
+    with pytest.raises(ValueError, match=f"at strike 100.0 requires vol above {VOL_HI}"):
+        implied_vol(ctx, 1.0, np.array([90.0, 100.0]), np.array([20.0, price]), True)
+
+
+def test_implied_vol_reports_no_convergence(ctx, monkeypatch):
+    monkeypatch.setattr(svjd.black_scholes, "MAX_ITER", 1)
+    strikes = np.array([100.0, 120.0])
+    prices = bs_price(ctx, 1.0, strikes, 0.3, True)
+    with pytest.raises(RuntimeError, match="did not converge at strike 100.0"):
+        implied_vol(ctx, 1.0, strikes, prices, True)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from svjd.black_scholes import Quote, bs_price
+from svjd.black_scholes import Quote, bs_price, bs_vega, implied_vol
 from svjd.calibration import (
+    MaturitySlice,
     QuoteSurface,
     calibrate,
     default_bounds,
@@ -18,7 +19,7 @@ from svjd.calibration import (
 )
 import svjd.calibration
 from svjd.models import MODELS, MODEL_NAMES, HestonParams, MarketContext, model_to_dict
-from svjd.proj import GridSpec
+from svjd.proj import GridSpec, price_strike_slice
 
 from conftest import PARAM_ROWS, degenerate_hkde
 
@@ -88,12 +89,10 @@ def test_objective_quadratic_in_single_perturbation(heston_surface):
     q0 = sl.quotes[0]
     perturbed = Quote(maturity=q0.maturity, strike=q0.strike, is_call=q0.is_call,
                       price=q0.price + delta, iv=q0.iv)
-    old = sl.quotes[0]
-    sl.quotes[0] = perturbed
-    try:
-        val = objective(model, heston_surface)
-    finally:
-        sl.quotes[0] = old
+    bumped = QuoteSurface(spot=heston_surface.spot,
+                          slices=[MaturitySlice(sl.t, sl.ctx, (perturbed,) + sl.quotes[1:])]
+                          + heston_surface.slices[1:])
+    val = objective(model, bumped)
     assert val == pytest.approx(w_all[0][0] * delta**2, rel=1e-6)
 
 
@@ -127,6 +126,59 @@ def test_error_metrics_uniform_iv_shift():
     metrics = error_metrics(degenerate_hkde(0.22), market)
     assert metrics.mape_pct == pytest.approx(10.0, abs=0.01)
     assert metrics.rmse == pytest.approx(0.02, abs=1e-5)
+
+
+def test_error_metrics_counts_forced_out_of_bounds_price(heston_surface, monkeypatch):
+    model = PARAM_ROWS["heston"]["SPOT"]
+    original = svjd.calibration.price_strike_slice
+    calls = []
+
+    def one_negative(*args, **kwargs):
+        prices = original(*args, **kwargs)
+        if not calls:
+            prices[3] = -1e-3    # below every static lower bound
+        calls.append(1)
+        return prices
+
+    monkeypatch.setattr(svjd.calibration, "price_strike_slice", one_negative)
+    metrics = error_metrics(model, heston_surface)
+    assert metrics.n_excluded == 1
+    assert metrics.rmse == pytest.approx(0.0, abs=1e-6)
+
+
+def test_weights_match_scalar_vega(heston_surface):
+    for sl, w in zip(heston_surface.slices, heston_surface.weights()):
+        scalar = np.array([1.0 / bs_vega(sl.ctx, sl.t, q.strike, q.iv) for q in sl.quotes])
+        np.testing.assert_allclose(w, scalar, rtol=1e-15, atol=0.0)
+
+
+def test_residuals_equal_per_quote_loop(heston_surface):
+    model = PARAM_ROWS["heston"]["AMZN"]
+    parts = []
+    for sl, w in zip(heston_surface.slices, heston_surface.weights()):
+        prices = price_strike_slice(model, sl.ctx, sl.t, [q.strike for q in sl.quotes],
+                                    [q.is_call for q in sl.quotes])
+        parts.append(np.sqrt(w) * (prices - np.array([q.price for q in sl.quotes])))
+    assert np.array_equal(residuals(model, heston_surface), np.concatenate(parts))
+
+
+def test_surface_build_fills_slices_in_array_form():
+    ctx = MarketContext(100.0, 0.05, 0.0)
+    strikes = (80.0, 90.0, 110.0, 120.0)
+    rows = [(0.5, 0.05, 0.0, Quote(maturity=0.5, strike=k, is_call=k >= ctx.forward(0.5),
+                                   **({"iv": 0.3} if k < 100 else {"price": 2.0 + k / 100})))
+            for k in strikes]
+    (sl,) = QuoteSurface.build(100.0, rows).slices
+    assert isinstance(sl.quotes, tuple) and sl.strikes.tolist() == list(strikes)
+    for q, k, c, v, iv in zip(sl.quotes, sl.strikes, sl.is_calls, sl.prices, sl.ivs):
+        assert (q.strike, q.is_call, q.price, q.iv) == (k, c, v, iv)
+        if k < 100:
+            assert iv == 0.3 and v == bs_price(ctx, 0.5, k, 0.3, False)
+        else:
+            assert v == 2.0 + k / 100 and iv == implied_vol(ctx, 0.5, k, v, True)
+    rows.append((0.5, 0.05, 0.0, Quote(maturity=0.5, strike=130.0, is_call=True, price=150.0)))
+    with pytest.raises(ValueError, match="at strike 130.0 outside no-arbitrage bounds"):
+        QuoteSurface.build(100.0, rows)
 
 
 def test_calibrate_from_truth_converges_immediately(heston_surface):

@@ -228,6 +228,35 @@ def test_cli_rejects_bad_bump(tmp_path, shop_hkde_file, capsys):
     assert "notaparam" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--strikes", "60:160", "--strikes must be LO:HI:STEP with positive STEP"),
+    ("--strikes", "60:abc:1", "--strikes must be LO:HI:STEP with positive STEP"),
+    ("--strikes", "60:160:0", "--strikes must be LO:HI:STEP with positive STEP"),
+    ("--strikes", "60:160:-1", "--strikes must be LO:HI:STEP with positive STEP"),
+    ("--strikes", "160:60:1", "--strikes must be LO:HI:STEP with positive STEP"),
+    ("--strikes", "60:inf:1", "--strikes must be LO:HI:STEP with positive STEP"),
+    ("--strikes", "nan:160:1", "--strikes must be LO:HI:STEP with positive STEP"),
+    ("--maturity", "-1", "--maturity must be positive"),
+    ("--maturity", "0", "--maturity must be positive"),
+    ("--maturity", "nan", "--maturity must be positive"),
+])
+def test_cli_smile_names_bad_flag(tmp_path, shop_hkde_file, capsys, flag, value, message):
+    argv = {"--maturity": "0.25", "--strikes": "90:110:5", flag: value}
+    rc = main(["smile", "--params", shop_hkde_file, "--out", str(tmp_path / "x.csv"),
+               *(item for pair in argv.items() for item in pair)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("grid", ["0.25x-0.2:0.2:0", "0.25x0.2:-0.2:0.1", "0.25x-0.2:0.2",
+                                  "0.25x-0.2:0.2:-0.1", "0.25x-0.2:abc:0.1"])
+def test_cli_synth_names_bad_ladder(tmp_path, spot_heston_file, capsys, grid):
+    rc = main(["synth", "--params", spot_heston_file, "--grid", grid,
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --grid must look like T1,T2,...xLO:HI:STEP")
+
+
 _BARRIER = {"kind": "barrier_uo", "strike": 100.0, "barrier_up": 140.0, "maturity": 0.5,
             "monitoring": 2, "spot": 100.0, "rate": 0.05}
 
