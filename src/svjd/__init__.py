@@ -12,14 +12,9 @@ from svjd.models import (
     KouJumpParams,
     MarketContext,
     ModelParams,
-    cf_heston,
-    cf_kou,
-    cf_model,
-    cumulants_kou,
     cumulants_numeric,
     model_from_dict,
     model_to_dict,
-    omega_kde,
 )
 from svjd.proj import GridSpec, ProjCoefficients, ProjGrid, price_european, price_strike_slice, proj_coefficients
 from svjd.black_scholes import Quote, bs_price, bs_vega, bs_vega_greek, implied_vol

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,9 +52,16 @@ class MaturitySlice:
         v[gap] = bs_price(self.ctx, self.t, k[gap], iv[gap], c[gap])
         gap = np.isnan(iv)
         iv[gap] = implied_vol(self.ctx, self.t, k[gap], v[gap], c[gap])
+        if not np.all(iv > 0):   # the vega weights need them
+            raise ValueError(f"maturity {self.t}: implied volatilities must be positive")
         self.quotes = tuple(Quote(self.t, *q) for q in zip(k.tolist(), c.tolist(), v.tolist(),
                                                           iv.tolist()))
         self.strikes, self.is_calls, self.prices, self.ivs = k, c, v, iv
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Vega weights 1/(S0 pdf(d1) sqrt(T)) at the market IVs, computed once."""
+        return 1.0 / bs_vega(self.ctx, self.t, self.strikes, self.ivs)
 
     def model_prices(self, model: ModelParams, grid_spec: GridSpec) -> np.ndarray:
         """The model's prices of this slice's quotes, from one slice pricing."""
@@ -63,7 +71,7 @@ class MaturitySlice:
 
 @dataclass
 class QuoteSurface:
-    """OTM quote surface grouped by maturity; construction fills prices, IVs, weights."""
+    """OTM quote surface grouped by maturity; each slice fills its prices, IVs and weights."""
     spot: float
     slices: list
     n_dropped_itm: int = 0
@@ -95,10 +103,6 @@ class QuoteSurface:
                   for key, (rate, div_yield, quotes) in sorted(by_t.items())]
         return cls(spot=spot, slices=slices, n_dropped_itm=n_dropped)
 
-    def weights(self) -> list:
-        """Per-slice vega weights 1/(S0 pdf(d1) sqrt(T)) at market IVs."""
-        return [1.0 / bs_vega(sl.ctx, sl.t, sl.strikes, sl.ivs) for sl in self.slices]
-
     @property
     def n_quotes(self) -> int:
         return sum(len(sl.quotes) for sl in self.slices)
@@ -127,13 +131,11 @@ class CalibrationResult:
 # Objective
 # ---------------------------------------------------------------------------
 
-def residuals(model: ModelParams, surface: QuoteSurface, weights=None,
+def residuals(model: ModelParams, surface: QuoteSurface,
               grid_spec: GridSpec = GridSpec()) -> np.ndarray:
     """sqrt(w) (V_model - v_mkt) over the whole surface, one slice pricing per tenor."""
-    if weights is None:
-        weights = surface.weights()
-    return np.concatenate([np.sqrt(w) * (sl.model_prices(model, grid_spec) - sl.prices)
-                           for sl, w in zip(surface.slices, weights)])
+    return np.concatenate([np.sqrt(sl.weights) * (sl.model_prices(model, grid_spec) - sl.prices)
+                           for sl in surface.slices])
 
 
 def objective(model: ModelParams, surface: QuoteSurface,
@@ -210,13 +212,12 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
         raise ValueError(f"initial guess is a {init.NAME} model, not {model_kind}")
     x0 = np.clip(np.asarray(init.flat(), dtype=float), lo, hi)
 
-    weights = surface.weights()
     n_res = surface.n_quotes
     penalty_vec = np.full(n_res, math.sqrt(PRICING_PENALTY / n_res))
 
     def fun(x):
         try:
-            r = residuals(cls.from_flat(x), surface, weights=weights, grid_spec=grid_spec)
+            r = residuals(cls.from_flat(x), surface, grid_spec=grid_spec)
         except (ValueError, FloatingPointError, OverflowError):
             return penalty_vec
         return np.where(np.isfinite(r), r, penalty_vec)

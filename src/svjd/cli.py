@@ -191,10 +191,11 @@ def _contract_exotic(doc: dict) -> ExoticSpec:
 def _bump_model(model: ModelParams, bump: str) -> ModelParams:
     """Apply 'name=factor' or 'name=+NN%' to one parameter field."""
     name, _, spec = bump.partition("=")
-    if not spec:
-        raise ValueError("--bump must look like name=factor or name=+NN%")
     spec = spec.strip()
-    factor = 1.0 + float(spec[:-1]) / 100.0 if spec.endswith("%") else float(spec)
+    try:
+        factor = 1.0 + float(spec[:-1]) / 100.0 if spec.endswith("%") else float(spec)
+    except ValueError:
+        raise ValueError("--bump must look like name=factor or name=+NN%") from None
     doc = model_to_dict(model)
     if name not in doc["params"]:
         raise ValueError(f"model has no parameter '{name}'")
@@ -207,8 +208,13 @@ def _bump_model(model: ModelParams, bump: str) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
+    try:
+        schedule = tuple(float(s) for s in args.tol_schedule.split(","))
+        if not all(0 < s < math.inf for s in schedule):
+            raise ValueError(args.tol_schedule)
+    except ValueError:
+        raise ValueError("--tol-schedule must be comma-separated positive numbers") from None
     surface = load_quotes(args.quotes)
-    schedule = tuple(float(s) for s in args.tol_schedule.split(","))
     init = _load_params(args.init) if args.init else None
     spec = GridSpec(n=args.n, l1=args.l1)
     result = calibrate(args.model, surface, init=init, schedule=schedule, grid_spec=spec)

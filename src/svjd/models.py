@@ -1,4 +1,4 @@
-"""Model parameter sets, characteristic functions and cumulants.
+"""Model parameter sets, characteristic exponents and cumulants.
 
 Four risk-neutral models of the log price: Heston stochastic volatility,
 Heston + double-exponential jumps (HKDE), Heston + normal jumps (Bates),
@@ -27,15 +27,20 @@ import numpy as np
 
 __all__ = [
     "HestonParams", "KouJumpParams", "HKDEParams", "BatesParams", "BGMParams",
-    "MarketContext", "ModelParams", "omega_kde", "cf_heston", "cf_kou", "cf_model",
-    "char_exponent", "cumulants_kou", "cumulants_numeric", "model_to_dict",
-    "model_from_dict", "MODELS", "MODEL_NAMES",
+    "MarketContext", "ModelParams", "char_exponent", "cumulants_numeric",
+    "model_to_dict", "model_from_dict", "MODELS", "MODEL_NAMES",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Parameter containers
 # ---------------------------------------------------------------------------
+
+def _require_finite(params, names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be finite; got {getattr(params, name)}")
+
 
 class _FlatFields:
     """flat()/from_flat() for a class whose FIELDS are its own dataclass fields."""
@@ -60,6 +65,7 @@ class HestonParams(_FlatFields):
     rho: float
 
     def __post_init__(self):
+        _require_finite(self, self.FIELDS)
         if self.v0 <= 0 or self.theta <= 0 or self.kappa <= 0 or self.sigma_v <= 0:
             raise ValueError("v0, theta, kappa, sigma_v must be positive")
         if not -1.0 <= self.rho <= 1.0:
@@ -101,6 +107,7 @@ class KouJumpParams(_FlatFields):
     eta2: float
 
     def __post_init__(self):
+        _require_finite(self, self.FIELDS)
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if not 0.0 <= self.p <= 1.0:
@@ -110,6 +117,10 @@ class KouJumpParams(_FlatFields):
             raise ValueError("eta1 must exceed 1")
         if self.eta2 <= 0:
             raise ValueError("eta2 must be positive")
+
+    def omega(self) -> float:
+        """Jump drift compensator -lam*(p*eta1/(eta1-1) + (1-p)*eta2/(eta2+1) - 1)."""
+        return -self.lam * (self.p / (self.eta1 - 1.0) - (1.0 - self.p) / (self.eta2 + 1.0))
 
 
 @dataclass(frozen=True)
@@ -140,7 +151,7 @@ class HKDEParams:
         return min(scales)
 
     def omega(self) -> float:
-        return omega_kde(self.jumps)
+        return self.jumps.omega()
 
 
 @dataclass(frozen=True)
@@ -154,6 +165,7 @@ class BatesParams:
     sigma_j: float
 
     def __post_init__(self):
+        _require_finite(self, ("lam", "mu_j", "sigma_j"))
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.sigma_j <= 0:
@@ -193,6 +205,7 @@ class BGMParams(_FlatFields):
     sigma: float
 
     def __post_init__(self):
+        _require_finite(self, self.FIELDS)
         if min(self.alpha_p, self.lam_p, self.alpha_m, self.lam_m, self.sigma) <= 0:
             raise ValueError("all BGM parameters must be positive")
         if self.lam_p <= 1.0:
@@ -239,15 +252,6 @@ class MarketContext:
 
 
 # ---------------------------------------------------------------------------
-# Drift compensators (make exp(-(r-q)t) S_t a martingale)
-# ---------------------------------------------------------------------------
-
-def omega_kde(jumps: KouJumpParams) -> float:
-    """Jump drift compensator -lam*(p*eta1/(eta1-1) + (1-p)*eta2/(eta2+1) - 1)."""
-    return -jumps.lam * (jumps.p / (jumps.eta1 - 1.0) - (1.0 - jumps.p) / (jumps.eta2 + 1.0))
-
-
-# ---------------------------------------------------------------------------
 # Characteristic exponents
 # ---------------------------------------------------------------------------
 
@@ -276,44 +280,15 @@ def char_exponent(model: ModelParams, ctx: MarketContext, xi, t: float):
     return model.exponent(ctx, xi, t)
 
 
-def cf_heston(xi, t: float, params: HestonParams, ctx: MarketContext):
-    """Heston characteristic function of ln S_t."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return np.exp(params.exponent(ctx, xi, t))
-
-
-def cf_kou(xi, t: float, jumps: KouJumpParams):
-    """Characteristic function of the compensated double-exponential jump component."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return np.exp(_kou_exponent(xi, t, jumps))
-
-
-def cf_model(model: ModelParams, ctx: MarketContext, xi, t: float):
-    """Characteristic function E[exp(i xi ln S_t)] of the full model."""
-    return np.exp(char_exponent(model, ctx, xi, t))
-
-
 # ---------------------------------------------------------------------------
 # Cumulants
 # ---------------------------------------------------------------------------
 
-def cumulants_kou(jumps: KouJumpParams, t: float, n: int) -> float:
-    """Closed-form cumulant of the compensated jump component, orders 1..4."""
-    if n not in (1, 2, 3, 4):
-        raise ValueError("cumulant order must be 1..4")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    j = jumps
-    if n == 1:
-        return t * (j.lam * (j.p / j.eta1 - (1.0 - j.p) / j.eta2) + omega_kde(j))
-    return math.factorial(n) * t * j.lam * (j.p / j.eta1**n + (-1) ** n * (1.0 - j.p) / j.eta2**n)
-
-
 # Central O(h^2) stencils for psi-derivatives on the nodes h*(2, 1, -1, -2);
 # psi(0) = 0 is used implicitly. Orders 1 and 2 read only the +-h columns.
 _FD_NODES = np.array([2.0, 1.0, -1.0, -2.0])
+_FD_SHRINK = 1.2     # step ratio between rungs of the ladder
+_FD_LEVELS = 36      # rungs, from 0.5 * scale down by _FD_SHRINK each
 _FD_STENCILS = (
     (1, slice(1, 3), np.array([0.5, -0.5])),
     (2, slice(1, 3), np.array([1.0, 1.0])),
@@ -322,7 +297,7 @@ _FD_STENCILS = (
 )
 
 
-def _fd_derivatives(psi, scale: float, shrink: float = 1.2, nlev: int = 36) -> list:
+def _fd_derivatives(psi, scale: float) -> list:
     """Derivatives of orders 1..4 of psi at 0 from one ladder of central differences.
 
     psi is evaluated once on every rung. Each order gets one Richardson
@@ -331,9 +306,9 @@ def _fd_derivatives(psi, scale: float, shrink: float = 1.2, nlev: int = 36) -> l
     stopping once the agreement deteriorates (which marks the onset of roundoff
     noise).
     """
-    hs = 0.5 * scale / shrink ** np.arange(nlev)
-    vals = psi((hs[:, None] * _FD_NODES[None, :]).ravel()).reshape(nlev, _FD_NODES.size)
-    s2 = shrink * shrink
+    hs = 0.5 * scale / _FD_SHRINK ** np.arange(_FD_LEVELS)
+    vals = psi((hs[:, None] * _FD_NODES[None, :]).ravel()).reshape(_FD_LEVELS, _FD_NODES.size)
+    s2 = _FD_SHRINK * _FD_SHRINK
     derivs = []
     for n, cols, weights in _FD_STENCILS:
         d = (vals[:, cols] * weights[None, :]).sum(axis=1) / hs**n

@@ -48,7 +48,6 @@ class ProjGrid:
     delta: float
     a: float
     delta_xi: float
-    center: float
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def build_grid(model: ModelParams, ctx: MarketContext, t: float, spec: GridSpec 
     delta = 2.0 * half_width / (spec.n - 1)
     a = 1.0 / delta
     return ProjGrid(n_basis=spec.n, alpha_bar=half_width, x1=c1 * t - half_width,
-                    delta=delta, a=a, delta_xi=2.0 * math.pi * a / spec.n, center=c1 * t)
+                    delta=delta, a=a, delta_xi=2.0 * math.pi * a / spec.n)
 
 
 def proj_coefficients(model: ModelParams, ctx: MarketContext, t: float, grid: ProjGrid) -> ProjCoefficients:
@@ -142,8 +141,7 @@ _KNOT_LO = np.arange(4, dtype=float) - 2.0    # knot interval lower edges in u u
 
 def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
                        strikes: Sequence[float], is_calls: Sequence[bool],
-                       spec: GridSpec = GridSpec(),
-                       coeffs: ProjCoefficients | None = None) -> np.ndarray:
+                       spec: GridSpec = GridSpec()) -> np.ndarray:
     """Price one maturity slice of European options off a single coefficient build.
 
     The bounded put leg is integrated directly; calls follow from parity with
@@ -163,8 +161,7 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
     if t <= 0:
         raise ValueError("t must be positive")
 
-    if coeffs is None:
-        coeffs = proj_coefficients(model, ctx, t, build_grid(model, ctx, t, spec))
+    coeffs = proj_coefficients(model, ctx, t, build_grid(model, ctx, t, spec))
     grid = coeffs.grid
     n = grid.n_basis
     y_star = np.log(strikes / ctx.spot)

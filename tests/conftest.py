@@ -1,4 +1,6 @@
-"""Shared fixtures: calibrated parameter rows and standard market context."""
+"""Shared fixtures: calibrated parameter rows, standard market context, Kou cumulant oracle."""
+import math
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,17 @@ def degenerate_hkde(vol: float = 0.2) -> HKDEParams:
 def pure_jump_hkde(jumps: KouJumpParams) -> HKDEParams:
     """HKDE with a negligible diffusion leg, for jump-cumulant cross-checks."""
     return HKDEParams(HestonParams(1e-12, 1e-12, 1.0, 1e-6, 0.0), jumps)
+
+
+def cumulants_kou(jumps: KouJumpParams, t: float, n: int) -> float:
+    """Closed-form cumulant of the compensated double-exponential jump component, orders 1..4."""
+    if n not in (1, 2, 3, 4):
+        raise ValueError("cumulant order must be 1..4")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    j = jumps
+    if n == 1:
+        # compensator -lam*(p*eta1/(eta1-1) + (1-p)*eta2/(eta2+1) - 1), same-order terms
+        omega = -j.lam * (j.p / (j.eta1 - 1.0) - (1.0 - j.p) / (j.eta2 + 1.0))
+        return t * (j.lam * (j.p / j.eta1 - (1.0 - j.p) / j.eta2) + omega)
+    return math.factorial(n) * t * j.lam * (j.p / j.eta1**n + (-1) ** n * (1.0 - j.p) / j.eta2**n)

@@ -23,8 +23,6 @@ from svjd.models import (
     HKDEParams,
     KouJumpParams,
     MarketContext,
-    cf_model,
-    cumulants_kou,
     cumulants_numeric,
 )
 from svjd.montecarlo import (
@@ -37,7 +35,7 @@ from svjd.montecarlo import (
 )
 from svjd.proj import GridSpec, build_grid, dual_zeta, price_european, price_strike_slice, proj_coefficients
 
-from conftest import ALL_ROWS, PARAM_ROWS, pure_jump_hkde
+from conftest import ALL_ROWS, PARAM_ROWS, cumulants_kou, pure_jump_hkde
 
 CTX = MarketContext(spot=100.0, rate=0.05, div_yield=0.0)
 N_PATHS = 1_000_000
@@ -294,8 +292,8 @@ def test_criterion_06_model_reduction():
     xi = np.linspace(-100.0, 100.0, 801)
     worst_cf = 0.0
     for reduced in (hkde0, bates0):
-        a = cf_model(reduced, CTX, xi, 0.7)
-        b = cf_model(heston, CTX, xi, 0.7)
+        a = np.exp(reduced.exponent(CTX, xi, 0.7))
+        b = np.exp(heston.exponent(CTX, xi, 0.7))
         worst_cf = max(worst_cf, float(np.max(np.abs(a - b) / np.abs(b))))
     worst_price = 0.0
     for t in (0.25, 1.0):

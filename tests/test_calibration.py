@@ -84,7 +84,6 @@ def test_objective_zero_at_generating_model(heston_surface):
 def test_objective_quadratic_in_single_perturbation(heston_surface):
     model = PARAM_ROWS["heston"]["SPOT"]
     delta = 0.05
-    w_all = heston_surface.weights()
     sl = heston_surface.slices[0]
     q0 = sl.quotes[0]
     perturbed = Quote(maturity=q0.maturity, strike=q0.strike, is_call=q0.is_call,
@@ -93,7 +92,7 @@ def test_objective_quadratic_in_single_perturbation(heston_surface):
                           slices=[MaturitySlice(sl.t, sl.ctx, (perturbed,) + sl.quotes[1:])]
                           + heston_surface.slices[1:])
     val = objective(model, bumped)
-    assert val == pytest.approx(w_all[0][0] * delta**2, rel=1e-6)
+    assert val == pytest.approx(sl.weights[0] * delta**2, rel=1e-6)
 
 
 def test_objective_invariant_under_quote_reordering(heston_surface):
@@ -147,18 +146,41 @@ def test_error_metrics_counts_forced_out_of_bounds_price(heston_surface, monkeyp
 
 
 def test_weights_match_scalar_vega(heston_surface):
-    for sl, w in zip(heston_surface.slices, heston_surface.weights()):
+    for sl in heston_surface.slices:
         scalar = np.array([1.0 / bs_vega(sl.ctx, sl.t, q.strike, q.iv) for q in sl.quotes])
-        np.testing.assert_allclose(w, scalar, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(sl.weights, scalar, rtol=1e-15, atol=0.0)
+
+
+def test_objective_computes_weights_once_per_slice(heston_surface, monkeypatch):
+    surface = QuoteSurface(spot=heston_surface.spot,
+                           slices=[MaturitySlice(sl.t, sl.ctx, sl.quotes)
+                                   for sl in heston_surface.slices])
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return bs_vega(*args)
+
+    monkeypatch.setattr(svjd.calibration, "bs_vega", counted)
+    model = PARAM_ROWS["heston"]["AMZN"]
+    assert objective(model, surface) == objective(model, surface)
+    assert len(calls) == len(surface.slices)
+
+
+def test_slice_rejects_nonpositive_iv():
+    quotes = [Quote(maturity=0.5, strike=k, is_call=True, price=1.0, iv=iv)
+              for k, iv in ((110.0, 0.3), (120.0, -0.3), (130.0, 0.3))]
+    with pytest.raises(ValueError, match="implied volatilities must be positive"):
+        MaturitySlice(0.5, MarketContext(100.0, 0.05, 0.0), quotes)
 
 
 def test_residuals_equal_per_quote_loop(heston_surface):
     model = PARAM_ROWS["heston"]["AMZN"]
     parts = []
-    for sl, w in zip(heston_surface.slices, heston_surface.weights()):
+    for sl in heston_surface.slices:
         prices = price_strike_slice(model, sl.ctx, sl.t, [q.strike for q in sl.quotes],
                                     [q.is_call for q in sl.quotes])
-        parts.append(np.sqrt(w) * (prices - np.array([q.price for q in sl.quotes])))
+        parts.append(np.sqrt(sl.weights) * (prices - np.array([q.price for q in sl.quotes])))
     assert np.array_equal(residuals(model, heston_surface), np.concatenate(parts))
 
 

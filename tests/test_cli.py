@@ -239,6 +239,10 @@ def test_cli_rejects_bad_bump(tmp_path, shop_hkde_file, capsys):
     ("--maturity", "-1", "--maturity must be positive"),
     ("--maturity", "0", "--maturity must be positive"),
     ("--maturity", "nan", "--maturity must be positive"),
+    ("--bump", "theta=abc", "--bump must look like name=factor or name=+NN%"),
+    ("--bump", "theta", "--bump must look like name=factor or name=+NN%"),
+    ("--bump", "theta=nan", "theta must be finite; got nan"),
+    ("--bump", "kappa=+1e400%", "kappa must be finite; got inf"),
 ])
 def test_cli_smile_names_bad_flag(tmp_path, shop_hkde_file, capsys, flag, value, message):
     argv = {"--maturity": "0.25", "--strikes": "90:110:5", flag: value}
@@ -246,6 +250,17 @@ def test_cli_smile_names_bad_flag(tmp_path, shop_hkde_file, capsys, flag, value,
                *(item for pair in argv.items() for item in pair)])
     assert rc == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("schedule", ["1e-4,abc", "0", "-1e-4", "1e-4,nan", "1e-4,inf", "",
+                                      "1e-4,"])
+def test_cli_calibrate_names_bad_tol_schedule(tmp_path, capsys, schedule):
+    # the quote file does not exist: the schedule must be rejected before it is read
+    rc = main(["calibrate", "--model", "heston", "--quotes", str(tmp_path / "missing.csv"),
+               "--out", str(tmp_path / "fit.json"), f"--tol-schedule={schedule}"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: --tol-schedule must be comma-separated positive numbers"
 
 
 @pytest.mark.parametrize("grid", ["0.25x-0.2:0.2:0", "0.25x0.2:-0.2:0.1", "0.25x-0.2:0.2",

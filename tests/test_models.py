@@ -1,4 +1,4 @@
-"""Characteristic functions, compensators and cumulants."""
+"""Characteristic exponents, compensators and cumulants."""
 import math
 
 import numpy as np
@@ -7,47 +7,58 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from svjd.models import (
+    BGMParams,
     BatesParams,
     HestonParams,
     HKDEParams,
     KouJumpParams,
     MarketContext,
-    cf_heston,
-    cf_kou,
-    cf_model,
+    _kou_exponent,
     char_exponent,
-    cumulants_kou,
     cumulants_numeric,
     model_from_dict,
     model_to_dict,
-    omega_kde,
 )
 
-from conftest import ALL_ROWS, PARAM_ROWS, degenerate_hkde, pure_jump_hkde
+from conftest import ALL_ROWS, PARAM_ROWS, cumulants_kou, degenerate_hkde, pure_jump_hkde
 
 
 # ---------------------------------------------------------------------------
-# omega_kde
+# Kou drift compensator
 # ---------------------------------------------------------------------------
 
 def test_omega_zero_intensity():
-    assert omega_kde(KouJumpParams(0.0, 0.3, 2.0, 3.0)) == 0.0
+    assert KouJumpParams(0.0, 0.3, 2.0, 3.0).omega() == 0.0
 
 
 def test_omega_forced_arithmetic():
     # p=1, eta1=2: 2/1 + 0 - 1 = 1, so omega = -1
-    assert omega_kde(KouJumpParams(1.0, 1.0, 2.0, 5.0)) == pytest.approx(-1.0, abs=1e-15)
+    assert KouJumpParams(1.0, 1.0, 2.0, 5.0).omega() == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_omega_amzn_exact_rational():
     # frozen from exact Fraction arithmetic on the decimal literals
     jumps = KouJumpParams(53.165, 0.999, 49.799, 2.587)
-    assert omega_kde(jumps) == pytest.approx(-1.07355799953009, rel=1e-14)
+    assert jumps.omega() == pytest.approx(-1.07355799953009, rel=1e-14)
 
 
 def test_omega_requires_eta1_above_one():
     with pytest.raises(ValueError):
         KouJumpParams(1.0, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("cls, values", [
+    (HestonParams, [0.04, 0.04, 1.0, 0.5, -0.5]),
+    (KouJumpParams, [1.0, 0.5, 10.0, 5.0]),
+    (BatesParams, [0.04, 0.04, 1.0, 0.5, -0.5, 1.0, -0.1, 0.2]),
+    (BGMParams, [1.0, 15.0, 1.0, 15.0, 0.2]),
+], ids=["heston", "kou", "bates", "bgm"])
+def test_params_reject_nonfinite_field(cls, values):
+    cls.from_flat(values)
+    for i, name in enumerate(cls.FIELDS):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                cls.from_flat(values[:i] + [bad] + values[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +85,14 @@ def _heston_cf_riccati(xi, t, p: HestonParams, ctx: MarketContext):
 
 def test_cf_heston_at_zero_is_one(ctx):
     for params in PARAM_ROWS["heston"].values():
-        assert cf_heston(0.0, 1.0, params, ctx) == pytest.approx(1.0, abs=1e-15)
+        assert np.exp(params.exponent(ctx, 0.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cf_heston_matches_riccati_oracle(ctx):
     params = PARAM_ROWS["heston"]["SPOT"]
     for t in (0.1, 0.5, 2.0):
         for xi in (0.5, 1.0, 5.0, 25.0):
-            ours = complex(cf_heston(xi, t, params, ctx))
+            ours = complex(np.exp(params.exponent(ctx, xi, t)))
             oracle = complex(_heston_cf_riccati(xi, t, params, ctx))
             assert abs(ours - oracle) / abs(oracle) < 1e-9
 
@@ -91,7 +102,7 @@ def test_cf_heston_black_scholes_limit(ctx):
     params = HestonParams(v0=v0, theta=v0, kappa=1e-8, sigma_v=1e-8, rho=0.0)
     for t in (0.25, 1.0, 5.0):
         for xi in (0.3, 1.0, 7.0):
-            ours = complex(cf_heston(xi, t, params, ctx))
+            ours = complex(np.exp(params.exponent(ctx, xi, t)))
             gauss = np.exp(1j * xi * (math.log(ctx.spot) + ctx.rate * t)
                            - 0.5 * v0 * t * (xi * xi + 1j * xi))
             assert abs(ours - gauss) / abs(gauss) < 1e-6
@@ -101,7 +112,7 @@ def test_cf_heston_forward_normalized_bounded(ctx):
     xi = np.linspace(-200.0, 200.0, 4001)
     for params in PARAM_ROWS["heston"].values():
         for t in (0.1, 1.0, 10.0):
-            phi = cf_heston(xi, t, params, ctx)
+            phi = np.exp(params.exponent(ctx, xi, t))
             normalized = phi * np.exp(-1j * xi * (math.log(ctx.spot) + ctx.rate * t))
             assert np.all(np.abs(normalized) <= 1.0 + 1e-12)
 
@@ -110,14 +121,9 @@ def test_cf_heston_long_maturity_continuity(ctx):
     # branch errors show up as O(1) jumps on a fine frequency grid
     xi = np.linspace(0.0, 200.0, 40001)
     for params in PARAM_ROWS["heston"].values():
-        phi = cf_heston(xi, 10.0, params, ctx)
+        phi = np.exp(params.exponent(ctx, xi, 10.0))
         normalized = phi * np.exp(-1j * xi * (math.log(ctx.spot) + ctx.rate * 10.0))
         assert np.abs(np.diff(normalized)).max() < 0.05
-
-
-def test_cf_heston_rejects_nonpositive_t(ctx):
-    with pytest.raises(ValueError):
-        cf_heston(1.0, 0.0, PARAM_ROWS["heston"]["AMZN"], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +132,10 @@ def test_cf_heston_rejects_nonpositive_t(ctx):
 
 def test_cf_kou_at_zero_and_no_jumps():
     jumps = KouJumpParams(2.0, 0.4, 3.0, 4.0)
-    assert cf_kou(0.0, 1.7, jumps) == pytest.approx(1.0, abs=1e-15)
+    assert np.exp(_kou_exponent(0.0, 1.7, jumps)) == pytest.approx(1.0, abs=1e-15)
     none = KouJumpParams(0.0, 0.4, 3.0, 4.0)
     xi = np.linspace(-40, 40, 101)
-    assert np.allclose(cf_kou(xi, 2.0, none), 1.0, atol=1e-15)
+    assert np.allclose(np.exp(_kou_exponent(xi, 2.0, none)), 1.0, atol=1e-15)
 
 
 def test_cf_kou_symmetric_exponent_imag_odd():
@@ -137,9 +143,9 @@ def test_cf_kou_symmetric_exponent_imag_odd():
     t = 0.75
     xi = np.linspace(0.1, 30, 50)
     # strip the omega drift: remaining exponent of a symmetric density is even/real-odd/imag
-    drift = omega_kde(jumps)
-    exp_plus = np.log(cf_kou(xi, t, jumps)) - 1j * xi * drift * t
-    exp_minus = np.log(cf_kou(-xi, t, jumps)) + 1j * xi * drift * t
+    drift = jumps.omega()
+    exp_plus = _kou_exponent(xi, t, jumps) - 1j * xi * drift * t
+    exp_minus = _kou_exponent(-xi, t, jumps) + 1j * xi * drift * t
     assert np.allclose(exp_plus.imag, -exp_minus.imag, atol=1e-13)
     assert np.allclose(exp_plus.imag, 0.0, atol=1e-13)
 
@@ -147,15 +153,15 @@ def test_cf_kou_symmetric_exponent_imag_odd():
 def test_cf_model_hermitian_symmetry(ctx):
     xi = np.linspace(0.0, 60.0, 121)
     for _, _, params in ALL_ROWS:
-        plus = cf_model(params, ctx, xi, 0.8)
-        minus = cf_model(params, ctx, -xi, 0.8)
+        plus = np.exp(params.exponent(ctx, xi, 0.8))
+        minus = np.exp(params.exponent(ctx, -xi, 0.8))
         assert np.allclose(minus, np.conj(plus), rtol=0, atol=1e-14 * np.abs(plus).max())
 
 
 def test_cf_model_martingale_identity_all_rows(ctx):
     for _, _, params in ALL_ROWS:
         for t in (0.1, 1.0, 5.0):
-            lhs = complex(cf_model(params, ctx, -1j, t))
+            lhs = complex(np.exp(params.exponent(ctx, -1j, t)))
             rhs = ctx.spot * math.exp((ctx.rate - ctx.div_yield) * t)
             assert abs(lhs - rhs) / rhs < 1e-10, (params, t)
 
@@ -163,7 +169,7 @@ def test_cf_model_martingale_identity_all_rows(ctx):
 def test_cf_model_forward_normalized_bounded(ctx):
     xi = np.linspace(-200.0, 200.0, 2001)
     for _, _, params in ALL_ROWS:
-        phi = cf_model(params, ctx, xi, 1.0)
+        phi = np.exp(params.exponent(ctx, xi, 1.0))
         normalized = phi * np.exp(-1j * xi * (math.log(ctx.spot) + ctx.rate * 1.0))
         assert np.all(np.abs(normalized) <= 1.0 + 1e-12)
 
@@ -173,8 +179,8 @@ def test_hkde_reduces_to_heston(ctx):
     hkde = HKDEParams(heston, KouJumpParams(0.0, 0.5, 20.0, 20.0))
     xi = np.linspace(-80, 80, 321)
     for t in (0.1, 1.0):
-        a = cf_model(hkde, ctx, xi, t)
-        b = cf_model(heston, ctx, xi, t)
+        a = np.exp(hkde.exponent(ctx, xi, t))
+        b = np.exp(heston.exponent(ctx, xi, t))
         assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12
 
 
@@ -183,16 +189,17 @@ def test_bates_reduces_to_heston(ctx):
     bates = BatesParams(heston, lam=0.0, mu_j=-0.2, sigma_j=0.5)
     xi = np.linspace(-80, 80, 321)
     for t in (0.1, 1.0):
-        a = cf_model(bates, ctx, xi, t)
-        b = cf_model(heston, ctx, xi, t)
+        a = np.exp(bates.exponent(ctx, xi, t))
+        b = np.exp(heston.exponent(ctx, xi, t))
         assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12
 
 
 def test_cf_hkde_is_product_of_legs(ctx, amzn_hkde):
     xi = np.linspace(-50, 50, 101)
     t = 0.7
-    prod = cf_heston(xi, t, amzn_hkde.heston, ctx) * cf_kou(xi, t, amzn_hkde.jumps)
-    assert np.allclose(cf_model(amzn_hkde, ctx, xi, t), prod, rtol=1e-13)
+    prod = (np.exp(amzn_hkde.heston.exponent(ctx, xi, t))
+            * np.exp(_kou_exponent(xi, t, amzn_hkde.jumps)))
+    assert np.allclose(np.exp(amzn_hkde.exponent(ctx, xi, t)), prod, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ def test_ci_field(ctx, amzn_hkde):
 
 def test_cf_and_second_cumulant_vs_million_path_sample(ctx, amzn_hkde):
     # spot-checks the transform layer against raw sampled paths at T = 1
-    from svjd.models import cf_model, cumulants_numeric
+    from svjd.models import cumulants_numeric
 
     sched = MonitoringSchedule.uniform(1.0, 1)
     batch = simulate_paths(amzn_hkde, ctx, sched,
@@ -329,7 +329,7 @@ def test_cf_and_second_cumulant_vs_million_path_sample(ctx, amzn_hkde):
 
     xi = 2.0
     phase = np.exp(1j * xi * x)
-    cf = complex(cf_model(amzn_hkde, ctx, xi, 1.0))
+    cf = complex(np.exp(amzn_hkde.exponent(ctx, xi, 1.0)))
     se_re = phase.real.std(ddof=1) / math.sqrt(n)
     se_im = phase.imag.std(ddof=1) / math.sqrt(n)
     assert abs(phase.real.mean() - cf.real) < 3 * se_re

@@ -211,8 +211,7 @@ def test_slice_equals_per_strike_reference(ctx):
         for t in (0.1, 1.0):
             strikes = np.arange(60.0, 160.0, 0.5)
             coeffs = proj_coefficients(model, ctx, t, build_grid(model, ctx, t))
-            puts = price_strike_slice(model, ctx, t, strikes, [False] * strikes.size,
-                                      coeffs=coeffs)
+            puts = price_strike_slice(model, ctx, t, strikes, [False] * strikes.size)
             assert np.array_equal(puts, _put_leg_by_strike(coeffs, ctx, t, strikes)), (kind, t)
 
 
