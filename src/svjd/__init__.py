@@ -25,7 +25,6 @@ from svjd.montecarlo import (
     MonitoringSchedule,
     PathBatch,
     SimConfig,
-    price_european_mc,
     price_exotic,
     simulate_paths,
 )

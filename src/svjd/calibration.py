@@ -206,6 +206,9 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
     inverted = [f"{f} [{a}, {b}]" for f, a, b in zip(cls.FIELDS, lo, hi) if not a < b]
     if inverted:
         raise ValueError(f"bounds need lower < upper; violated for {', '.join(inverted)}")
+    for tol in schedule:
+        if not 0 < tol < math.inf:
+            raise ValueError(f"schedule entries must be finite positive numbers; got {tol!r}")
     if init is None:
         init = default_init(model_kind, surface)
     elif init.NAME != model_kind:

@@ -25,7 +25,6 @@ from svjd.montecarlo import (
     MonitoringSchedule,
     SimConfig,
     price_exotic,
-    price_european_mc,
 )
 from svjd.proj import GridSpec, price_european, price_strike_slice
 
@@ -34,7 +33,6 @@ QUOTE_HEADER = ["maturity_yrs", "strike", "option_type", "mid_price", "iv",
 
 _FMT = "%.17g"
 
-_EUROPEAN_KINDS = ("european_call", "european_put")
 _CONTRACT_NUMBERS = ("maturity", "spot", "rate", "div_yield", "strike", "cap", "floor",
                      "global_cap", "global_floor", "barrier_up", "barrier_down")
 
@@ -151,10 +149,10 @@ def _load_contract(path: str) -> dict:
     for key in ("kind", "maturity", "spot", "rate"):
         if key not in doc:
             raise ValueError(f"contract file needs '{key}'")
-    if doc["kind"] not in _EUROPEAN_KINDS + EXOTIC_KINDS:
+    if doc["kind"] not in EXOTIC_KINDS:
         raise ValueError(f"contract field 'kind' must be one of "
-                         f"{', '.join(_EUROPEAN_KINDS + EXOTIC_KINDS)}; got {doc['kind']!r}")
-    if doc["kind"] in _EUROPEAN_KINDS and "strike" not in doc:
+                         f"{', '.join(EXOTIC_KINDS)}; got {doc['kind']!r}")
+    if doc["kind"].startswith("european") and "strike" not in doc:
         raise ValueError("contract file needs 'strike'")
     for key in _CONTRACT_NUMBERS:
         value = doc.get(key, 0.0)
@@ -177,9 +175,11 @@ def _contract_ctx(doc: dict) -> MarketContext:
 
 
 def _contract_exotic(doc: dict) -> ExoticSpec:
+    """A European pays at maturity: one interval, whatever its monitoring and spacing."""
+    european = doc["kind"].startswith("european")
     schedule = MonitoringSchedule.uniform(
-        float(doc["maturity"]), doc.get("monitoring", 1),
-        spacing=doc.get("spacing", "span"))
+        float(doc["maturity"]), 1 if european else doc.get("monitoring", 1),
+        spacing="span" if european else doc.get("spacing", "span"))
     return ExoticSpec(
         kind=doc["kind"], schedule=schedule, strike=float(doc.get("strike", 0.0)),
         is_call=doc.get("is_call", True),
@@ -245,7 +245,7 @@ def _sim_config(args) -> SimConfig:
 def _proj_price(model: ModelParams, doc: dict, args) -> float | None:
     """Projection price of a European contract; None for path-dependent kinds,
     which have no transform pricer."""
-    if doc["kind"] not in _EUROPEAN_KINDS:
+    if not doc["kind"].startswith("european"):
         return None
     return price_european(model, _contract_ctx(doc), float(doc["maturity"]),
                           float(doc["strike"]), doc["kind"] == "european_call",
@@ -254,11 +254,7 @@ def _proj_price(model: ModelParams, doc: dict, args) -> float | None:
 
 def _mc_price(model: ModelParams, doc: dict, args) -> McEstimate:
     """Monte Carlo price of any contract kind."""
-    ctx, config = _contract_ctx(doc), _sim_config(args)
-    if doc["kind"] in _EUROPEAN_KINDS:
-        return price_european_mc(model, ctx, float(doc["maturity"]), float(doc["strike"]),
-                                 doc["kind"] == "european_call", config)
-    return price_exotic(model, ctx, _contract_exotic(doc), config)
+    return price_exotic(model, _contract_ctx(doc), _contract_exotic(doc), _sim_config(args))
 
 
 def cmd_price(args) -> int:

@@ -120,7 +120,11 @@ class KouJumpParams(_FlatFields):
 
     def omega(self) -> float:
         """Jump drift compensator -lam*(p*eta1/(eta1-1) + (1-p)*eta2/(eta2+1) - 1)."""
-        return -self.lam * (self.p / (self.eta1 - 1.0) - (1.0 - self.p) / (self.eta2 + 1.0))
+        return -self.lam * self._compensator()
+
+    def _compensator(self) -> float:
+        """p/(eta1-1) - (1-p)/(eta2+1) = E[exp(J)] - 1: omega() per unit intensity."""
+        return self.p / (self.eta1 - 1.0) - (1.0 - self.p) / (self.eta2 + 1.0)
 
 
 @dataclass(frozen=True)
@@ -270,8 +274,7 @@ def _kou_exponent(xi, t: float, j: KouJumpParams):
     """
     xi = np.asarray(xi, dtype=complex)
     ix = 1j * xi
-    bracket = (j.p / (j.eta1 - ix) - (1.0 - j.p) / (j.eta2 + ix)
-               - (j.p / (j.eta1 - 1.0) - (1.0 - j.p) / (j.eta2 + 1.0)))
+    bracket = j.p / (j.eta1 - ix) - (1.0 - j.p) / (j.eta2 + ix) - j._compensator()
     return t * j.lam * ix * bracket
 
 

@@ -28,15 +28,15 @@ from svjd.models import (
 )
 
 __all__ = ["SimConfig", "MonitoringSchedule", "PathBatch", "ExoticSpec", "McEstimate",
-           "simulate_paths", "price_exotic", "price_exotic_batch", "price_european_mc",
-           "evaluate_payoff", "sample_double_exponential", "mc_run"]
+           "simulate_paths", "price_exotic", "price_exotic_batch", "evaluate_payoff",
+           "sample_double_exponential", "mc_run"]
 
 _CHUNK = 1 << 18          # paths per worker chunk; part of the reproducibility key
 _MAX_DT = 1.0 / 250.0     # default substep cap for discretized models
 _BLOCK = 1 << 15          # paths per cache block of the Euler substep arithmetic
 
-EXOTIC_KINDS = ("asian_call", "asian_put", "variance_swap", "variance_call",
-                "cliquet", "barrier_uo", "barrier_do", "barrier_double")
+EXOTIC_KINDS = ("european_call", "european_put", "asian_call", "asian_put", "variance_swap",
+                "variance_call", "cliquet", "barrier_uo", "barrier_do", "barrier_double")
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ class PathBatch:
 
 @dataclass(frozen=True)
 class ExoticSpec:
-    """Contract description for the path-dependent payoff families."""
+    """Contract description for the European and path-dependent payoff families;
+    Europeans pay on S at the last date (give them one interval)."""
     kind: str
     schedule: MonitoringSchedule
     strike: float = 0.0
@@ -131,8 +132,7 @@ class ExoticSpec:
     def __post_init__(self):
         if self.kind not in EXOTIC_KINDS:
             raise ValueError(f"unknown payoff kind '{self.kind}'")
-        if self.kind in ("asian_call", "asian_put", "barrier_uo", "barrier_do",
-                         "barrier_double") and self.strike <= 0:
+        if self.kind not in ("variance_swap", "variance_call", "cliquet") and self.strike <= 0:
             raise ValueError(f"{self.kind} needs a positive strike")
         if self.kind == "cliquet":
             if self.cap is None or self.floor is None or self.cap <= self.floor:
@@ -211,15 +211,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _chunk_sizes(n_paths: int, antithetic: bool) -> list[int]:
     if antithetic and n_paths % 2:
         n_paths += 1  # antithetic pairing needs an even path count
-    sizes = []
-    remaining = n_paths
-    while remaining > 0:
-        take = min(_CHUNK, remaining)
-        if antithetic and take % 2:
-            take += 1
-        sizes.append(take)
-        remaining -= take
-    return sizes
+    return [min(_CHUNK, n_paths - start) for start in range(0, n_paths, _CHUNK)]
 
 
 def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
@@ -388,14 +380,19 @@ def mc_run(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
 # Payoffs
 # ---------------------------------------------------------------------------
 
+def _vanilla(s: np.ndarray, strike: float, is_call: bool) -> np.ndarray:
+    return np.maximum(s - strike, 0.0) if is_call else np.maximum(strike - s, 0.0)
+
+
 def evaluate_payoff(spec: ExoticSpec, batch: PathBatch) -> np.ndarray:
     """Undiscounted payoff per path, evaluated at the monitoring dates only."""
     logs = batch.log_prices
     kind = spec.kind
+    if kind in ("european_call", "european_put"):
+        return _vanilla(np.exp(logs[:, -1]), spec.strike, kind == "european_call")
     if kind in ("asian_call", "asian_put"):
         avg = np.exp(logs).mean(axis=1)    # equal-weight average including t_0
-        return np.maximum(avg - spec.strike, 0.0) if kind == "asian_call" \
-            else np.maximum(spec.strike - avg, 0.0)
+        return _vanilla(avg, spec.strike, kind == "asian_call")
 
     t = batch.schedule.maturity
     if kind == "variance_swap":
@@ -407,9 +404,7 @@ def evaluate_payoff(spec: ExoticSpec, batch: PathBatch) -> np.ndarray:
         return spec.strike * np.clip(period.sum(axis=1), spec.global_floor, spec.global_cap)
 
     # knock-out barriers: monitored at t_1..t_M, payoff on S at the last date
-    s_last = np.exp(logs[:, -1])
-    vanilla = np.maximum(s_last - spec.strike, 0.0) if spec.is_call \
-        else np.maximum(spec.strike - s_last, 0.0)
+    vanilla = _vanilla(np.exp(logs[:, -1]), spec.strike, spec.is_call)
     alive = np.ones(logs.shape[0], dtype=bool)
     if kind in ("barrier_uo", "barrier_double"):
         alive &= logs[:, 1:].max(axis=1) <= math.log(spec.barrier_up)
@@ -445,21 +440,5 @@ def price_exotic_batch(model: ModelParams, ctx: MarketContext, specs: Sequence[E
 
 def price_exotic(model: ModelParams, ctx: MarketContext, spec: ExoticSpec,
                  config: SimConfig) -> McEstimate:
-    """Discounted Monte Carlo price of one path-dependent contract."""
+    """Discounted Monte Carlo price of one contract."""
     return price_exotic_batch(model, ctx, [spec], config)[0]
-
-
-def price_european_mc(model: ModelParams, ctx: MarketContext, t: float, strike: float,
-                      is_call: bool, config: SimConfig) -> McEstimate:
-    """Monte Carlo European price; oracle counterpart of the projection pricer."""
-    if strike <= 0 or t <= 0:
-        raise ValueError("strike and t must be positive")
-    schedule = MonitoringSchedule.uniform(t, 1)
-    disc = math.exp(-ctx.rate * t)
-
-    def payoff(batch: PathBatch) -> np.ndarray:
-        s_t = np.exp(batch.log_prices[:, -1])
-        pay = np.maximum(s_t - strike, 0.0) if is_call else np.maximum(strike - s_t, 0.0)
-        return disc * pay[None, :]
-
-    return mc_run(model, ctx, schedule, config, payoff)[0]

@@ -30,8 +30,8 @@ from svjd.montecarlo import (
     MonitoringSchedule,
     SimConfig,
     mc_run,
+    price_exotic,
     price_exotic_batch,
-    price_european_mc,
 )
 from svjd.proj import GridSpec, build_grid, dual_zeta, price_european, price_strike_slice, proj_coefficients
 
@@ -430,8 +430,9 @@ def test_criterion_10_performance(round_trip_surface):
     for _ in range(5):
         price_european(model, CTX, 1.0, 100.0, True)
     proj_s = (time.perf_counter() - t0) / 5
+    spec = ExoticSpec("european_call", MonitoringSchedule.uniform(1.0, 1), strike=100.0)
     t0 = time.perf_counter()
-    price_european_mc(model, CTX, 1.0, 100.0, True, SimConfig(n_paths=N_PATHS, seed=9))
+    price_exotic(model, CTX, spec, SimConfig(n_paths=N_PATHS, seed=9))
     mc_s = time.perf_counter() - t0
     ratio = mc_s / proj_s
 

@@ -264,6 +264,13 @@ def test_calibrate_rejects_inverted_bounds(heston_surface):
         calibrate("heston", heston_surface, bounds=(hi, lo))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_calibrate_rejects_nonpositive_or_nan_schedule_entry(heston_surface, tol):
+    truth = PARAM_ROWS["heston"]["SPOT"]
+    with pytest.raises(ValueError, match=f"finite positive numbers; got {tol!r}"):
+        calibrate("heston", heston_surface, init=truth, schedule=(1e-4, tol))
+
+
 def test_calibrate_rejects_unknown_kind(heston_surface):
     with pytest.raises(ValueError):
         calibrate("sabr", heston_surface)

@@ -211,6 +211,22 @@ def test_cmd_mc_compare_european_has_both(tmp_path, spot_heston_file, capsys):
     assert abs(proj - mc) < 2 * ci + 0.05
 
 
+def test_cmd_mc_compare_european_ignores_monitoring_and_spacing(tmp_path, shop_hkde_file,
+                                                                capsys):
+    rows = []
+    for extra in ({}, {"monitoring": 4, "spacing": "m_plus_1"}):
+        contract = tmp_path / "c.json"
+        contract.write_text(json.dumps({"kind": "european_put", "strike": 95.0, "maturity": 0.5,
+                                        "spot": 100.0, "rate": 0.05, **extra}))
+        out = tmp_path / "cmp.csv"
+        assert main(["mc-compare", "--params", shop_hkde_file, "--contract", str(contract),
+                     "--out", str(out), "--paths", "5001", "--seed", "3"]) == 0
+        with open(out) as fh:
+            rows.append(list(csv.DictReader(fh))[0])
+    assert rows[0]["mc"] == rows[1]["mc"]
+    assert rows[0]["mc_ci95_half_width"] == rows[1]["mc_ci95_half_width"]
+
+
 def test_cli_error_is_one_line_nonzero(tmp_path, capsys):
     rc = main(["price", "--params", str(tmp_path / "missing.json"),
                "--contract", str(tmp_path / "missing2.json")])

@@ -42,6 +42,18 @@ def test_omega_amzn_exact_rational():
     assert jumps.omega() == pytest.approx(-1.07355799953009, rel=1e-14)
 
 
+@pytest.mark.parametrize("name", sorted(PARAM_ROWS["hkde"]))
+def test_kou_compensator_written_out(name):
+    # omega() and the exponent share one compensator; both equal the expanded form bit for bit
+    j = PARAM_ROWS["hkde"][name].jumps
+    comp = j.p / (j.eta1 - 1.0) - (1.0 - j.p) / (j.eta2 + 1.0)
+    assert j.omega() == -j.lam * comp
+    xi = np.concatenate([[0.0], np.linspace(-60.0, 60.0, 241), 1e-9 - 0.5j * np.ones(3)])
+    ix = 1j * xi
+    expanded = 0.7 * j.lam * ix * (j.p / (j.eta1 - ix) - (1.0 - j.p) / (j.eta2 + ix) - comp)
+    assert np.array_equal(_kou_exponent(xi, 0.7, j), expanded)
+
+
 def test_omega_requires_eta1_above_one():
     with pytest.raises(ValueError):
         KouJumpParams(1.0, 0.5, 1.0, 2.0)

@@ -12,12 +12,12 @@ from svjd.montecarlo import (
     PathBatch,
     SimConfig,
     _chunk_rng,
+    _chunk_sizes,
     _poisson_jump_total,
     _simulate_chunk,
     _thread_count,
     evaluate_payoff,
     mc_run,
-    price_european_mc,
     price_exotic,
     price_exotic_batch,
     sample_double_exponential,
@@ -25,6 +25,11 @@ from svjd.montecarlo import (
 )
 
 from conftest import PARAM_ROWS, degenerate_hkde
+
+
+def _european(t, strike, is_call=True):
+    return ExoticSpec(kind="european_call" if is_call else "european_put",
+                      schedule=MonitoringSchedule.uniform(t, 1), strike=strike)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +68,13 @@ def test_exotic_spec_validation():
                    global_cap=1.0, global_floor=0.0)
     with pytest.raises(ValueError):
         ExoticSpec(kind="barrier_uo", schedule=sched, strike=100.0)
+
+
+@pytest.mark.parametrize("kind", ["european_call", "european_put"])
+@pytest.mark.parametrize("strike", [0.0, -100.0])
+def test_european_spec_needs_positive_strike(kind, strike):
+    with pytest.raises(ValueError, match=f"{kind} needs a positive strike"):
+        ExoticSpec(kind=kind, schedule=MonitoringSchedule.uniform(1.0, 1), strike=strike)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +230,48 @@ def test_thread_count_does_not_change_results(ctx, amzn_hkde, monkeypatch):
     assert a.price == b.price and a.std_err == b.std_err
 
 
+def _loop_chunk_sizes(n_paths, antithetic):
+    """Loop form of the chunk split, with an odd-chunk guard that antithetic
+    sampling never reaches: the count is made even first and the chunk is even."""
+    if antithetic and n_paths % 2:
+        n_paths += 1
+    sizes = []
+    remaining = n_paths
+    while remaining > 0:
+        take = min(montecarlo._CHUNK, remaining)
+        if antithetic and take % 2:
+            take += 1
+        sizes.append(take)
+        remaining -= take
+    return sizes
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 5, 2**18 - 1, 2**18, 2**18 + 1, 2**19 - 1, 1_000_001])
+def test_chunk_sizes_equal_loop_form(n, antithetic):
+    sizes = _chunk_sizes(n, antithetic)
+    assert sizes == _loop_chunk_sizes(n, antithetic)
+    assert sum(sizes) == n + (antithetic and n % 2)
+    assert not antithetic or all(size % 2 == 0 for size in sizes)
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("n_paths", [1_001, 2**18 + 1])   # odd; one chunk and two
+def test_european_kinds_equal_mc_run_reference(ctx, amzn_hkde, antithetic, n_paths):
+    t, strike = 0.5, 105.0
+    cfg = SimConfig(n_paths=n_paths, seed=21, steps_per_interval=2, antithetic=antithetic)
+    disc = math.exp(-ctx.rate * t)
+    for is_call in (True, False):
+        def payoff(batch):
+            s_t = np.exp(batch.log_prices[:, -1])
+            pay = np.maximum(s_t - strike, 0.0) if is_call else np.maximum(strike - s_t, 0.0)
+            return disc * pay[None, :]
+
+        (ref,) = mc_run(amzn_hkde, ctx, MonitoringSchedule.uniform(t, 1), cfg, payoff)
+        est = price_exotic(amzn_hkde, ctx, _european(t, strike, is_call), cfg)
+        assert (est.price, est.std_err, est.n_paths) == (ref.price, ref.std_err, ref.n_paths)
+
+
 def test_seed_changes_results(ctx, amzn_hkde):
     sched = MonitoringSchedule.uniform(0.5, 4)
     spec = ExoticSpec(kind="asian_call", schedule=sched, strike=100.0)
@@ -241,10 +295,10 @@ def test_antithetic_reduces_std_err_battery(ctx):
         (PARAM_ROWS["bates"]["SHOP"], 0.5, 100.0),
     ]
     for i, (model, t, k) in enumerate(battery):
-        plain = price_european_mc(model, ctx, t, k, True,
-                                  SimConfig(n_paths=40_000, seed=100 + i, antithetic=False))
-        anti = price_european_mc(model, ctx, t, k, True,
-                                 SimConfig(n_paths=40_000, seed=100 + i, antithetic=True))
+        plain = price_exotic(model, ctx, _european(t, k),
+                             SimConfig(n_paths=40_000, seed=100 + i, antithetic=False))
+        anti = price_exotic(model, ctx, _european(t, k),
+                            SimConfig(n_paths=40_000, seed=100 + i, antithetic=True))
         assert anti.std_err <= plain.std_err, (i, anti.std_err, plain.std_err)
 
 
@@ -282,8 +336,8 @@ def test_barrier_up_at_infinity_equals_european(ctx, amzn_hkde):
     spec = ExoticSpec(kind="barrier_uo", schedule=sched, strike=100.0, barrier_up=1e12)
     cfg = SimConfig(n_paths=200_000, seed=8, steps_per_interval=4)
     barrier = price_exotic(amzn_hkde, ctx, spec, cfg)
-    euro = price_european_mc(amzn_hkde, ctx, 0.5, 100.0, True,
-                             SimConfig(n_paths=200_000, seed=80, steps_per_interval=32))
+    euro = price_exotic(amzn_hkde, ctx, _european(0.5, 100.0),
+                        SimConfig(n_paths=200_000, seed=80, steps_per_interval=32))
     combined = math.hypot(barrier.std_err, euro.std_err)
     assert abs(barrier.price - euro.price) < 3 * combined
 
@@ -311,8 +365,8 @@ def test_barrier_level_validation(ctx, amzn_hkde):
 
 
 def test_ci_field(ctx, amzn_hkde):
-    est = price_european_mc(amzn_hkde, ctx, 0.25, 100.0, True,
-                            SimConfig(n_paths=10_000, seed=2, steps_per_interval=5))
+    est = price_exotic(amzn_hkde, ctx, _european(0.25, 100.0),
+                       SimConfig(n_paths=10_000, seed=2, steps_per_interval=5))
     assert est.ci95_half_width == pytest.approx(1.96 * est.std_err)
     assert est.n_paths == 10_000
 
