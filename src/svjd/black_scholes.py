@@ -51,9 +51,19 @@ class Quote:
             raise ValueError("quote needs a price or an implied volatility")
 
 
-def _d1(ctx: MarketContext, t: float, strike, vol):
-    return ((np.log(ctx.spot / strike) + t * (ctx.rate - ctx.div_yield + 0.5 * vol * vol))
-            / (vol * math.sqrt(t)))
+def _d1(log_sk, t: float, drift: float, vol):
+    """d1 from log(S/K) and r - q; every price and vega reads it from here."""
+    return (log_sk + t * (drift + 0.5 * vol * vol)) / (vol * math.sqrt(t))
+
+
+def _call_put(fwd: float, disc_k, sign, t: float, vol, d1):
+    """The call formula; the put is the call with d1, d2 and the result negated (sign -1)."""
+    d2 = d1 - vol * math.sqrt(t)
+    return sign * (fwd * ndtr(sign * d1) - disc_k * ndtr(sign * d2))
+
+
+def _vega(spot: float, t: float, d1):
+    return spot * (_INV_SQRT_2PI * np.exp(-0.5 * d1 * d1)) * math.sqrt(t)
 
 
 def bs_price(ctx: MarketContext, t: float, strike, vol, is_call):
@@ -62,13 +72,9 @@ def bs_price(ctx: MarketContext, t: float, strike, vol, is_call):
         raise ValueError("t must be positive")
     if np.any(vol <= 0):
         raise ValueError("vol must be positive")
-    fwd = ctx.spot * math.exp(-ctx.div_yield * t)
-    disc_k = strike * math.exp(-ctx.rate * t)
-    d1 = _d1(ctx, t, strike, vol)
-    d2 = d1 - vol * math.sqrt(t)
-    # the put is the call formula with d1, d2 and the result negated
-    sign = np.where(is_call, 1.0, -1.0)
-    return _out(sign * (fwd * ndtr(sign * d1) - disc_k * ndtr(sign * d2)))
+    d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
+    fwd, disc_k = ctx.spot * math.exp(-ctx.div_yield * t), strike * math.exp(-ctx.rate * t)
+    return _out(_call_put(fwd, disc_k, np.where(is_call, 1.0, -1.0), t, vol, d1))
 
 
 def bs_vega(ctx: MarketContext, t: float, strike, vol):
@@ -79,8 +85,8 @@ def bs_vega(ctx: MarketContext, t: float, strike, vol):
     """
     if np.any(vol <= 0):
         raise ValueError("vol must be positive")
-    d1 = _d1(ctx, t, strike, vol)
-    return _out(ctx.spot * (_INV_SQRT_2PI * np.exp(-0.5 * d1 * d1)) * math.sqrt(t))
+    d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
+    return _out(_vega(ctx.spot, t, d1))
 
 
 def bs_vega_greek(ctx: MarketContext, t: float, strike, vol):
@@ -107,29 +113,36 @@ def _invert(ctx: MarketContext, t: float, strike, price, is_call) -> tuple:
     failure[(failure == 0) & ~low & (bs_price(ctx, t, strike, VOL_HI, is_call) < price)] = _ABOVE
 
     i = np.flatnonzero((failure == 0) & ~low)
-    k, p, c = strike[i], price[i], is_call[i]
+    p, sign, log_sk = price[i], np.where(is_call[i], 1.0, -1.0), np.log(ctx.spot / strike[i])
+    disc_k, disc_q = strike[i] * math.exp(-ctx.rate * t), math.exp(-ctx.div_yield * t)
+    drift = ctx.rate - ctx.div_yield   # only the vol changes between iterations
     lo, hi = np.full(i.size, VOL_LO), np.full(i.size, VOL_HI)
-    guess = np.sqrt(2.0 * np.abs(np.log(ctx.spot / k) + (ctx.rate - ctx.div_yield) * t) / t)
+    guess = np.sqrt(2.0 * np.abs(log_sk + drift * t) / t)
     s = np.clip(np.where(guess == 0.0, 0.2, guess), lo, hi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_ITER):
             if not i.size:
                 break
-            f = bs_price(ctx, t, k, s, c) - p
+            d1 = _d1(log_sk, t, drift, s)
+            f = _call_put(ctx.spot * disc_q, disc_k, sign, t, s, d1) - p
             up = f > 0
             hi, lo = np.where(up, s, hi), np.where(up, lo, s)
-            vega = bs_vega_greek(ctx, t, k, s)
+            vega = disc_q * _vega(ctx.spot, t, d1)
             step = f / vega
             # price converged; require vol-space convergence too, unless vega or
             # the remaining bracket is too small for the price to resolve it
             vol_res = 1e-9 * np.maximum(s, 1e-2)
             done = (np.abs(f) < 1e-10 * ctx.spot) & (
                 (vega <= 1e-12) | (np.abs(step) < vol_res) | (hi - lo < vol_res))
-            sigma[i[done]] = s[done]
             candidate = s - step
-            s = np.where((vega > 1e-14) & (lo < candidate) & (candidate < hi),
-                         candidate, 0.5 * (lo + hi))
-            i, k, p, c, s, lo, hi = (a[~done] for a in (i, k, p, c, s, lo, hi))
+            s_next = np.where((vega > 1e-14) & (lo < candidate) & (candidate < hi),
+                              candidate, 0.5 * (lo + hi))
+            if done.any():
+                sigma[i[done]] = s[done]
+                keep = ~done
+                i, log_sk, disc_k, sign, p, s_next, lo, hi = (
+                    a[keep] for a in (i, log_sk, disc_k, sign, p, s_next, lo, hi))
+            s = s_next
     failure[i] = _UNCONVERGED
     return sigma, failure
 

@@ -32,13 +32,10 @@ QUOTE_HEADER = ["maturity_yrs", "strike", "option_type", "mid_price", "iv",
                 "rate", "div_yield", "spot"]
 
 _FMT = "%.17g"
+_parser = None   # the argument parser, built by the first main() call, not at import
 
 _CONTRACT_NUMBERS = ("maturity", "spot", "rate", "div_yield", "strike", "cap", "floor",
                      "global_cap", "global_floor", "barrier_up", "barrier_down")
-
-
-def _fmt(x: float) -> str:
-    return _FMT % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +113,17 @@ def load_quotes(path: str) -> QuoteSurface:
     return surface
 
 
+def _csv_text(header: list, template: str, rows) -> str:
+    """Header and rows as csv.writer writes them; no cell needs quoting."""
+    end = csv.excel.lineterminator
+    return ",".join(header) + end + "".join(template % row + end for row in rows)
+
+
 def write_quotes(path: str, surface: QuoteSurface) -> None:
+    rows = ((sl.t, q.strike, "C" if q.is_call else "P", q.price, q.iv, sl.ctx.rate,
+             sl.ctx.div_yield, surface.spot) for sl in surface.slices for q in sl.quotes)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(QUOTE_HEADER)
-        for sl in surface.slices:
-            for q in sl.quotes:
-                writer.writerow([
-                    _fmt(sl.t), _fmt(q.strike), "C" if q.is_call else "P",
-                    _fmt(q.price), _fmt(q.iv), _fmt(sl.ctx.rate),
-                    _fmt(sl.ctx.div_yield), _fmt(surface.spot)])
+        fh.write(_csv_text(QUOTE_HEADER, "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g", rows))
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +302,11 @@ def cmd_smile(args) -> int:
     curves = [implied_vol(ctx, t, strikes, price_strike_slice(m, ctx, t, strikes, flags, spec),
                           flags) for _, m in models]
 
+    # libm's log per strike, as the file always had it; np.log need not round the same
+    rows = zip([math.log(x) for x in (strikes / ctx.spot).tolist()], *(c.tolist() for c in curves))
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["log_moneyness"] + [name for name, _ in models])
-        for i, k in enumerate(strikes):
-            writer.writerow([_fmt(math.log(k / ctx.spot))] + [_fmt(c[i]) for c in curves])
+        fh.write(_csv_text(["log_moneyness"] + [name for name, _ in models],
+                           ",".join([_FMT] * (1 + len(curves))), rows))
     print(f"smile with {len(strikes)} strikes at T={t} -> {args.out}")
     return 0
 
@@ -323,15 +321,13 @@ def cmd_mc_compare(args) -> int:
     t0 = time.perf_counter()
     est = _mc_price(model, doc, args)
     mc_time = time.perf_counter() - t0
-    proj_out = "n/a" if proj_value is None else _fmt(proj_value)
-
+    proj_out = "n/a" if proj_value is None else _FMT % proj_value
+    header = ["kind", "strike", "maturity", "proj", "mc", "mc_ci95_half_width", "time_proj_s",
+              "time_mc_s"]
+    row = (kind, doc.get("strike", 0.0), doc["maturity"], proj_out, est.price,
+           est.ci95_half_width, proj_time, mc_time)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "strike", "maturity", "proj", "mc",
-                         "mc_ci95_half_width", "time_proj_s", "time_mc_s"])
-        writer.writerow([kind, _fmt(doc.get("strike", 0.0)), _fmt(doc["maturity"]), proj_out,
-                         _fmt(est.price), _fmt(est.ci95_half_width),
-                         _fmt(proj_time), _fmt(mc_time)])
+        fh.write(_csv_text(header, "%s,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g", [row]))
     print(f"{kind}: proj {proj_out} mc {est.price:.6f} +/- {est.ci95_half_width:.6f} "
           f"-> {args.out}")
     return 0
@@ -424,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # one-line machine-parsable failure

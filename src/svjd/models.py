@@ -248,6 +248,7 @@ class MarketContext:
     div_yield: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("spot", "rate", "div_yield"))
         if self.spot <= 0:
             raise ValueError("spot must be positive")
 

@@ -134,6 +134,10 @@ class ExoticSpec:
             raise ValueError(f"unknown payoff kind '{self.kind}'")
         if self.kind not in ("variance_swap", "variance_call", "cliquet") and self.strike <= 0:
             raise ValueError(f"{self.kind} needs a positive strike")
+        # a European is discounted over the maturity, so it must pay there; t*m/m can miss t
+        last, maturity = self.schedule.dates[-1], self.schedule.maturity
+        if self.kind in ("european_call", "european_put") and last < maturity * (1 - 1e-12):
+            raise ValueError(f"{self.kind} pays at maturity {maturity}; its schedule ends at {last}")
         if self.kind == "cliquet":
             if self.cap is None or self.floor is None or self.cap <= self.floor:
                 raise ValueError("cliquet needs local cap > local floor")

@@ -35,8 +35,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 16 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two, at least 16")
-        if self.l1 <= 0:
-            raise ValueError("l1 must be positive")
+        if not 0 < self.l1 < math.inf:   # a nan l1 would price on the 0.5 floor width
+            raise ValueError(f"l1 must be finite and positive; got {self.l1}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ def build_grid(model: ModelParams, ctx: MarketContext, t: float, spec: GridSpec 
 
     The half-width comes from the second and fourth cumulants at unit horizon.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive; got {t}")
     k1, k2, _, k4 = cumulants_numeric(model, ctx, 1.0)
     c1 = k1 - math.log(ctx.spot)
     half_width = alpha_bar_from_cumulants(k2, k4, t, spec.l1)
@@ -150,6 +150,8 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
     four elements whose support holds the kink are integrated by GL quadrature,
     with the knot interval holding the kink split there.
     """
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive; got {t}")
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or np.any(strikes <= 0):
         raise ValueError("strikes must be a 1-d array of positive values")
@@ -158,8 +160,6 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
     is_calls = np.asarray(is_calls, dtype=bool)
     if is_calls.shape != strikes.shape:
         raise ValueError("is_calls must match strikes")
-    if t <= 0:
-        raise ValueError("t must be positive")
 
     coeffs = proj_coefficients(model, ctx, t, build_grid(model, ctx, t, spec))
     grid = coeffs.grid

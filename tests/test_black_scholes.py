@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 import svjd.black_scholes
 from svjd.black_scholes import (
@@ -299,3 +300,119 @@ def test_implied_vol_reports_no_convergence(ctx, monkeypatch):
     prices = bs_price(ctx, 1.0, strikes, 0.3, True)
     with pytest.raises(RuntimeError, match="did not converge at strike 100.0"):
         implied_vol(ctx, 1.0, strikes, prices, True)
+
+
+# ---------------------------------------------------------------------------
+# The Newton loop against a frozen copy of its earlier form
+# ---------------------------------------------------------------------------
+
+def _frozen_price(ctx, t, strike, vol, is_call):
+    """bs_price as the loop below called it: d1 built from ctx on every call."""
+    d1 = ((np.log(ctx.spot / strike) + t * (ctx.rate - ctx.div_yield + 0.5 * vol * vol))
+          / (vol * math.sqrt(t)))
+    d2 = d1 - vol * math.sqrt(t)
+    sign = np.where(is_call, 1.0, -1.0)
+    return sign * (ctx.spot * math.exp(-ctx.div_yield * t) * ndtr(sign * d1)
+                   - strike * math.exp(-ctx.rate * t) * ndtr(sign * d2))
+
+
+def _frozen_vega_greek(ctx, t, strike, vol):
+    d1 = ((np.log(ctx.spot / strike) + t * (ctx.rate - ctx.div_yield + 0.5 * vol * vol))
+          / (vol * math.sqrt(t)))
+    return math.exp(-ctx.div_yield * t) * (
+        ctx.spot * (1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * d1 * d1)) * math.sqrt(t))
+
+
+def _frozen_invert(ctx, t, strike, price, is_call, max_iter):
+    """The inverter before d1 was computed once per step: two d1 per iteration and
+    seven gathers on every iteration. _invert must return exactly its arrays."""
+    sigma = np.full(strike.shape, np.nan)
+    lo_bound, hi_bound = no_arbitrage_bounds(ctx, t, strike, is_call)
+    failure = np.where((lo_bound < price) & (price < hi_bound), 0, 1)
+    low = (failure == 0) & (_frozen_price(ctx, t, strike, VOL_LO, is_call) > price)
+    sigma[low] = VOL_LO
+    failure[(failure == 0) & ~low & (_frozen_price(ctx, t, strike, VOL_HI, is_call) < price)] = 2
+    i = np.flatnonzero((failure == 0) & ~low)
+    k, p, c = strike[i], price[i], is_call[i]
+    lo, hi = np.full(i.size, VOL_LO), np.full(i.size, VOL_HI)
+    guess = np.sqrt(2.0 * np.abs(np.log(ctx.spot / k) + (ctx.rate - ctx.div_yield) * t) / t)
+    s = np.clip(np.where(guess == 0.0, 0.2, guess), lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            if not i.size:
+                break
+            f = _frozen_price(ctx, t, k, s, c) - p
+            up = f > 0
+            hi, lo = np.where(up, s, hi), np.where(up, lo, s)
+            vega = _frozen_vega_greek(ctx, t, k, s)
+            step = f / vega
+            vol_res = 1e-9 * np.maximum(s, 1e-2)
+            done = (np.abs(f) < 1e-10 * ctx.spot) & (
+                (vega <= 1e-12) | (np.abs(step) < vol_res) | (hi - lo < vol_res))
+            sigma[i[done]] = s[done]
+            candidate = s - step
+            s = np.where((vega > 1e-14) & (lo < candidate) & (candidate < hi),
+                         candidate, 0.5 * (lo + hi))
+            i, k, p, c, s, lo, hi = (a[~done] for a in (i, k, p, c, s, lo, hi))
+    failure[i] = 3
+    return sigma, failure
+
+
+def _assert_invert_equals_frozen(ctx, t, strikes, prices, flags, max_iter=200):
+    sigma, failure = _invert(ctx, t, strikes, prices, flags)
+    ref_sigma, ref_failure = _frozen_invert(ctx, t, strikes, prices, flags, max_iter)
+    assert np.array_equal(sigma, ref_sigma, equal_nan=True)
+    assert np.array_equal(failure, ref_failure)
+    return sigma, failure
+
+
+def _edge_cases(ctx, t, is_call):
+    """(strikes, prices) for failure codes 1 and 2 and one price below the bracket."""
+    k_atm = ctx.forward(t)
+    lo, hi = no_arbitrage_bounds(ctx, t, np.array([90.0, k_atm, 110.0]), is_call)
+    at_lo = bs_price(ctx, t, k_atm, VOL_LO, is_call)
+    at_hi = bs_price(ctx, t, 110.0, VOL_HI, is_call)
+    return np.array([90.0, k_atm, 110.0]), np.array([lo[0] - 1e-3, 0.5 * (lo[1] + at_lo),
+                                                     0.5 * (at_hi + hi[2])])
+
+
+@pytest.mark.parametrize("t", [0.02, 0.25, 1.0, 5.0])
+@pytest.mark.parametrize("div_yield", [0.0, 0.03])
+def test_invert_equals_frozen_loop_on_a_grid(t, div_yield):
+    ctx = MarketContext(spot=100.0, rate=0.05, div_yield=div_yield)
+    grid = np.arange(40.0, 260.0, 2.5)
+    vols = np.linspace(0.05, 1.5, grid.size)
+    for is_call in (True, False):
+        edge_k, edge_p = _edge_cases(ctx, t, is_call)
+        strikes = np.concatenate([grid, edge_k])
+        prices = np.concatenate([bs_price(ctx, t, grid, vols, is_call), edge_p])
+        flags = np.full(strikes.shape, is_call)
+        sigma, failure = _assert_invert_equals_frozen(ctx, t, strikes, prices, flags)
+        assert list(failure[-3:]) == [1, 0, 2] and sigma[-2] == VOL_LO
+    # and on a mixed-flag out-of-the-money slice
+    flags = grid >= ctx.forward(t)
+    _assert_invert_equals_frozen(ctx, t, grid, bs_price(ctx, t, grid, vols, flags), flags)
+
+
+@pytest.mark.parametrize("t", [0.1, 2.0])
+def test_invert_equals_frozen_loop_on_model_smiles(t):
+    ctx = MarketContext(spot=100.0, rate=0.05, div_yield=0.0)
+    strikes = np.arange(60.0, 160.25, 0.5)
+    flags = strikes >= ctx.forward(t)
+    codes = set()
+    for model in (PARAM_ROWS["hkde"]["AMZN"], PARAM_ROWS["bgm"]["SPOT"],
+                  PARAM_ROWS["bates"]["NFLX"], PARAM_ROWS["heston"]["SHOP"]):
+        prices = price_strike_slice(model, ctx, t, strikes, flags)
+        codes |= set(_assert_invert_equals_frozen(ctx, t, strikes, prices, flags)[1])
+    # the known negative-call rows at T = 0.1 give failure code 1
+    assert (1 in codes) == (t == 0.1)
+
+
+def test_invert_equals_frozen_loop_when_steps_run_out(ctx, monkeypatch):
+    strikes = np.arange(60.0, 160.0, 5.0)
+    flags = strikes >= ctx.forward(1.0)
+    prices = bs_price(ctx, 1.0, strikes, 0.3, flags)
+    for max_iter in (1, 2, 4):
+        monkeypatch.setattr(svjd.black_scholes, "MAX_ITER", max_iter)
+        _, failure = _assert_invert_equals_frozen(ctx, 1.0, strikes, prices, flags, max_iter)
+        assert 3 in failure

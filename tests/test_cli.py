@@ -1,15 +1,20 @@
 """End-to-end command-line behavior on small configurations."""
 import csv
+import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import svjd.cli
+from svjd.black_scholes import implied_vol
 from svjd.cli import build_parser, load_quotes, main, write_quotes
 from svjd.calibration import synthetic_surface
-from svjd.models import MODEL_NAMES, model_to_dict
-from svjd.proj import GridSpec, price_european
+from svjd.models import MODEL_NAMES, HestonParams, HKDEParams, model_to_dict
+from svjd.proj import GridSpec, price_european, price_strike_slice
 from svjd.models import MarketContext
 
 from conftest import PARAM_ROWS
@@ -255,6 +260,12 @@ def test_cli_rejects_bad_bump(tmp_path, shop_hkde_file, capsys):
     ("--maturity", "-1", "--maturity must be positive"),
     ("--maturity", "0", "--maturity must be positive"),
     ("--maturity", "nan", "--maturity must be positive"),
+    ("--maturity", "inf", "t must be finite and positive; got inf"),
+    ("--l1", "nan", "l1 must be finite and positive; got nan"),
+    ("--l1", "inf", "l1 must be finite and positive; got inf"),
+    ("--spot", "nan", "spot must be finite; got nan"),
+    ("--rate", "nan", "rate must be finite; got nan"),
+    ("--div-yield", "inf", "div_yield must be finite; got inf"),
     ("--bump", "theta=abc", "--bump must look like name=factor or name=+NN%"),
     ("--bump", "theta", "--bump must look like name=factor or name=+NN%"),
     ("--bump", "theta=nan", "theta must be finite; got nan"),
@@ -319,3 +330,91 @@ def test_cli_rejects_bad_contract_field(tmp_path, shop_hkde_file, capsys, field,
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and f"'{field}'" in err
         assert "\n" not in err
+
+
+# ---------------------------------------------------------------------------
+# Output bytes and per-process state
+# ---------------------------------------------------------------------------
+
+def _csv_writer_text(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+def test_csv_files_equal_csv_writer_rendering(tmp_path, shop_hkde_file, capsys):
+    model, ctx = PARAM_ROWS["hkde"]["SHOP"], MarketContext(100.0, 0.05, 0.0)
+    synth = tmp_path / "synth.csv"
+    assert main(["synth", "--params", shop_hkde_file, "--grid", "0.1,0.5,2x-0.3:0.3:0.05",
+                 "--out", str(synth)]) == 0
+    surface = synthetic_surface(model, 100.0, 0.05, 0.0, [0.1, 0.5, 2.0],
+                                np.arange(-0.3, 0.3 + 0.025, 0.05))
+    f = "%.17g".__mod__
+    assert synth.read_bytes() == _csv_writer_text(
+        [["maturity_yrs", "strike", "option_type", "mid_price", "iv", "rate", "div_yield",
+          "spot"]]
+        + [[f(sl.t), f(q.strike), "C" if q.is_call else "P", f(q.price), f(q.iv),
+            f(sl.ctx.rate), f(sl.ctx.div_yield), f(surface.spot)]
+           for sl in surface.slices for q in sl.quotes])
+
+    smile = tmp_path / "smile.csv"
+    assert main(["smile", "--params", shop_hkde_file, "--maturity", "0.25",
+                 "--strikes", "70:140:2.5", "--bump", "theta=+20%", "--out", str(smile)]) == 0
+    strikes = np.arange(70.0, 140.0 + 1.25, 2.5)
+    flags = strikes >= ctx.forward(0.25)
+    h = model.heston
+    bumped = HKDEParams(HestonParams(h.v0, h.theta * 1.2, h.kappa, h.sigma_v, h.rho),
+                        model.jumps)
+    curves = [implied_vol(ctx, 0.25, strikes, price_strike_slice(m, ctx, 0.25, strikes, flags),
+                          flags) for m in (model, bumped)]
+    assert smile.read_bytes() == _csv_writer_text(
+        [["log_moneyness", "iv", "iv_bumped"]]
+        + [[f(math.log(k / ctx.spot))] + [f(c[i]) for c in curves]
+           for i, k in enumerate(strikes)])
+
+    # mc-compare times itself, so only its line form is compared
+    contract = tmp_path / "c.json"
+    contract.write_text(json.dumps({"kind": "european_call", "strike": 100.0, "maturity": 0.25,
+                                    "spot": 100.0, "rate": 0.05}))
+    table = tmp_path / "cmp.csv"
+    assert main(["mc-compare", "--params", shop_hkde_file, "--contract", str(contract),
+                 "--out", str(table), "--paths", "1000"]) == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and table.read_bytes() == _csv_writer_text(rows)
+
+
+def test_main_keeps_no_parsed_state_between_calls(tmp_path, shop_hkde_file, capsys):
+    out = tmp_path / "smile.csv"
+    common = ["smile", "--params", shop_hkde_file, "--maturity", "0.25", "--strikes",
+              "90:110:5", "--out", str(out)]
+    assert main(common + ["--bump", "theta=+50%"]) == 0
+    assert out.read_text().splitlines()[0] == "log_moneyness,iv,iv_bumped"
+    assert main(common) == 0
+    header, *body = out.read_text().splitlines()
+    assert header == "log_moneyness,iv" and all(row.count(",") == 1 for row in body)
+
+
+def test_main_builds_the_parser_once(tmp_path, shop_hkde_file, monkeypatch, capsys):
+    calls = []
+
+    def counting_build_parser():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(svjd.cli, "_parser", None)
+    monkeypatch.setattr(svjd.cli, "build_parser", counting_build_parser)
+    out = str(tmp_path / "out.csv")
+    for argv in (["smile", "--params", shop_hkde_file, "--maturity", "0.25",
+                  "--strikes", "90:110:5", "--out", out],
+                 ["smile", "--params", shop_hkde_file, "--maturity", "-1",
+                  "--strikes", "90:110:5", "--out", out],
+                 ["synth", "--params", shop_hkde_file, "--grid", "0.25x-0.1:0.1:0.1",
+                  "--out", out]):
+        main(argv)
+    assert len(calls) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import svjd.cli as cli; assert cli._parser is None"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

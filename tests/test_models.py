@@ -73,6 +73,15 @@ def test_params_reject_nonfinite_field(cls, values):
                 cls.from_flat(values[:i] + [bad] + values[i + 1:])
 
 
+@pytest.mark.parametrize("name", ["spot", "rate", "div_yield"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_market_context_rejects_nonfinite_field(name, bad):
+    # a nan spot used to reach the projection grid and be reported as off-grid strikes
+    fields = {"spot": 100.0, "rate": 0.05, "div_yield": 0.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite; got {bad}$"):
+        MarketContext(**fields)
+
+
 # ---------------------------------------------------------------------------
 # Heston characteristic function
 # ---------------------------------------------------------------------------

@@ -77,6 +77,22 @@ def test_european_spec_needs_positive_strike(kind, strike):
         ExoticSpec(kind=kind, schedule=MonitoringSchedule.uniform(1.0, 1), strike=strike)
 
 
+@pytest.mark.parametrize("kind", ["european_call", "european_put"])
+def test_european_spec_must_pay_at_maturity(kind):
+    # price_exotic_batch discounts over the maturity, so a schedule that ends
+    # early would price the T = 0.8 payoff under one year of discounting
+    with pytest.raises(ValueError, match=f"^{kind} pays at maturity 1.0; its schedule ends at 0.8"):
+        ExoticSpec(kind=kind, schedule=MonitoringSchedule.uniform(1.0, 4, "m_plus_1"),
+                   strike=100.0)
+    # t*m/m may miss t by an ulp: 0.7*3/3 is 0.6999999999999998
+    schedule = MonitoringSchedule.uniform(0.7, 3)
+    assert schedule.dates[-1] < schedule.maturity
+    ExoticSpec(kind=kind, schedule=schedule, strike=100.0)
+    # path-dependent kinds may still end early
+    ExoticSpec(kind=kind.replace("european", "asian"),
+               schedule=MonitoringSchedule.uniform(1.0, 4, "m_plus_1"), strike=100.0)
+
+
 # ---------------------------------------------------------------------------
 # Payoff evaluators on hand-built paths
 # ---------------------------------------------------------------------------

@@ -75,6 +75,10 @@ def test_grid_spec_validation():
         GridSpec(n=8)
     with pytest.raises(ValueError):
         GridSpec(l1=-1.0)
+    # nan <= 0 is false: a nan l1 would price on the 0.5 floor half-width
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match=f"^l1 must be finite and positive; got {bad}$"):
+            GridSpec(l1=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,12 @@ def test_slice_input_validation(ctx, amzn_hkde):
         price_strike_slice(amzn_hkde, ctx, 0.5, [90.0, 100.0], [True])
     with pytest.raises(ValueError):
         price_strike_slice(amzn_hkde, ctx, -0.5, [100.0], [True])
+    for bad in (math.inf, math.nan, 0.0):
+        message = f"^t must be finite and positive; got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            price_strike_slice(amzn_hkde, ctx, bad, [100.0], [True])
+        with pytest.raises(ValueError, match=message):
+            build_grid(amzn_hkde, ctx, bad)
 
 
 def test_slice_amortizes_coefficient_build(ctx, shop_hkde):
