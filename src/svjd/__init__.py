@@ -12,6 +12,7 @@ from svjd.models import (
     KouJumpParams,
     MarketContext,
     ModelParams,
+    NormalJumpParams,
     cumulants_numeric,
     model_from_dict,
     model_to_dict,

@@ -43,10 +43,9 @@ class Quote:
     iv: Optional[float] = None
 
     def __post_init__(self):
-        if self.maturity <= 0:
-            raise ValueError("maturity must be positive")
-        if self.strike <= 0:
-            raise ValueError("strike must be positive")
+        for name in ("maturity", "strike"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive; got {getattr(self, name)}")
         if self.price is None and self.iv is None:
             raise ValueError("quote needs a price or an implied volatility")
 
@@ -68,8 +67,8 @@ def _vega(spot: float, t: float, d1):
 
 def bs_price(ctx: MarketContext, t: float, strike, vol, is_call):
     """Black-Scholes price with continuous rate and dividend yield."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive; got {t}")
     if np.any(vol <= 0):
         raise ValueError("vol must be positive")
     d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
@@ -96,6 +95,8 @@ def bs_vega_greek(ctx: MarketContext, t: float, strike, vol):
 
 def no_arbitrage_bounds(ctx: MarketContext, t: float, strike, is_call) -> tuple:
     """(lower, upper) static bounds for a European option price."""
+    if not 0 < t < math.inf:   # implied_vol's maturity check too: _invert calls this first
+        raise ValueError(f"t must be finite and positive; got {t}")
     fwd = ctx.spot * math.exp(-ctx.div_yield * t)
     disc_k = strike * math.exp(-ctx.rate * t)
     lower = np.maximum(np.where(is_call, fwd - disc_k, disc_k - fwd), 0.0)

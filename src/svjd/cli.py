@@ -292,6 +292,8 @@ def cmd_smile(args) -> int:
         strikes = _ladder(args.strikes)
     except ValueError:
         raise ValueError("--strikes must be LO:HI:STEP with positive STEP") from None
+    if not strikes[0] > 0:   # not in _ladder: synth --grid ladders are log-moneyness
+        raise ValueError(f"--strikes LO must be positive; got {strikes[0]:g}")
     model = _load_params(args.params)
     ctx = MarketContext(spot=args.spot, rate=args.rate, div_yield=args.div_yield)
     spec = GridSpec(n=args.n, l1=args.l1)

@@ -15,6 +15,12 @@ Each frozen parameter class is the single definition of its model and carries:
 - ``frequency_scale()``: the scale in xi over which psi varies (sets FD steps);
 - ``omega()``: the drift compensator that makes exp(-(r-q)t) S_t a martingale.
 
+HKDE and Bates are one composite: the Heston leg ``heston`` plus a jump leg
+``jumps`` of class ``JUMPS`` (Kou or normal sizes); Heston and BGM have
+``jumps = None``. A jump leg carries ``FIELDS``, ``flat()``, its psi term
+``exponent(xi, t)``, ``frequency_scale()`` (inf if it adds no structure),
+``omega()`` and ``interval_total(rng, n, tau)``. BGM carries ``increment``.
+
 ``MODELS`` maps each name to its class; everything else dispatches through it.
 """
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "HestonParams", "KouJumpParams", "HKDEParams", "BatesParams", "BGMParams",
+    "HestonParams", "KouJumpParams", "NormalJumpParams", "HKDEParams", "BatesParams", "BGMParams",
     "MarketContext", "ModelParams", "char_exponent", "cumulants_numeric",
     "model_to_dict", "model_from_dict", "MODELS", "MODEL_NAMES",
 ]
@@ -58,6 +64,7 @@ class HestonParams(_FlatFields):
     """CIR variance process: dV = kappa(theta - V)dt + sigma_v sqrt(V) dW."""
     NAME = "heston"
     FIELDS = ("v0", "theta", "kappa", "sigma_v", "rho")
+    jumps = None
     v0: float
     theta: float
     kappa: float
@@ -99,7 +106,7 @@ class HestonParams(_FlatFields):
 
 @dataclass(frozen=True)
 class KouJumpParams(_FlatFields):
-    """Compound-Poisson double-exponential jumps in the log price."""
+    """Compound-Poisson double-exponential jumps in the log price (Kou 2002)."""
     FIELDS = ("lam", "p", "eta1", "eta2")
     lam: float
     p: float
@@ -118,6 +125,26 @@ class KouJumpParams(_FlatFields):
         if self.eta2 <= 0:
             raise ValueError("eta2 must be positive")
 
+    def exponent(self, xi, t: float):
+        """t(lam(p eta1/(eta1 - i xi) + (1-p) eta2/(eta2 + i xi) - 1) + i xi omega).
+
+        Written as t lam i xi [p/(eta1 - i xi) - (1-p)/(eta2 + i xi) + omega/lam]
+        so tiny values near xi = 0 are built from same-order terms only.
+        """
+        xi = np.asarray(xi, dtype=complex)
+        ix = 1j * xi
+        p, comp = self.p, self._compensator()
+        return t * self.lam * ix * (p / (self.eta1 - ix) - (1.0 - p) / (self.eta2 + ix) - comp)
+
+    def frequency_scale(self) -> float:
+        """Jump sides carrying zero weight add no structure and are ignored."""
+        scales = [math.inf]
+        if self.lam > 0 and self.p > 0:
+            scales.append(self.eta1)
+        if self.lam > 0 and self.p < 1:
+            scales.append(self.eta2)
+        return min(scales)
+
     def omega(self) -> float:
         """Jump drift compensator -lam*(p*eta1/(eta1-1) + (1-p)*eta2/(eta2+1) - 1)."""
         return -self.lam * self._compensator()
@@ -126,75 +153,93 @@ class KouJumpParams(_FlatFields):
         """p/(eta1-1) - (1-p)/(eta2+1) = E[exp(J)] - 1: omega() per unit intensity."""
         return self.p / (self.eta1 - 1.0) - (1.0 - self.p) / (self.eta2 + 1.0)
 
+    def sample_sizes(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Inverse-CDF draw: with probability p an Exp(eta1) up-jump, else -Exp(eta2)."""
+        u = np.maximum(rng.uniform(size=k), 2.0 ** -53)
+        with np.errstate(divide="ignore"):   # p = 0 or 1: the branch never taken divides by 0
+            up = -np.log((1.0 - u) / self.p) / self.eta1
+            down = np.log(u / (1.0 - self.p)) / self.eta2
+        return np.where(u >= 1.0 - self.p, up, down)
+
+    def interval_total(self, rng: np.random.Generator, n: int, tau: float) -> np.ndarray:
+        """Sum of a Poisson(lam tau) number of iid jump sizes for each of n paths."""
+        counts = rng.poisson(self.lam * tau, size=n)   # lam = 0 draws nothing
+        top = int(counts.max())
+        if top == 0:
+            return np.zeros(n)
+        # j-major order: the j-th jumps of every path that has one, for j = 0, 1, ...;
+        # bincount then adds each path's jumps in that order, starting from 0.0
+        paths = np.concatenate([np.flatnonzero(counts > j) for j in range(top)])
+        return np.bincount(paths, weights=self.sample_sizes(rng, paths.size), minlength=n)
+
 
 @dataclass(frozen=True)
-class HKDEParams:
-    NAME = "hkde"
-    FIELDS = HestonParams.FIELDS + KouJumpParams.FIELDS
+class NormalJumpParams(_FlatFields):
+    """Compound-Poisson normal N(mu_j, sigma_j^2) jumps in the log price (Bates 1996)."""
+    FIELDS = ("lam", "mu_j", "sigma_j")
+    lam: float
+    mu_j: float
+    sigma_j: float
+
+    def __post_init__(self):
+        _require_finite(self, self.FIELDS)
+        if self.lam < 0:
+            raise ValueError("lam must be nonnegative")
+        if self.sigma_j <= 0:
+            raise ValueError("sigma_j must be positive")
+
+    def exponent(self, xi, t: float):
+        """t(lam(exp(i xi mu_j - sigma_j^2 xi^2 / 2) - 1) + i xi omega)."""
+        xi = np.asarray(xi, dtype=complex)
+        jump_cf = np.exp(1j * xi * self.mu_j - 0.5 * self.sigma_j * self.sigma_j * xi * xi)
+        return t * (self.lam * (jump_cf - 1.0) + 1j * xi * self.omega())
+
+    def frequency_scale(self) -> float:
+        return 1.0 / (abs(self.mu_j) + self.sigma_j) if self.lam > 0 else math.inf
+
+    def omega(self) -> float:
+        return -self.lam * math.expm1(self.mu_j + 0.5 * self.sigma_j * self.sigma_j)
+
+    def interval_total(self, rng: np.random.Generator, n: int, tau: float) -> np.ndarray:
+        """Sum of a Poisson(lam tau) number of jumps per path: one normal given the count."""
+        counts = rng.poisson(self.lam * tau, size=n)
+        return self.mu_j * counts + self.sigma_j * np.sqrt(counts) * rng.standard_normal(n)
+
+
+@dataclass(frozen=True)
+class _HestonWithJumps:
+    """Heston variance leg plus an independent compound-Poisson jump leg of type JUMPS."""
     heston: HestonParams
-    jumps: KouJumpParams
+    jumps: Union[KouJumpParams, NormalJumpParams]
 
     def flat(self) -> list:
         return self.heston.flat() + self.jumps.flat()
 
     @classmethod
     def from_flat(cls, x):
-        return cls(HestonParams(*x[:5]), KouJumpParams(*x[5:]))
+        return cls(HestonParams(*x[:5]), cls.JUMPS(*x[5:]))
 
     def exponent(self, ctx: MarketContext, xi, t: float):
-        return self.heston.exponent(ctx, xi, t) + _kou_exponent(xi, t, self.jumps)
+        return self.heston.exponent(ctx, xi, t) + self.jumps.exponent(xi, t)
 
     def frequency_scale(self) -> float:
-        """Jump sides carrying zero weight add no structure and are ignored."""
-        j = self.jumps
-        scales = [1.0]
-        if j.lam > 0 and j.p > 0:
-            scales.append(j.eta1)
-        if j.lam > 0 and j.p < 1:
-            scales.append(j.eta2)
-        return min(scales)
+        return min(1.0, self.jumps.frequency_scale())
 
     def omega(self) -> float:
         return self.jumps.omega()
 
 
-@dataclass(frozen=True)
-class BatesParams:
+class HKDEParams(_HestonWithJumps):
+    NAME = "hkde"
+    JUMPS = KouJumpParams
+    FIELDS = HestonParams.FIELDS + KouJumpParams.FIELDS
+
+
+class BatesParams(_HestonWithJumps):
     """Heston variance plus normally distributed log-price jumps."""
     NAME = "bates"
-    FIELDS = HestonParams.FIELDS + ("lam", "mu_j", "sigma_j")
-    heston: HestonParams
-    lam: float
-    mu_j: float
-    sigma_j: float
-
-    def __post_init__(self):
-        _require_finite(self, ("lam", "mu_j", "sigma_j"))
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.sigma_j <= 0:
-            raise ValueError("sigma_j must be positive")
-
-    def flat(self) -> list:
-        return self.heston.flat() + [self.lam, self.mu_j, self.sigma_j]
-
-    @classmethod
-    def from_flat(cls, x):
-        return cls(HestonParams(*x[:5]), *x[5:])
-
-    def exponent(self, ctx: MarketContext, xi, t: float):
-        xi = np.asarray(xi, dtype=complex)
-        jump_cf = np.exp(1j * xi * self.mu_j - 0.5 * self.sigma_j * self.sigma_j * xi * xi)
-        return (self.heston.exponent(ctx, xi, t)
-                + t * (self.lam * (jump_cf - 1.0) + 1j * xi * self.omega()))
-
-    def frequency_scale(self) -> float:
-        if self.lam > 0:
-            return min(1.0, 1.0 / (abs(self.mu_j) + self.sigma_j))
-        return 1.0
-
-    def omega(self) -> float:
-        return -self.lam * math.expm1(self.mu_j + 0.5 * self.sigma_j * self.sigma_j)
+    JUMPS = NormalJumpParams
+    FIELDS = HestonParams.FIELDS + NormalJumpParams.FIELDS
 
 
 @dataclass(frozen=True)
@@ -202,6 +247,7 @@ class BGMParams(_FlatFields):
     """Bilateral gamma motion plus an independent Brownian component."""
     NAME = "bgm"
     FIELDS = ("alpha_p", "lam_p", "alpha_m", "lam_m", "sigma")
+    jumps = None
     alpha_p: float
     lam_p: float
     alpha_m: float
@@ -227,6 +273,12 @@ class BGMParams(_FlatFields):
 
     def frequency_scale(self) -> float:
         return min(1.0, self.lam_p, self.lam_m)
+
+    def increment(self, rng: np.random.Generator, x, drift: float, dt: float, z) -> np.ndarray:
+        """x after one exact step of length dt, given the step's standard normals z."""
+        return (x + drift * dt + self.sigma * math.sqrt(dt) * z
+                + rng.gamma(self.alpha_p * dt, 1.0 / self.lam_p, size=x.size)
+                - rng.gamma(self.alpha_m * dt, 1.0 / self.lam_m, size=x.size))
 
     def omega(self) -> float:
         return (-0.5 * self.sigma**2
@@ -265,18 +317,6 @@ def _clog1p(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     x, y = z.real, z.imag
     return 0.5 * np.log1p(2.0 * x + x * x + y * y) + 1j * np.arctan2(y, 1.0 + x)
-
-
-def _kou_exponent(xi, t: float, j: KouJumpParams):
-    """ln phi_Kou = t(lam(p eta1/(eta1 - i xi) + (1-p) eta2/(eta2 + i xi) - 1) + i xi omega).
-
-    Written as t lam i xi [p/(eta1 - i xi) - (1-p)/(eta2 + i xi) + omega/lam]
-    so tiny values near xi = 0 are built from same-order terms only.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    ix = 1j * xi
-    bracket = j.p / (j.eta1 - ix) - (1.0 - j.p) / (j.eta2 + ix) - j._compensator()
-    return t * j.lam * ix * bracket
 
 
 def char_exponent(model: ModelParams, ctx: MarketContext, xi, t: float):

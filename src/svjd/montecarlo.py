@@ -2,7 +2,7 @@
 
 Heston-family variance follows full-truncation Euler (the variance state may
 go negative; only its positive part enters drift and diffusion). Jumps are
-aggregated per substep as exact compound-Poisson increments. Paths are
+aggregated per monitoring interval as exact compound-Poisson totals. Paths are
 partitioned into fixed-size chunks, each driven by a counter-based Philox
 stream keyed on (seed, chunk index), so results are bit-reproducible for a
 given seed and path count regardless of thread count.
@@ -18,18 +18,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from svjd.models import (
-    BGMParams,
-    BatesParams,
-    HKDEParams,
-    KouJumpParams,
-    MarketContext,
-    ModelParams,
-)
+from svjd.models import MarketContext, ModelParams
 
 __all__ = ["SimConfig", "MonitoringSchedule", "PathBatch", "ExoticSpec", "McEstimate",
-           "simulate_paths", "price_exotic", "price_exotic_batch", "evaluate_payoff",
-           "sample_double_exponential", "mc_run"]
+           "simulate_paths", "price_exotic", "price_exotic_batch", "evaluate_payoff", "mc_run"]
 
 _CHUNK = 1 << 18          # paths per worker chunk; part of the reproducibility key
 _MAX_DT = 1.0 / 250.0     # default substep cap for discretized models
@@ -161,35 +153,6 @@ class McEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Sampling primitives
-# ---------------------------------------------------------------------------
-
-def sample_double_exponential(rng: np.random.Generator, jumps: KouJumpParams, size: int) -> np.ndarray:
-    """Inverse-CDF draw: with probability p an Exp(eta1) up-jump, else -Exp(eta2)."""
-    u = np.maximum(rng.uniform(size=size), 2.0 ** -53)
-    up = u >= 1.0 - jumps.p
-    out = np.empty(size)
-    out[up] = -np.log((1.0 - u[up]) / jumps.p) / jumps.eta1
-    down = ~up
-    out[down] = np.log(u[down] / (1.0 - jumps.p)) / jumps.eta2
-    return out
-
-
-def _poisson_jump_total(rng, n, lam_dt, size_sampler) -> np.ndarray:
-    """Sum of a Poisson(lam_dt) number of iid jump sizes per path."""
-    if lam_dt <= 0:
-        return np.zeros(n)
-    counts = rng.poisson(lam_dt, size=n)
-    top = int(counts.max())
-    if top == 0:
-        return np.zeros(n)
-    # j-major order: the j-th jumps of every path that has one, for j = 0, 1, ...;
-    # bincount then adds each path's jumps in that order, starting from 0.0
-    paths = np.concatenate([np.flatnonzero(counts > j) for j in range(top)])
-    return np.bincount(paths, weights=size_sampler(paths.size), minlength=n)
-
-
-# ---------------------------------------------------------------------------
 # Simulation engine
 # ---------------------------------------------------------------------------
 
@@ -201,7 +164,7 @@ def _substeps(schedule: MonitoringSchedule, config: SimConfig, model: ModelParam
                 raise ValueError("steps_per_interval tuple must match the interval count")
             return [int(c) for c in spi]
         return [int(spi)] * schedule.n_intervals
-    if isinstance(model, BGMParams):
+    if hasattr(model, "increment"):
         return [1] * schedule.n_intervals   # Levy increments are exact at any step
     taus = np.diff(np.asarray(schedule.dates))
     return [max(1, int(math.ceil(tau / _MAX_DT - 1e-12))) for tau in taus]
@@ -239,14 +202,11 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
     drift = ctx.rate - ctx.div_yield + model.omega()
     taus = np.diff(np.asarray(schedule.dates))
 
-    if isinstance(model, BGMParams):
+    if hasattr(model, "increment"):
         z = np.empty(n)
         for m, tau in enumerate(taus):
             for _ in range(sub[m]):
-                dt = tau / sub[m]
-                x = (x + drift * dt + model.sigma * math.sqrt(dt) * gauss(z)
-                     + rng.gamma(model.alpha_p * dt, 1.0 / model.lam_p, size=n)
-                     - rng.gamma(model.alpha_m * dt, 1.0 / model.lam_m, size=n))
+                x = model.increment(rng, x, drift, tau / sub[m], gauss(z))
             xs[:, m + 1] = x
         return PathBatch(log_prices=xs, variance=None, schedule=schedule)
 
@@ -296,13 +256,8 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
         # jumps are independent of the diffusion, so the interval's compound-
         # Poisson total may be added once at the interval end (exact in law
         # for values observed at monitoring dates)
-        if isinstance(model, HKDEParams):
-            x += _poisson_jump_total(
-                rng, n, model.jumps.lam * tau,
-                lambda k: sample_double_exponential(rng, model.jumps, k))
-        elif isinstance(model, BatesParams):
-            counts = rng.poisson(model.lam * tau, size=n)
-            x += model.mu_j * counts + model.sigma_j * np.sqrt(counts) * rng.standard_normal(n)
+        if model.jumps is not None:
+            x += model.jumps.interval_total(rng, n, tau)
         xs[:, m + 1] = x
         if keep_variance:
             np.maximum(v, 0.0, out=vs[:, m + 1])

@@ -11,6 +11,7 @@ from svjd.models import (
     HKDEParams,
     KouJumpParams,
     MarketContext,
+    NormalJumpParams,
 )
 
 
@@ -20,7 +21,8 @@ def _hkde(v0, theta, kappa, sigma_v, rho, lam, p, eta1, eta2):
 
 
 def _bates(v0, theta, kappa, sigma_v, rho, lam, mu_j, sigma_j):
-    return BatesParams(HestonParams(v0, theta, kappa, sigma_v, rho), lam, mu_j, sigma_j)
+    return BatesParams(HestonParams(v0, theta, kappa, sigma_v, rho),
+                       NormalJumpParams(lam, mu_j, sigma_j))
 
 
 # Calibrated parameter rows (single-name equity smiles, four models x four names).

@@ -23,6 +23,7 @@ from svjd.models import (
     HKDEParams,
     KouJumpParams,
     MarketContext,
+    NormalJumpParams,
     cumulants_numeric,
 )
 from svjd.montecarlo import (
@@ -288,7 +289,7 @@ def test_criterion_05_proj_convergence_and_parity():
 def test_criterion_06_model_reduction():
     heston = PARAM_ROWS["heston"]["SPOT"]
     hkde0 = HKDEParams(heston, KouJumpParams(0.0, 0.5, 20.0, 20.0))
-    bates0 = BatesParams(heston, lam=0.0, mu_j=-0.2, sigma_j=0.5)
+    bates0 = BatesParams(heston, NormalJumpParams(lam=0.0, mu_j=-0.2, sigma_j=0.5))
     xi = np.linspace(-100.0, 100.0, 801)
     worst_cf = 0.0
     for reduced in (hkde0, bates0):

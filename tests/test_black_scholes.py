@@ -132,6 +132,29 @@ def test_quote_validation():
     assert q.price is None and q.iv == 0.3
 
 
+@pytest.mark.parametrize("name", ["maturity", "strike"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_quote_rejects_bad_maturity_or_strike_by_name(name, bad):
+    fields = {"maturity": 1.0, "strike": 100.0, "is_call": True, "price": 5.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive; got {bad}$"):
+        Quote(**fields)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("rate", [0.05, -0.01])   # r < 0 and t = inf used to overflow in exp
+def test_maturity_rejected_by_name(bad, rate):
+    # a nan maturity used to price as nan and be blamed on the price in implied_vol
+    ctx = MarketContext(spot=100.0, rate=rate)
+    message = f"^t must be finite and positive; got {bad}$"
+    for call in (lambda: bs_price(ctx, bad, 100.0, 0.2, True),
+                 lambda: no_arbitrage_bounds(ctx, bad, 100.0, True),
+                 lambda: implied_vol(ctx, bad, 100.0, 5.0, True),
+                 lambda: implied_vol(ctx, bad, np.array([90.0, 110.0]), np.array([5.0, 4.0]),
+                                     np.array([False, True]))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Array form against the scalar inverter it replaced
 # ---------------------------------------------------------------------------

@@ -257,6 +257,8 @@ def test_cli_rejects_bad_bump(tmp_path, shop_hkde_file, capsys):
     ("--strikes", "160:60:1", "--strikes must be LO:HI:STEP with positive STEP"),
     ("--strikes", "60:inf:1", "--strikes must be LO:HI:STEP with positive STEP"),
     ("--strikes", "nan:160:1", "--strikes must be LO:HI:STEP with positive STEP"),
+    ("--strikes", "0:100:5", "--strikes LO must be positive; got 0"),
+    ("--strikes", "-10:100:5", "--strikes LO must be positive; got -10"),
     ("--maturity", "-1", "--maturity must be positive"),
     ("--maturity", "0", "--maturity must be positive"),
     ("--maturity", "nan", "--maturity must be positive"),
@@ -273,8 +275,9 @@ def test_cli_rejects_bad_bump(tmp_path, shop_hkde_file, capsys):
 ])
 def test_cli_smile_names_bad_flag(tmp_path, shop_hkde_file, capsys, flag, value, message):
     argv = {"--maturity": "0.25", "--strikes": "90:110:5", flag: value}
+    # FLAG=VALUE: argparse would read a separate "-10:100:5" as an option
     rc = main(["smile", "--params", shop_hkde_file, "--out", str(tmp_path / "x.csv"),
-               *(item for pair in argv.items() for item in pair)])
+               *(f"{key}={val}" for key, val in argv.items())])
     assert rc == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
 

@@ -13,7 +13,7 @@ from svjd.models import (
     HKDEParams,
     KouJumpParams,
     MarketContext,
-    _kou_exponent,
+    NormalJumpParams,
     char_exponent,
     cumulants_numeric,
     model_from_dict,
@@ -51,7 +51,30 @@ def test_kou_compensator_written_out(name):
     xi = np.concatenate([[0.0], np.linspace(-60.0, 60.0, 241), 1e-9 - 0.5j * np.ones(3)])
     ix = 1j * xi
     expanded = 0.7 * j.lam * ix * (j.p / (j.eta1 - ix) - (1.0 - j.p) / (j.eta2 + ix) - comp)
-    assert np.array_equal(_kou_exponent(xi, 0.7, j), expanded)
+    assert np.array_equal(j.exponent(xi, 0.7), expanded)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_ROWS["bates"]))
+def test_normal_leg_written_out(ctx, name):
+    # the normal jump leg and its Bates composite equal the expressions BatesParams
+    # once carried itself, bit for bit
+    model = PARAM_ROWS["bates"][name]
+    j = model.jumps
+    omega = -j.lam * math.expm1(j.mu_j + 0.5 * j.sigma_j * j.sigma_j)
+    assert j.omega() == model.omega() == omega
+    assert model.frequency_scale() == min(1.0, 1.0 / (abs(j.mu_j) + j.sigma_j))
+    xi = np.concatenate([[0.0], np.linspace(-60.0, 60.0, 241), 1e-9 - 0.5j * np.ones(3)])
+    jump_cf = np.exp(1j * xi * j.mu_j - 0.5 * j.sigma_j * j.sigma_j * xi * xi)
+    term = 0.7 * (j.lam * (jump_cf - 1.0) + 1j * xi * omega)
+    assert np.array_equal(j.exponent(xi, 0.7), term)
+    assert np.array_equal(model.exponent(ctx, xi, 0.7), model.heston.exponent(ctx, xi, 0.7) + term)
+
+
+def test_jump_legs_without_intensity_add_no_frequency_scale():
+    for leg in (NormalJumpParams(0.0, -0.2, 0.5), KouJumpParams(0.0, 0.5, 2.0, 0.1)):
+        assert leg.frequency_scale() == math.inf
+    assert KouJumpParams(1.0, 1.0, 2.0, 0.1).frequency_scale() == 2.0    # the down side has no weight
+    assert KouJumpParams(1.0, 0.0, 2.0, 5.0).frequency_scale() == 5.0    # the up side has no weight
 
 
 def test_omega_requires_eta1_above_one():
@@ -62,9 +85,10 @@ def test_omega_requires_eta1_above_one():
 @pytest.mark.parametrize("cls, values", [
     (HestonParams, [0.04, 0.04, 1.0, 0.5, -0.5]),
     (KouJumpParams, [1.0, 0.5, 10.0, 5.0]),
+    (NormalJumpParams, [1.0, -0.1, 0.2]),
     (BatesParams, [0.04, 0.04, 1.0, 0.5, -0.5, 1.0, -0.1, 0.2]),
     (BGMParams, [1.0, 15.0, 1.0, 15.0, 0.2]),
-], ids=["heston", "kou", "bates", "bgm"])
+], ids=["heston", "kou", "normal", "bates", "bgm"])
 def test_params_reject_nonfinite_field(cls, values):
     cls.from_flat(values)
     for i, name in enumerate(cls.FIELDS):
@@ -153,10 +177,10 @@ def test_cf_heston_long_maturity_continuity(ctx):
 
 def test_cf_kou_at_zero_and_no_jumps():
     jumps = KouJumpParams(2.0, 0.4, 3.0, 4.0)
-    assert np.exp(_kou_exponent(0.0, 1.7, jumps)) == pytest.approx(1.0, abs=1e-15)
+    assert np.exp(jumps.exponent(0.0, 1.7)) == pytest.approx(1.0, abs=1e-15)
     none = KouJumpParams(0.0, 0.4, 3.0, 4.0)
     xi = np.linspace(-40, 40, 101)
-    assert np.allclose(np.exp(_kou_exponent(xi, 2.0, none)), 1.0, atol=1e-15)
+    assert np.allclose(np.exp(none.exponent(xi, 2.0)), 1.0, atol=1e-15)
 
 
 def test_cf_kou_symmetric_exponent_imag_odd():
@@ -165,8 +189,8 @@ def test_cf_kou_symmetric_exponent_imag_odd():
     xi = np.linspace(0.1, 30, 50)
     # strip the omega drift: remaining exponent of a symmetric density is even/real-odd/imag
     drift = jumps.omega()
-    exp_plus = _kou_exponent(xi, t, jumps) - 1j * xi * drift * t
-    exp_minus = _kou_exponent(-xi, t, jumps) + 1j * xi * drift * t
+    exp_plus = jumps.exponent(xi, t) - 1j * xi * drift * t
+    exp_minus = jumps.exponent(-xi, t) + 1j * xi * drift * t
     assert np.allclose(exp_plus.imag, -exp_minus.imag, atol=1e-13)
     assert np.allclose(exp_plus.imag, 0.0, atol=1e-13)
 
@@ -207,7 +231,7 @@ def test_hkde_reduces_to_heston(ctx):
 
 def test_bates_reduces_to_heston(ctx):
     heston = PARAM_ROWS["heston"]["SPOT"]
-    bates = BatesParams(heston, lam=0.0, mu_j=-0.2, sigma_j=0.5)
+    bates = BatesParams(heston, NormalJumpParams(lam=0.0, mu_j=-0.2, sigma_j=0.5))
     xi = np.linspace(-80, 80, 321)
     for t in (0.1, 1.0):
         a = np.exp(bates.exponent(ctx, xi, t))
@@ -219,7 +243,7 @@ def test_cf_hkde_is_product_of_legs(ctx, amzn_hkde):
     xi = np.linspace(-50, 50, 101)
     t = 0.7
     prod = (np.exp(amzn_hkde.heston.exponent(ctx, xi, t))
-            * np.exp(_kou_exponent(xi, t, amzn_hkde.jumps)))
+            * np.exp(amzn_hkde.jumps.exponent(xi, t)))
     assert np.allclose(np.exp(amzn_hkde.exponent(ctx, xi, t)), prod, rtol=1e-13)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import svjd.montecarlo as montecarlo
-from svjd.models import BatesParams, HestonParams, HKDEParams, KouJumpParams, MarketContext
+from svjd.models import KouJumpParams, MarketContext, NormalJumpParams
 from svjd.montecarlo import (
     ExoticSpec,
     MonitoringSchedule,
@@ -13,14 +13,12 @@ from svjd.montecarlo import (
     SimConfig,
     _chunk_rng,
     _chunk_sizes,
-    _poisson_jump_total,
     _simulate_chunk,
     _thread_count,
     evaluate_payoff,
     mc_run,
     price_exotic,
     price_exotic_batch,
-    sample_double_exponential,
     simulate_paths,
 )
 
@@ -158,9 +156,33 @@ def test_barrier_payoffs_by_hand():
 # Sampler and path statistics
 # ---------------------------------------------------------------------------
 
+def _masked_double_exponential(rng, jumps, size):
+    """The inverse-CDF sampler in boolean-mask form: each branch sees only its own draws."""
+    u = np.maximum(rng.uniform(size=size), 2.0 ** -53)
+    up = u >= 1.0 - jumps.p
+    out = np.empty(size)
+    out[up] = -np.log((1.0 - u[up]) / jumps.p) / jumps.eta1
+    down = ~up
+    out[down] = np.log(u[down] / (1.0 - jumps.p)) / jumps.eta2
+    return out
+
+
+@pytest.mark.filterwarnings("error")    # p = 0 and p = 1 must not warn
+@pytest.mark.parametrize("jumps", [
+    KouJumpParams(1.0, 0.0, 2.0, 5.0),
+    PARAM_ROWS["hkde"]["NFLX"].jumps,     # p = 0.272
+    PARAM_ROWS["hkde"]["AMZN"].jumps,     # p = 0.999
+    PARAM_ROWS["hkde"]["SPOT"].jumps,     # p = 1
+], ids=["p0", "nflx", "amzn", "spot-p1"])
+@pytest.mark.parametrize("size", [0, 1, 7, 100_000])
+def test_jump_sampler_equals_masked_form(jumps, size):
+    draws = jumps.sample_sizes(_chunk_rng(9, 2), size)
+    assert np.array_equal(draws, _masked_double_exponential(_chunk_rng(9, 2), jumps, size))
+
+
 def test_jump_sampler_mean_p1():
     rng = np.random.default_rng(11)
-    draws = sample_double_exponential(rng, KouJumpParams(1.0, 1.0, 2.0, 5.0), 200_000)
+    draws = KouJumpParams(1.0, 1.0, 2.0, 5.0).sample_sizes(rng, 200_000)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 0.5) < 3 * se
     assert np.all(draws >= 0.0)
@@ -169,7 +191,7 @@ def test_jump_sampler_mean_p1():
 def test_jump_sampler_mixture_mean():
     rng = np.random.default_rng(12)
     jumps = KouJumpParams(1.0, 0.3, 4.0, 2.0)
-    draws = sample_double_exponential(rng, jumps, 200_000)
+    draws = jumps.sample_sizes(rng, 200_000)
     expected = 0.3 / 4.0 - 0.7 / 2.0
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - expected) < 3 * se
@@ -458,13 +480,13 @@ def _reference_chunk(model, ctx, schedule, sub, n, rng, antithetic):
             sq_v = np.sqrt(v_plus * dt)
             x += drift_dt - 0.5 * dt * v_plus + sq_v * z_s
             v += heston.kappa * (heston.theta - v_plus) * dt + heston.sigma_v * (sq_v * z_v)
-        if isinstance(model, HKDEParams):
+        jumps = model.jumps
+        if isinstance(jumps, KouJumpParams):
             x += _reference_jump_total(
-                rng, n, model.jumps.lam * tau,
-                lambda k: sample_double_exponential(rng, model.jumps, k))
-        elif isinstance(model, BatesParams):
-            counts = rng.poisson(model.lam * tau, size=n)
-            x += model.mu_j * counts + model.sigma_j * np.sqrt(counts) * rng.standard_normal(n)
+                rng, n, jumps.lam * tau, lambda k: _masked_double_exponential(rng, jumps, k))
+        elif isinstance(jumps, NormalJumpParams):
+            counts = rng.poisson(jumps.lam * tau, size=n)
+            x += jumps.mu_j * counts + jumps.sigma_j * np.sqrt(counts) * rng.standard_normal(n)
         xs[:, m + 1] = x
         vs[:, m + 1] = np.maximum(v, 0.0)
     return xs, vs
@@ -488,18 +510,38 @@ def test_chunk_kernel_equals_allocating_reference(ctx, monkeypatch, kind, name, 
     assert _simulate_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic).variance is None
 
 
-@pytest.mark.parametrize("lam_dt", [0.0, 1e-9, PARAM_ROWS["hkde"]["NFLX"].jumps.lam * 0.1])
-def test_jump_total_equals_per_count_loop(lam_dt):
+@pytest.mark.parametrize("antithetic,n", [(True, 1_000), (False, 1_001)])
+def test_bgm_chunk_equals_written_out_step(ctx, antithetic, n):
+    model = PARAM_ROWS["bgm"]["NFLX"]
+    sched = MonitoringSchedule.uniform(1.0, 3)
+    sub = [2, 1, 3]
+    batch = _simulate_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic)
+    rng = _chunk_rng(5, 0)
+    x = np.full(n, math.log(ctx.spot))
+    drift = ctx.rate - ctx.div_yield + model.omega()
+    for m, tau in enumerate(np.diff(np.asarray(sched.dates))):
+        dt = tau / sub[m]
+        for _ in range(sub[m]):
+            z = rng.standard_normal(n // 2 if antithetic else n)
+            z = np.concatenate([z, -z]) if antithetic else z
+            x = (x + drift * dt + model.sigma * math.sqrt(dt) * z
+                 + rng.gamma(model.alpha_p * dt, 1.0 / model.lam_p, size=n)
+                 - rng.gamma(model.alpha_m * dt, 1.0 / model.lam_m, size=n))
+        assert np.array_equal(batch.log_prices[:, m + 1], x)
+    assert batch.variance is None
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-11, 0.1])
+def test_jump_total_equals_per_count_loop(tau):
     jumps = PARAM_ROWS["hkde"]["NFLX"].jumps      # lam ~ 104
-    results = []
-    for fn in (_poisson_jump_total, _reference_jump_total):
-        rng = _chunk_rng(3, 1)
-        total = fn(rng, 5_000, lam_dt, lambda k: sample_double_exponential(rng, jumps, k))
-        results.append((total, rng.standard_normal(4)))
-    (total, after), (ref_total, ref_after) = results
+    rng = _chunk_rng(3, 1)
+    total, after = jumps.interval_total(rng, 5_000, tau), rng.standard_normal(4)
+    rng = _chunk_rng(3, 1)
+    ref_total = _reference_jump_total(rng, 5_000, jumps.lam * tau,
+                                      lambda k: _masked_double_exponential(rng, jumps, k))
     assert np.array_equal(total, ref_total)
-    assert np.array_equal(after, ref_after)        # the generator is left in the same state
-    if lam_dt < 1e-6:
+    assert np.array_equal(after, rng.standard_normal(4))   # the generator is left in the same state
+    if jumps.lam * tau < 1e-6:
         assert not total.any()                     # no path jumps
     else:
         assert (total != 0.0).mean() > 0.99
