@@ -61,14 +61,18 @@ def _call_put(fwd: float, disc_k, sign, t: float, vol, d1):
     return sign * (fwd * ndtr(sign * d1) - disc_k * ndtr(sign * d2))
 
 
+def _check_maturity(t: float) -> None:
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive; got {t}")
+
+
 def _vega(spot: float, t: float, d1):
     return spot * (_INV_SQRT_2PI * np.exp(-0.5 * d1 * d1)) * math.sqrt(t)
 
 
 def bs_price(ctx: MarketContext, t: float, strike, vol, is_call):
     """Black-Scholes price with continuous rate and dividend yield."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be finite and positive; got {t}")
+    _check_maturity(t)
     if np.any(vol <= 0):
         raise ValueError("vol must be positive")
     d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
@@ -82,6 +86,7 @@ def bs_vega(ctx: MarketContext, t: float, strike, vol):
     Deliberately carries no dividend discounting; see bs_vega_greek for the
     derivative of bs_price with respect to vol.
     """
+    _check_maturity(t)
     if np.any(vol <= 0):
         raise ValueError("vol must be positive")
     d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
@@ -90,13 +95,13 @@ def bs_vega(ctx: MarketContext, t: float, strike, vol):
 
 def bs_vega_greek(ctx: MarketContext, t: float, strike, vol):
     """dPrice/dVol, including the exp(-q t) factor."""
+    _check_maturity(t)   # before exp(-q t), which overflows for q < 0 and t = inf
     return math.exp(-ctx.div_yield * t) * bs_vega(ctx, t, strike, vol)
 
 
 def no_arbitrage_bounds(ctx: MarketContext, t: float, strike, is_call) -> tuple:
     """(lower, upper) static bounds for a European option price."""
-    if not 0 < t < math.inf:   # implied_vol's maturity check too: _invert calls this first
-        raise ValueError(f"t must be finite and positive; got {t}")
+    _check_maturity(t)   # implied_vol's maturity check too: _invert calls this first
     fwd = ctx.spot * math.exp(-ctx.div_yield * t)
     disc_k = strike * math.exp(-ctx.rate * t)
     lower = np.maximum(np.where(is_call, fwd - disc_k, disc_k - fwd), 0.0)

@@ -83,11 +83,12 @@ class QuoteSurface:
 
     @classmethod
     def build(cls, spot: float, rows: Sequence[tuple]) -> "QuoteSurface":
-        """rows: (maturity, rate, div_yield, Quote). ITM quotes are dropped; the
-        call/put pivot is the forward; each slice fills in missing prices and IVs."""
+        """rows: (rate, div_yield, Quote), sliced by quote.maturity. ITM quotes are
+        dropped (the call/put pivot is the forward); each slice fills missing prices and IVs."""
         by_t: dict = {}
         n_dropped = 0
-        for t, rate, div_yield, quote in rows:
+        for rate, div_yield, quote in rows:
+            t = quote.maturity
             if quote.is_call != (quote.strike >= MarketContext(spot, rate, div_yield).forward(t)):
                 n_dropped += 1
                 continue
@@ -194,18 +195,15 @@ def default_init(model_kind: str, surface: QuoteSurface) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams] = None,
-              bounds: Optional[tuple] = None, schedule: Sequence[float] = DEFAULT_SCHEDULE,
+              schedule: Sequence[float] = DEFAULT_SCHEDULE,
               grid_spec: GridSpec = GridSpec()) -> CalibrationResult:
-    """Bound-constrained least squares run once per tolerance, warm-started.
+    """Least squares within default_bounds, run once per tolerance, warm-started.
 
     Each pass terminates on the relative change of the cost function (ftol);
     the Jacobian uses forward differences with relative step 1e-6.
     """
     cls = _model_class(model_kind)
-    lo, hi = bounds if bounds is not None else default_bounds(model_kind)
-    inverted = [f"{f} [{a}, {b}]" for f, a, b in zip(cls.FIELDS, lo, hi) if not a < b]
-    if inverted:
-        raise ValueError(f"bounds need lower < upper; violated for {', '.join(inverted)}")
+    lo, hi = default_bounds(model_kind)
     for tol in schedule:
         if not 0 < tol < math.inf:
             raise ValueError(f"schedule entries must be finite positive numbers; got {tol!r}")

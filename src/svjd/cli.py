@@ -21,7 +21,6 @@ from svjd.models import MODEL_NAMES, MarketContext, ModelParams, model_from_dict
 from svjd.montecarlo import (
     EXOTIC_KINDS,
     ExoticSpec,
-    McEstimate,
     MonitoringSchedule,
     SimConfig,
     price_exotic,
@@ -100,7 +99,7 @@ def load_quotes(path: str) -> QuoteSurface:
             if not lo < check_price < hi:
                 rejected.append((line_no, f"price {check_price:.6g} outside bounds ({lo:.6g}, {hi:.6g})"))
                 continue
-            rows.append((t, rate, div_yield,
+            rows.append((rate, div_yield,
                          Quote(maturity=t, strike=strike, is_call=is_call, price=price, iv=iv)))
     for line_no, reason in rejected:
         print(f"warning: {path}:{line_no}: rejected, {reason}", file=sys.stderr)
@@ -138,8 +137,10 @@ def _load_params(path: str) -> ModelParams:
     return model_from_dict(doc)
 
 
-def _load_contract(path: str) -> dict:
-    """Read a contract JSON and check its kind and field types before any pricing."""
+def _load_contract(path: str) -> tuple[dict, MarketContext, ExoticSpec]:
+    """Read a contract JSON, check its kind and field types, and build its market
+    and contract once; a European pays at maturity, so it gets one interval
+    whatever its monitoring and spacing."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -150,8 +151,6 @@ def _load_contract(path: str) -> dict:
     if doc["kind"] not in EXOTIC_KINDS:
         raise ValueError(f"contract field 'kind' must be one of "
                          f"{', '.join(EXOTIC_KINDS)}; got {doc['kind']!r}")
-    if doc["kind"].startswith("european") and "strike" not in doc:
-        raise ValueError("contract file needs 'strike'")
     for key in _CONTRACT_NUMBERS:
         value = doc.get(key, 0.0)
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -164,26 +163,19 @@ def _load_contract(path: str) -> dict:
     if not isinstance(doc.get("is_call", True), bool):
         raise ValueError(f"contract field 'is_call' must be a JSON boolean "
                          f"(true or false); got {doc['is_call']!r}")
-    return doc
-
-
-def _contract_ctx(doc: dict) -> MarketContext:
-    return MarketContext(spot=float(doc["spot"]), rate=float(doc["rate"]),
-                         div_yield=float(doc.get("div_yield", 0.0)))
-
-
-def _contract_exotic(doc: dict) -> ExoticSpec:
-    """A European pays at maturity: one interval, whatever its monitoring and spacing."""
+    ctx = MarketContext(spot=float(doc["spot"]), rate=float(doc["rate"]),
+                        div_yield=float(doc.get("div_yield", 0.0)))
     european = doc["kind"].startswith("european")
     schedule = MonitoringSchedule.uniform(
-        float(doc["maturity"]), 1 if european else doc.get("monitoring", 1),
+        float(doc["maturity"]), 1 if european else monitoring,
         spacing="span" if european else doc.get("spacing", "span"))
-    return ExoticSpec(
+    spec = ExoticSpec(
         kind=doc["kind"], schedule=schedule, strike=float(doc.get("strike", 0.0)),
         is_call=doc.get("is_call", True),
         cap=doc.get("cap"), floor=doc.get("floor"),
         global_cap=doc.get("global_cap"), global_floor=doc.get("global_floor"),
         barrier_up=doc.get("barrier_up"), barrier_down=doc.get("barrier_down"))
+    return doc, ctx, spec
 
 
 def _bump_model(model: ModelParams, bump: str) -> ModelParams:
@@ -240,29 +232,23 @@ def _sim_config(args) -> SimConfig:
                      antithetic=not args.no_antithetic)
 
 
-def _proj_price(model: ModelParams, doc: dict, args) -> float | None:
+def _proj_price(model: ModelParams, ctx: MarketContext, spec: ExoticSpec, args) -> float | None:
     """Projection price of a European contract; None for path-dependent kinds,
     which have no transform pricer."""
-    if not doc["kind"].startswith("european"):
+    if not spec.kind.startswith("european"):
         return None
-    return price_european(model, _contract_ctx(doc), float(doc["maturity"]),
-                          float(doc["strike"]), doc["kind"] == "european_call",
-                          GridSpec(n=args.n, l1=args.l1))
-
-
-def _mc_price(model: ModelParams, doc: dict, args) -> McEstimate:
-    """Monte Carlo price of any contract kind."""
-    return price_exotic(model, _contract_ctx(doc), _contract_exotic(doc), _sim_config(args))
+    return price_european(model, ctx, spec.schedule.maturity, spec.strike,
+                          spec.kind == "european_call", GridSpec(n=args.n, l1=args.l1))
 
 
 def cmd_price(args) -> int:
     model = _load_params(args.params)
-    doc = _load_contract(args.contract)
-    value = _proj_price(model, doc, args)
+    doc, ctx, spec = _load_contract(args.contract)
+    value = _proj_price(model, ctx, spec, args)
     if value is not None:
         result = {"price": value, "method": "proj"}
     else:
-        est = _mc_price(model, doc, args)
+        est = price_exotic(model, ctx, spec, _sim_config(args))
         result = {"price": est.price, "std_err": est.std_err,
                   "ci95_half_width": est.ci95_half_width, "n_paths": est.n_paths,
                   "method": "mc"}
@@ -315,18 +301,18 @@ def cmd_smile(args) -> int:
 
 def cmd_mc_compare(args) -> int:
     model = _load_params(args.params)
-    doc = _load_contract(args.contract)
-    kind = doc["kind"]
+    _, ctx, spec = _load_contract(args.contract)
+    kind = spec.kind
     t0 = time.perf_counter()
-    proj_value = _proj_price(model, doc, args)
+    proj_value = _proj_price(model, ctx, spec, args)
     proj_time = time.perf_counter() - t0 if proj_value is not None else 0.0
     t0 = time.perf_counter()
-    est = _mc_price(model, doc, args)
+    est = price_exotic(model, ctx, spec, _sim_config(args))
     mc_time = time.perf_counter() - t0
     proj_out = "n/a" if proj_value is None else _FMT % proj_value
     header = ["kind", "strike", "maturity", "proj", "mc", "mc_ci95_half_width", "time_proj_s",
               "time_mc_s"]
-    row = (kind, doc.get("strike", 0.0), doc["maturity"], proj_out, est.price,
+    row = (kind, spec.strike, spec.schedule.maturity, proj_out, est.price,
            est.ci95_half_width, proj_time, mc_time)
     with open(args.out, "w", newline="") as fh:
         fh.write(_csv_text(header, "%s,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g", [row]))
@@ -368,8 +354,16 @@ def _add_mc_flags(p):
     p.add_argument("--no-antithetic", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise instead of printing usage and exiting, so main reports
+    them like any other failure; subparsers inherit this class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svjd", description="Stochastic-volatility jump-diffusion pricing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -425,8 +419,8 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # one-line machine-parsable failure
         print(f"error: {exc}", file=sys.stderr)

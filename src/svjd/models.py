@@ -409,4 +409,8 @@ def model_from_dict(doc: dict) -> ModelParams:
     unexpected = sorted(set(params) - set(cls.FIELDS))
     if unexpected:
         raise ValueError(f"{kind}: unexpected parameter(s) {', '.join(unexpected)}")
+    for name in cls.FIELDS:   # float() would take true and "0.04"; the constructors reject nan
+        if isinstance(params[name], bool) or not isinstance(params[name], (int, float)):
+            raise ValueError(f"parameter '{name}' must be a finite JSON number; "
+                             f"got {params[name]!r}")
     return cls.from_flat([float(params[f]) for f in cls.FIELDS])

@@ -10,6 +10,7 @@ given seed and path count regardless of thread count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,26 +32,25 @@ EXOTIC_KINDS = ("european_call", "european_put", "asian_call", "asian_put", "var
                 "variance_call", "cliquet", "barrier_uo", "barrier_do", "barrier_double")
 
 
+def _require_count(name: str, value, least: int) -> None:
+    """An integer (not bool) of at least `least`; int() would truncate 2.9 and accept "3"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, substeps between monitoring dates (None: dt <= 1/250), seed.
-
-    steps_per_interval may be one int for every interval or a tuple giving the
-    substep count per monitoring interval.
-    """
+    """Path count, seed, and the substep count of every monitoring interval
+    (one integer, or None for dt <= 1/250)."""
     n_paths: int = 1_000_000
-    steps_per_interval: Optional[object] = None
+    steps_per_interval: Optional[int] = None
     seed: int = 0
     antithetic: bool = True
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise ValueError("n_paths must be at least 2")
-        spi = self.steps_per_interval
-        if spi is not None:
-            counts = spi if isinstance(spi, (tuple, list)) else (spi,)
-            if any(int(c) < 1 for c in counts):
-                raise ValueError("steps_per_interval must be at least 1")
+        _require_count("n_paths", self.n_paths, 2)
+        if self.steps_per_interval is not None:
+            _require_count("steps_per_interval", self.steps_per_interval, 1)
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,8 @@ class McEstimate:
 # ---------------------------------------------------------------------------
 
 def _substeps(schedule: MonitoringSchedule, config: SimConfig, model: ModelParams) -> list[int]:
-    spi = config.steps_per_interval
-    if spi is not None:
-        if isinstance(spi, (tuple, list)):
-            if len(spi) != schedule.n_intervals:
-                raise ValueError("steps_per_interval tuple must match the interval count")
-            return [int(c) for c in spi]
-        return [int(spi)] * schedule.n_intervals
+    if config.steps_per_interval is not None:
+        return [int(config.steps_per_interval)] * schedule.n_intervals
     if hasattr(model, "increment"):
         return [1] * schedule.n_intervals   # Levy increments are exact at any step
     taus = np.diff(np.asarray(schedule.dates))

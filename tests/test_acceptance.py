@@ -8,12 +8,14 @@ without changing any result.
 import math
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 os.environ.setdefault("SVJD_THREADS", "2")
 
+import svjd.montecarlo
 from svjd.black_scholes import implied_vol
 from svjd.calibration import calibrate, default_bounds, error_metrics, objective, synthetic_surface
 from svjd.models import (
@@ -173,7 +175,11 @@ EURO_KS = (70.0, 100.0, 130.0)
 
 def _euro_cells(model, seed):
     """One simulation per row: maturities are monitoring dates; returns
-    one (proj, mc) pair per (t, strike) cell."""
+    one (proj, mc) pair per (t, strike) cell.
+
+    SimConfig gives every interval one substep count, so the per-interval
+    counts below are patched into the engine's substep rule for this run.
+    """
     sched = MonitoringSchedule(maturity=1.0, dates=(0.0,) + EURO_TS)
     if isinstance(model, BGMParams):
         sub = (1, 1, 1)
@@ -181,7 +187,7 @@ def _euro_cells(model, seed):
         sub = (400, 400, 250)   # dt = 1/4000, 1/1000, 1/500
     else:
         sub = (25, 100, 125)    # dt = 1/250
-    config = SimConfig(n_paths=N_PATHS, seed=seed, steps_per_interval=sub)
+    config = SimConfig(n_paths=N_PATHS, seed=seed)
 
     def payoff(batch):
         out = []
@@ -191,7 +197,8 @@ def _euro_cells(model, seed):
             out.extend(disc * np.maximum(s_t - k, 0.0) for k in EURO_KS)
         return np.stack(out)
 
-    ests = mc_run(model, CTX, sched, config, payoff)
+    with mock.patch.object(svjd.montecarlo, "_substeps", lambda *_: sub):
+        ests = mc_run(model, CTX, sched, config, payoff)
     cells = []
     for j, t in enumerate(EURO_TS):
         spec = _grid_policy(model, t)

@@ -39,9 +39,9 @@ def test_surface_build_groups_and_filters():
         fwd = ctx.forward(t)
         for m in (-0.2, -0.1, 0.0, 0.1, 0.2):
             k = fwd * math.exp(m)
-            rows.append((t, 0.05, 0.0, Quote(maturity=t, strike=k, is_call=k >= fwd, iv=0.3)))
+            rows.append((0.05, 0.0, Quote(maturity=t, strike=k, is_call=k >= fwd, iv=0.3)))
     # one ITM quote that must be dropped
-    rows.append((0.5, 0.05, 0.0, Quote(maturity=0.5, strike=50.0, is_call=True, iv=0.3)))
+    rows.append((0.05, 0.0, Quote(maturity=0.5, strike=50.0, is_call=True, iv=0.3)))
     surface = QuoteSurface.build(100.0, rows)
     assert [sl.t for sl in surface.slices] == [0.5, 1.0]
     assert surface.n_quotes == 10
@@ -51,8 +51,19 @@ def test_surface_build_groups_and_filters():
             assert q.price is not None and q.iv is not None
 
 
+def test_surface_build_slices_by_quote_maturity():
+    # the row holds no maturity of its own: each quote's maturity picks its slice
+    rows = [(0.05, 0.0, Quote(maturity=t, strike=k, is_call=True, iv=0.3))
+            for k in (110.0, 120.0, 130.0) for t in (1.0, 0.5)]
+    surface = QuoteSurface.build(100.0, rows)
+    assert [sl.t for sl in surface.slices] == [0.5, 1.0]
+    for sl in surface.slices:
+        assert sl.strikes.tolist() == [110.0, 120.0, 130.0]
+        assert all(q.maturity == sl.t for q in sl.quotes)
+
+
 def test_surface_build_names_all_in_the_money():
-    rows = [(0.5, 0.05, 0.0, Quote(maturity=0.5, strike=k, is_call=True, iv=0.3))
+    rows = [(0.05, 0.0, Quote(maturity=0.5, strike=k, is_call=True, iv=0.3))
             for k in (90.0, 100.0)]
     with pytest.raises(ValueError) as info:
         QuoteSurface.build(100.0, rows)
@@ -61,16 +72,16 @@ def test_surface_build_names_all_in_the_money():
 
 
 def test_surface_rejects_sparse_maturity():
-    rows = [(1.0, 0.05, 0.0, Quote(maturity=1.0, strike=110.0, is_call=True, iv=0.3)),
-            (1.0, 0.05, 0.0, Quote(maturity=1.0, strike=120.0, is_call=True, iv=0.3))]
+    rows = [(0.05, 0.0, Quote(maturity=1.0, strike=110.0, is_call=True, iv=0.3)),
+            (0.05, 0.0, Quote(maturity=1.0, strike=120.0, is_call=True, iv=0.3))]
     with pytest.raises(ValueError, match="at least 3"):
         QuoteSurface.build(100.0, rows)
 
 
 def test_surface_rejects_inconsistent_tenor_rates():
-    rows = [(1.0, 0.05, 0.0, Quote(maturity=1.0, strike=k, is_call=True, iv=0.3))
+    rows = [(0.05, 0.0, Quote(maturity=1.0, strike=k, is_call=True, iv=0.3))
             for k in (110.0, 120.0, 130.0)]
-    rows.append((1.0, 0.04, 0.0, Quote(maturity=1.0, strike=140.0, is_call=True, iv=0.3)))
+    rows.append((0.04, 0.0, Quote(maturity=1.0, strike=140.0, is_call=True, iv=0.3)))
     with pytest.raises(ValueError, match="inconsistent"):
         QuoteSurface.build(100.0, rows)
 
@@ -106,7 +117,7 @@ def test_objective_invariant_under_quote_reordering(heston_surface):
 def test_objective_penalty_on_pricing_failure():
     # strikes far outside the floor grid of a near-zero-vol model cannot price
     model = degenerate_hkde(0.01)
-    rows = [(0.25, 0.05, 0.0, Quote(maturity=0.25, strike=k, is_call=True, iv=3.5))
+    rows = [(0.05, 0.0, Quote(maturity=0.25, strike=k, is_call=True, iv=3.5))
             for k in (300.0, 320.0, 340.0)]
     surface = QuoteSurface.build(100.0, rows)
     assert objective(model, surface) == PRICING_PENALTY
@@ -187,8 +198,8 @@ def test_residuals_equal_per_quote_loop(heston_surface):
 def test_surface_build_fills_slices_in_array_form():
     ctx = MarketContext(100.0, 0.05, 0.0)
     strikes = (80.0, 90.0, 110.0, 120.0)
-    rows = [(0.5, 0.05, 0.0, Quote(maturity=0.5, strike=k, is_call=k >= ctx.forward(0.5),
-                                   **({"iv": 0.3} if k < 100 else {"price": 2.0 + k / 100})))
+    rows = [(0.05, 0.0, Quote(maturity=0.5, strike=k, is_call=k >= ctx.forward(0.5),
+                              **({"iv": 0.3} if k < 100 else {"price": 2.0 + k / 100})))
             for k in strikes]
     (sl,) = QuoteSurface.build(100.0, rows).slices
     assert isinstance(sl.quotes, tuple) and sl.strikes.tolist() == list(strikes)
@@ -198,7 +209,7 @@ def test_surface_build_fills_slices_in_array_form():
             assert iv == 0.3 and v == bs_price(ctx, 0.5, k, 0.3, False)
         else:
             assert v == 2.0 + k / 100 and iv == implied_vol(ctx, 0.5, k, v, True)
-    rows.append((0.5, 0.05, 0.0, Quote(maturity=0.5, strike=130.0, is_call=True, price=150.0)))
+    rows.append((0.05, 0.0, Quote(maturity=0.5, strike=130.0, is_call=True, price=150.0)))
     with pytest.raises(ValueError, match="at strike 130.0 outside no-arbitrage bounds"):
         QuoteSurface.build(100.0, rows)
 
@@ -256,12 +267,6 @@ def test_calibrate_prices_surface_once_without_passes(heston_surface, monkeypatc
     result = calibrate("heston", heston_surface, init=truth, schedule=())
     assert len(calls) == 1
     assert result.trace == [result.objective]
-
-
-def test_calibrate_rejects_inverted_bounds(heston_surface):
-    lo, hi = default_bounds("heston")
-    with pytest.raises(ValueError, match=r"lower < upper; violated for v0"):
-        calibrate("heston", heston_surface, bounds=(hi, lo))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])

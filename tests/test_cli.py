@@ -335,6 +335,52 @@ def test_cli_rejects_bad_contract_field(tmp_path, shop_hkde_file, capsys, field,
         assert "\n" not in err
 
 
+@pytest.mark.parametrize("kind", ["european_call", "european_put"])
+@pytest.mark.parametrize("strike", [None, -100.0])   # None: the field is left out
+def test_cli_rejects_european_without_positive_strike(tmp_path, shop_hkde_file, capsys, kind,
+                                                      strike):
+    contract = tmp_path / "c.json"
+    fields = {"kind": kind, "maturity": 0.5, "spot": 100.0, "rate": 0.05}
+    contract.write_text(json.dumps(fields if strike is None else {**fields, "strike": strike}))
+    for cmd in (["price"], ["mc-compare", "--out", str(tmp_path / "x.csv")]):
+        rc = main(cmd + ["--params", shop_hkde_file, "--contract", str(contract)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == f"error: {kind} needs a positive strike"
+
+
+@pytest.mark.parametrize("value", [True, "0.04", None])
+def test_cli_rejects_non_number_parameter(tmp_path, capsys, value):
+    doc = model_to_dict(PARAM_ROWS["heston"]["SPOT"])
+    doc["params"]["v0"] = value
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(doc))
+    rc = main(["smile", "--params", str(params), "--maturity", "0.25", "--strikes", "90:110:5",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == \
+        f"error: parameter 'v0' must be a finite JSON number; got {value!r}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # argparse reads a separate "-10:100:5" as an option, so --strikes has no value
+    (["--strikes", "-10:100:5"], "argument --strikes: expected one argument"),
+    ([], "the following arguments are required: --strikes"),
+])
+def test_cli_usage_error_is_one_line(tmp_path, shop_hkde_file, capsys, argv, message):
+    rc = main(["smile", "--params", shop_hkde_file, "--maturity", "0.25",
+               "--out", str(tmp_path / "x.csv"), *argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_cli_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["smile", "--help"])
+    assert info.value.code == 0
+    assert "--strikes" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # Output bytes and per-process state
 # ---------------------------------------------------------------------------

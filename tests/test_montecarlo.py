@@ -409,6 +409,25 @@ def test_ci_field(ctx, amzn_hkde):
     assert est.n_paths == 10_000
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("steps_per_interval", 2.9), ("steps_per_interval", True), ("steps_per_interval", "3"),
+    ("steps_per_interval", 0), ("steps_per_interval", (3, 1)),
+    ("n_paths", 2.5), ("n_paths", math.nan), ("n_paths", 1e6)])
+def test_sim_config_rejects_non_integer_counts_by_name(field, bad):
+    # int() used to run 2.9 as 2 substeps, True as 1 and "3" as 3
+    least = 2 if field == "n_paths" else 1
+    with pytest.raises(ValueError) as info:
+        SimConfig(**{field: bad})
+    assert str(info.value) == f"{field} must be an integer >= {least}; got {bad!r}"
+
+
+def test_sim_config_accepts_numpy_integer_substeps(ctx, amzn_hkde):
+    spec = _european(0.25, 100.0)
+    a, b = (price_exotic(amzn_hkde, ctx, spec, SimConfig(n_paths=1_000, steps_per_interval=s))
+            for s in (np.int64(7), 7))
+    assert (a.price, a.std_err) == (b.price, b.std_err)
+
+
 def test_cf_and_second_cumulant_vs_million_path_sample(ctx, amzn_hkde):
     # spot-checks the transform layer against raw sampled paths at T = 1
     from svjd.models import cumulants_numeric
