@@ -4,7 +4,9 @@ The objective is sum over maturities and strikes of w (V_model - v_mkt)^2 with
 w = 1/(S0 pdf(d1) sqrt(T)) evaluated at each quote's market implied volatility,
 which makes price residuals behave like implied-volatility residuals. A
 trust-region-reflective solver is run through a schedule of tightening cost
-tolerances, warm-starting each pass at the previous solution.
+tolerances, warm-starting each pass at the previous solution. Its Jacobian
+columns are forward differences priced on each tenor's grid frozen at the
+current point (`FrozenSlice`).
 """
 from __future__ import annotations
 
@@ -18,14 +20,17 @@ from scipy.optimize import least_squares
 
 from svjd.black_scholes import Quote, _invert, bs_price, bs_vega, implied_vol
 from svjd.models import MODELS, MarketContext, ModelParams
-from svjd.proj import GridSpec, price_strike_slice
+from svjd.proj import FrozenSlice, GridSpec, build_grid, price_strike_slice
 
 __all__ = ["MaturitySlice", "QuoteSurface", "CalibrationResult", "ErrorMetrics",
            "objective", "residuals", "calibrate", "error_metrics", "synthetic_surface",
            "default_bounds", "default_init", "PRICING_PENALTY"]
 
 PRICING_PENALTY = 1e10          # objective value substituted when pricing fails
+PRICING_ERRORS = (ValueError, FloatingPointError, OverflowError)
 DEFAULT_SCHEDULE = (1e-4, 1e-6, 1e-8)
+FD_STEP = 1e-6                  # forward-difference step relative to max(1, |x|)
+GRID_MOVE_RTOL = 1e-3           # a bumped grid half-width change past this is repriced
 
 
 @dataclass
@@ -118,12 +123,18 @@ class ErrorMetrics:
 
 @dataclass
 class CalibrationResult:
+    """A fit and its work: residual vectors evaluated, Jacobians built, and
+    penalty substitutions (residual vectors that fell back to the penalty in
+    whole or part, tenors whose Jacobian rows were zeroed because the slice
+    could not be priced, and Jacobian columns whose non-finite entries were zeroed)."""
     params: ModelParams
     objective: float
     per_quote_residuals: np.ndarray
     mape_pct: float
     rmse: float
-    iterations: int
+    n_residuals: int
+    n_jacobians: int
+    n_penalties: int
     trace: list
     stagnated: bool = False
 
@@ -144,7 +155,7 @@ def objective(model: ModelParams, surface: QuoteSurface,
     """Vega-weighted sum of squared price residuals."""
     try:
         r = residuals(model, surface, grid_spec=grid_spec)
-    except (ValueError, FloatingPointError, OverflowError):
+    except PRICING_ERRORS:
         return PRICING_PENALTY
     val = float(r @ r)
     return val if math.isfinite(val) else PRICING_PENALTY
@@ -200,7 +211,7 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
     """Least squares within default_bounds, run once per tolerance, warm-started.
 
     Each pass terminates on the relative change of the cost function (ftol);
-    the Jacobian uses forward differences with relative step 1e-6.
+    the Jacobian is `_jacobian`'s forward differences on frozen grids.
     """
     cls = _model_class(model_kind)
     lo, hi = default_bounds(model_kind)
@@ -215,27 +226,38 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
 
     n_res = surface.n_quotes
     penalty_vec = np.full(n_res, math.sqrt(PRICING_PENALTY / n_res))
+    counts = {"residuals": 0, "jacobians": 0, "penalties": 0}
 
     def fun(x):
+        counts["residuals"] += 1
         try:
             r = residuals(cls.from_flat(x), surface, grid_spec=grid_spec)
-        except (ValueError, FloatingPointError, OverflowError):
+        except PRICING_ERRORS:
+            counts["penalties"] += 1
             return penalty_vec
-        return np.where(np.isfinite(r), r, penalty_vec)
+        finite = np.isfinite(r)
+        if finite.all():
+            return r
+        counts["penalties"] += 1
+        return np.where(finite, r, penalty_vec)
+
+    def jac(x):
+        counts["jacobians"] += 1
+        J, penalties = _jacobian(cls, x, lo, hi, surface, grid_spec)
+        counts["penalties"] += penalties
+        return J
 
     x, r = x0, fun(x0)
     trace = [float(r @ r)]
-    n_iter = 0
     stagnated = False
     for tol in schedule:
         # ftol (relative cost change) is the operative criterion; the tiny gtol
         # only catches exactly stationary starts where ftol can never fire.
         # errstate silences scipy's internal divide-by-zero chatter at zero cost.
         with np.errstate(divide="ignore", invalid="ignore"):
-            res = least_squares(fun, x, bounds=(lo, hi), method="trf",
-                                diff_step=1e-6, ftol=tol, xtol=None, gtol=1e-14)
+            res = least_squares(fun, x, jac=jac, bounds=(lo, hi), method="trf",
+                                ftol=tol, xtol=None, gtol=1e-14)
         x, r = res.x, res.fun
-        n_iter += res.nfev
         trace.append(2.0 * float(res.cost))   # scipy cost is half the SSE
         if res.status == 0:
             stagnated = True
@@ -244,8 +266,56 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
     metrics = error_metrics(final, surface, grid_spec=grid_spec)
     return CalibrationResult(params=final, objective=float(r @ r),
                              per_quote_residuals=r, mape_pct=metrics.mape_pct,
-                             rmse=metrics.rmse, iterations=n_iter, trace=trace,
-                             stagnated=stagnated)
+                             rmse=metrics.rmse, n_residuals=counts["residuals"],
+                             n_jacobians=counts["jacobians"], n_penalties=counts["penalties"],
+                             trace=trace, stagnated=stagnated)
+
+
+def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, surface: QuoteSurface,
+              grid_spec: GridSpec) -> tuple[np.ndarray, int]:
+    """Forward-difference Jacobian of `residuals` at x and its penalty count.
+
+    Steps follow SciPy's 2-point rule, FD_STEP sign(x) max(1, |x|), flipped
+    where they would leave the bounds. Each tenor prices the base and every
+    bumped model on one FrozenSlice built at x. A bumped model whose grid
+    half-width moves by more than GRID_MOVE_RTOL (the width goes as sqrt(c4),
+    which has a kink where a Kou side loses its weight) is differenced through
+    full slice pricings instead. A tenor whose base cannot be priced gets zero
+    rows, and non-finite entries are zeroed; each counts as a penalty.
+    """
+    step = FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    step = np.where((x + step < lo) | (x + step > hi), -step, step)
+    x_bumped = x + np.diag(step)
+    dx = np.diag(x_bumped) - x          # the steps as represented
+    base = cls.from_flat(x)
+    bumped = [cls.from_flat(row) for row in x_bumped]
+    blocks, penalties = [], 0
+    for sl in surface.slices:
+        diffs = np.zeros((x.size, sl.strikes.size))
+        try:
+            frozen = FrozenSlice.at(base, sl.ctx, sl.t, sl.strikes, sl.is_calls, grid_spec)
+            width = frozen.grid.alpha_bar
+            moved = np.array([abs(build_grid(m, sl.ctx, sl.t, grid_spec).alpha_bar / width - 1.0)
+                              > GRID_MOVE_RTOL for m in bumped])
+            prices = frozen.prices([base] + [m for m, mv in zip(bumped, moved) if not mv])
+            diffs[~moved] = prices[1:] - prices[0]
+            if moved.any():
+                p0 = sl.model_prices(base, grid_spec)
+        except PRICING_ERRORS:
+            penalties += 1
+            blocks.append(np.zeros((sl.strikes.size, x.size)))
+            continue
+        for i in np.flatnonzero(moved):
+            try:
+                diffs[i] = sl.model_prices(bumped[i], grid_spec) - p0
+            except PRICING_ERRORS:
+                diffs[i] = np.nan
+        block = np.sqrt(sl.weights)[:, None] * diffs.T / dx
+        bad = ~np.isfinite(block)
+        penalties += int(bad.any(axis=0).sum())
+        block[bad] = 0.0
+        blocks.append(block)
+    return np.concatenate(blocks), penalties
 
 
 def error_metrics(model: ModelParams, surface: QuoteSurface,

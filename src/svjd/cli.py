@@ -214,7 +214,8 @@ def cmd_calibrate(args) -> int:
                    "init": args.init},
         "params": model_to_dict(result.params),
         "metrics": {"objective": result.objective, "mape_pct": result.mape_pct,
-                    "rmse": result.rmse, "iterations": result.iterations,
+                    "rmse": result.rmse, "n_residuals": result.n_residuals,
+                    "n_jacobians": result.n_jacobians, "n_penalties": result.n_penalties,
                     "trace": result.trace, "stagnated": result.stagnated,
                     "n_quotes": surface.n_quotes},
     }

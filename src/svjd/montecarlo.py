@@ -51,6 +51,11 @@ class SimConfig:
         _require_count("n_paths", self.n_paths, 2)
         if self.steps_per_interval is not None:
             _require_count("steps_per_interval", self.steps_per_interval, 1)
+        # True would run as seed 1 and "no" would switch antithetic sampling on
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer; got {self.seed!r}")
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise ValueError(f"antithetic must be a bool; got {self.antithetic!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,7 @@ def _substeps(schedule: MonitoringSchedule, config: SimConfig, model: ModelParam
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

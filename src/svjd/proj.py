@@ -4,9 +4,12 @@ The log-return density is recovered from the characteristic function: dual-basis
 projection coefficients come from a trapezoid discretization of the inverse
 transform evaluated with one FFT, and claims are priced by integrating the
 payoff against each basis element with fixed-order Gauss-Legendre quadrature.
+On a grid held fixed, prices are linear in the characteristic function
+(`FrozenSlice`), which is how calibration prices its Jacobian columns.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,7 +18,7 @@ import numpy as np
 
 from svjd.models import MarketContext, ModelParams, char_exponent, cumulants_numeric
 
-__all__ = ["GridSpec", "ProjGrid", "ProjCoefficients", "alpha_bar_from_cumulants",
+__all__ = ["GridSpec", "ProjGrid", "ProjCoefficients", "FrozenSlice", "alpha_bar_from_cumulants",
            "build_grid", "proj_coefficients", "density", "price_european", "price_strike_slice",
            "bspline3", "dual_zeta"]
 
@@ -24,6 +27,7 @@ _GL_ORDER = 7
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 _GL01_X = 0.5 * (_GL_X + 1.0)   # nodes on [0, 1]
 _GL01_W = 0.5 * _GL_W
+LIVE_NODE_CUTOFF = 1e-16    # FrozenSlice keeps nodes up to the last |h| above this share of max |h|
 
 
 @dataclass(frozen=True)
@@ -87,14 +91,21 @@ def alpha_bar_from_cumulants(c2: float, c4: float, t: float, l1: float) -> float
     return max(0.5, l1 * math.sqrt(max(c2, 0.0) * t + math.sqrt(max(c4, 0.0) * t)))
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_cumulants(model: ModelParams, ctx: MarketContext) -> tuple:
+    """Unit-horizon cumulants, one ladder per (model, context) for every tenor."""
+    return cumulants_numeric(model, ctx, 1.0)
+
+
 def build_grid(model: ModelParams, ctx: MarketContext, t: float, spec: GridSpec = GridSpec()) -> ProjGrid:
     """Log-return grid centered on the unit-horizon drift scaled to maturity.
 
-    The half-width comes from the second and fourth cumulants at unit horizon.
+    The half-width comes from the second and fourth cumulants at unit horizon,
+    which do not depend on t and are cached per (model, context).
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be finite and positive; got {t}")
-    k1, k2, _, k4 = cumulants_numeric(model, ctx, 1.0)
+    k1, k2, _, k4 = _unit_cumulants(model, ctx)
     c1 = k1 - math.log(ctx.spot)
     half_width = alpha_bar_from_cumulants(k2, k4, t, spec.l1)
     delta = 2.0 * half_width / (spec.n - 1)
@@ -103,13 +114,16 @@ def build_grid(model: ModelParams, ctx: MarketContext, t: float, spec: GridSpec 
                     delta=delta, a=a, delta_xi=2.0 * math.pi * a / spec.n)
 
 
+def _cf(model: ModelParams, ctx: MarketContext, xi: np.ndarray, t: float) -> np.ndarray:
+    """Characteristic function of ln(S_t/S_0) on the nodes xi."""
+    return np.exp(char_exponent(model, ctx, xi, t) - 1j * xi * math.log(ctx.spot))
+
+
 def proj_coefficients(model: ModelParams, ctx: MarketContext, t: float, grid: ProjGrid) -> ProjCoefficients:
     """Dual-basis projection coefficients of the log-return density via one FFT."""
     n = grid.n_basis
     xi = grid.delta_xi * np.arange(n)
-    # characteristic function of ln(S_t/S_0)
-    phi = np.exp(char_exponent(model, ctx, xi, t) - 1j * xi * math.log(ctx.spot))
-    h = phi * dual_zeta(xi, grid.a) * np.exp(-1j * xi * grid.x1)
+    h = _cf(model, ctx, xi, t) * dual_zeta(xi, grid.a) * np.exp(-1j * xi * grid.x1)
     h[0] *= 0.5  # trapezoid half-weight on the first node
     beta = (32.0 * grid.a**4.5 / n) * np.real(np.fft.fft(h))
     return ProjCoefficients(beta=beta, grid=grid)
@@ -139,6 +153,36 @@ def _payoff_constants(delta: float):
 _KNOT_LO = np.arange(4, dtype=float) - 2.0    # knot interval lower edges in u units
 
 
+def _straddle(grid: ProjGrid, xk: np.ndarray, spot: float, strikes: np.ndarray):
+    """Put payoff against the elements around each strike's kink.
+
+    Returns the index of the last element wholly below each kink, the four
+    elements whose support holds it, and their payoff integrals (strikes x 4):
+    each knot interval is integrated by GL quadrature, the one holding the kink
+    split there. A strike too close to the grid edge for four elements raises.
+    """
+    n = grid.n_basis
+    y_star = np.log(strikes / spot)
+    pos = (y_star - grid.x1) * grid.a
+    off_grid = np.flatnonzero(~((pos >= 2.0) & (pos <= n - 3.0)))
+    if off_grid.size:
+        i = off_grid[0]
+        raise ValueError(
+            f"strike {strikes[i]} at log-moneyness {y_star[i]:.4f} is outside the "
+            f"projection grid [{grid.x1:.4f}, {grid.x1 + (n - 1) * grid.delta:.4f}]; "
+            "increase L1 (or N) in the grid spec")
+    k_full = np.floor(pos).astype(int) - 2
+    # (strike, element, knot interval, GL node) for the four straddling elements
+    near = k_full[:, None] + np.arange(1, 5)
+    x_near = xk[near][:, :, None]
+    hi = np.minimum(_KNOT_LO + 1.0, (y_star[:, None, None] - x_near) * grid.a)
+    width = np.maximum(hi - _KNOT_LO, 0.0)[..., None]
+    u = _KNOT_LO[:, None] + width * _GL01_X
+    vals = bspline3(u) * (strikes[:, None, None, None]
+                          - spot * np.exp(x_near[..., None] + u * grid.delta))
+    return k_full, near, (width * _GL01_W * vals).sum(axis=(2, 3))
+
+
 def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
                        strikes: Sequence[float], is_calls: Sequence[bool],
                        spec: GridSpec = GridSpec()) -> np.ndarray:
@@ -147,8 +191,7 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
     The bounded put leg is integrated directly; calls follow from parity with
     the analytic forward, which keeps wide, heavy-tailed grids stable. Elements
     wholly below a strike's log-moneyness enter through cumulative sums; the
-    four elements whose support holds the kink are integrated by GL quadrature,
-    with the knot interval holding the kink split there.
+    four elements whose support holds the kink are integrated by GL quadrature.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be finite and positive; got {t}")
@@ -163,18 +206,8 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
 
     coeffs = proj_coefficients(model, ctx, t, build_grid(model, ctx, t, spec))
     grid = coeffs.grid
-    n = grid.n_basis
-    y_star = np.log(strikes / ctx.spot)
-    pos = (y_star - grid.x1) * grid.a
-    off_grid = np.flatnonzero(~((pos >= 2.0) & (pos <= n - 3.0)))
-    if off_grid.size:
-        i = off_grid[0]
-        raise ValueError(
-            f"strike {strikes[i]} at log-moneyness {y_star[i]:.4f} is outside the "
-            f"projection grid [{grid.x1:.4f}, {grid.x1 + (n - 1) * grid.delta:.4f}]; "
-            "increase L1 (or N) in the grid spec")
-
-    xk = grid.x1 + grid.delta * np.arange(n)
+    xk = grid.x1 + grid.delta * np.arange(grid.n_basis)
+    k_full, near, per_element = _straddle(grid, xk, ctx.spot, strikes)
     exp_const, one_const = _payoff_constants(grid.delta)
     cum_mass = np.cumsum(coeffs.beta)
     # the right tail beyond any admissible strike is never read; clip its
@@ -184,23 +217,73 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
     fwd_leg = ctx.spot * math.exp(-ctx.div_yield * t) - strikes * disc
     scale = grid.delta * math.sqrt(grid.a)
 
-    k_full = np.floor(pos).astype(int) - 2       # last element fully below each kink
     below = scale * (strikes * one_const * cum_mass[k_full]
                      - ctx.spot * exp_const * cum_exp[k_full])
-    # (strike, element, knot interval, GL node) for the four straddling elements
-    near = k_full[:, None] + np.arange(1, 5)
-    x_near = xk[near][:, :, None]
-    hi = np.minimum(_KNOT_LO + 1.0, (y_star[:, None, None] - x_near) * grid.a)
-    width = np.maximum(hi - _KNOT_LO, 0.0)[..., None]
-    u = _KNOT_LO[:, None] + width * _GL01_X
-    vals = bspline3(u) * (strikes[:, None, None, None]
-                          - ctx.spot * np.exp(x_near[..., None] + u * grid.delta))
-    per_element = (width * _GL01_W * vals).sum(axis=(2, 3))
     # a stacked matmul rounds each 4-term dot as a 1-d `@` does;
     # einsum and multiply-then-sum round differently
     straddle = (coeffs.beta[near][:, None, :] @ per_element[:, :, None])[:, 0, 0]
     put = (below + scale * straddle) * disc
     return np.where(is_calls, put + fwd_leg, put)
+
+
+@dataclass(frozen=True, eq=False)
+class FrozenSlice:
+    """One maturity slice priced as a linear functional of the characteristic
+    function on a grid held fixed at a base model.
+
+    The coefficients are linear in h_j = phi(xi_j) D_j, with D the dual
+    transform and grid phase, and the puts are linear in the coefficients
+    through a payoff matrix L (basis x strikes), so on the frozen grid
+
+        prices = Re(H @ gain) + offset,   gain = FFT of L along the basis,
+
+    with the calls' parity constant in `offset`. Only the live node prefix
+    [0, k) is kept: k is one past the last node where the base model's |h|
+    exceeds LIVE_NODE_CUTOFF times its maximum (all N if phi does not decay there).
+    A dropped node j moves a price by at most |h_j| max_s sum_i |L_is|.
+    """
+    ctx: MarketContext
+    t: float
+    grid: ProjGrid
+    xi: np.ndarray        # live frequency nodes
+    weight: np.ndarray    # D on those nodes, node-0 trapezoid half weight folded in
+    gain: np.ndarray      # (live nodes, strikes)
+    offset: np.ndarray    # (strikes,)
+
+    @classmethod
+    def at(cls, model: ModelParams, ctx: MarketContext, t: float, strikes: np.ndarray,
+           is_calls: np.ndarray, spec: GridSpec = GridSpec()) -> "FrozenSlice":
+        """The functional on `model`'s grid; raises as price_strike_slice does off the grid."""
+        grid = build_grid(model, ctx, t, spec)
+        n = grid.n_basis
+        xk = grid.x1 + grid.delta * np.arange(n)
+        k_full, near, per_element = _straddle(grid, xk, ctx.spot, strikes)
+        m = near.max() + 1      # L is 0 past the last straddling element
+        exp_const, one_const = _payoff_constants(grid.delta)
+        payoff = np.where(np.arange(m) <= k_full[:, None],
+                          strikes[:, None] * one_const - ctx.spot * exp_const * np.exp(xk[:m]),
+                          0.0)
+        payoff[np.arange(strikes.size)[:, None], near] = per_element
+        disc = math.exp(-ctx.rate * t)
+        payoff *= (32.0 * grid.a**4.5 / n) * disc * grid.delta * math.sqrt(grid.a)
+
+        xi = grid.delta_xi * np.arange(n)
+        zeta = dual_zeta(xi, grid.a)
+        zeta[0] *= 0.5          # trapezoid half weight on the first node
+        mag = np.exp(char_exponent(model, ctx, xi, t).real) * zeta     # |h|
+        live = np.flatnonzero(mag > LIVE_NODE_CUTOFF * mag.max())
+        k = live[-1] + 1 if live.size else n
+        # L is real: its spectrum's first n/2 + 1 nodes are the cheaper rfft
+        spectrum = (np.fft.rfft if k <= n // 2 + 1 else np.fft.fft)(payoff, n, axis=1)
+        return cls(ctx, t, grid, xi[:k], zeta[:k] * np.exp(-1j * xi[:k] * grid.x1),
+                   spectrum[:, :k].T,
+                   np.where(is_calls, ctx.spot * math.exp(-ctx.div_yield * t) - strikes * disc,
+                            0.0))
+
+    def prices(self, models: Sequence[ModelParams]) -> np.ndarray:
+        """Prices (models x strikes) of each model's density projected on the frozen grid."""
+        h = np.array([_cf(m, self.ctx, self.xi, self.t) for m in models]) * self.weight
+        return np.real(h @ self.gain) + self.offset
 
 
 def price_european(model: ModelParams, ctx: MarketContext, t: float, strike: float,

@@ -18,8 +18,10 @@ from svjd.calibration import (
     PRICING_PENALTY,
 )
 import svjd.calibration
-from svjd.models import MODELS, MODEL_NAMES, HestonParams, MarketContext, model_to_dict
-from svjd.proj import GridSpec, price_strike_slice
+import svjd.proj
+from svjd.models import (MODELS, MODEL_NAMES, HestonParams, HKDEParams, KouJumpParams,
+                         MarketContext, model_to_dict)
+from svjd.proj import FrozenSlice, GridSpec, price_strike_slice
 
 from conftest import PARAM_ROWS, degenerate_hkde
 
@@ -281,3 +283,173 @@ def test_calibrate_rejects_unknown_kind(heston_surface):
         calibrate("sabr", heston_surface)
     with pytest.raises(ValueError, match="not heston"):
         calibrate("heston", heston_surface, init=PARAM_ROWS["bgm"]["SPOT"])
+
+
+# ---------------------------------------------------------------------------
+# Frozen-grid Jacobian
+# ---------------------------------------------------------------------------
+
+def _forward_difference(kind, x, surface):
+    """Columns (residuals(x + h e_i) - residuals(x)) / h_i with SciPy's 2-point
+    steps 1e-6 sign(x) max(1, |x|), flipped to stay inside the bounds."""
+    cls = MODELS[kind]
+    lo, hi = default_bounds(kind)
+    h = 1e-6 * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    h = np.where((x + h < lo) | (x + h > hi), -h, h)
+    r0 = residuals(cls.from_flat(x), surface)
+    cols = []
+    for i in range(x.size):
+        xb = x.copy()
+        xb[i] += h[i]
+        cols.append((residuals(cls.from_flat(xb), surface) - r0) / (xb[i] - x[i]))
+    return np.column_stack(cols)
+
+
+def _jacobian(kind, x, surface):
+    lo, hi = default_bounds(kind)
+    return svjd.calibration._jacobian(MODELS[kind], x, lo, hi, surface, GridSpec())
+
+
+@pytest.mark.parametrize("kind", MODEL_NAMES)
+def test_jacobian_columns_match_forward_differences(kind, heston_surface):
+    # at each model's default start the grid is converged, so a bump that moves
+    # the grid moves the 2-point reference by far less than 1e-5; on the
+    # heavy-tailed rows it does not (the frozen grid leaves that motion out)
+    x = np.asarray(default_init(kind, heston_surface).flat(), dtype=float)
+    J, penalties = _jacobian(kind, x, heston_surface)
+    reference = _forward_difference(kind, x, heston_surface)
+    assert penalties == 0 and J.shape == reference.shape
+    scale = np.abs(reference).max(axis=0)
+    assert np.all(scale > 0)
+    assert np.all(np.abs(J - reference).max(axis=0) <= 1e-5 * scale), kind
+
+
+def test_frozen_slice_keeps_every_node_without_decay():
+    # frequent tiny down-jumps (eta2 at its lower bound) widen the grid so far at
+    # T = 0.1 that its nodes end near xi = 5, where phi has barely decayed: the
+    # jumps floor |phi| near exp(-lam (1 - p) T)
+    model = HKDEParams(HestonParams(0.04, 0.04, 2.0, 0.3, -0.5),
+                       KouJumpParams(50.0, 0.8, 20.0, 0.01))
+    ctx = MarketContext(100.0, 0.05, 0.0)
+    strikes = np.array([80.0, 100.0, 120.0])
+    frozen = FrozenSlice.at(model, ctx, 0.1, strikes, strikes >= ctx.forward(0.1))
+    assert frozen.xi.size == frozen.grid.n_basis == GridSpec().n
+
+
+def test_frozen_slice_matches_slice_pricing_and_drops_a_bounded_tail(heston_surface,
+                                                                    monkeypatch):
+    model = PARAM_ROWS["heston"]["SPOT"]
+    x = np.asarray(model.flat())
+    bumped = [HestonParams(*(x + 1e-6 * np.eye(5)[i])) for i in range(5)]
+    frozen = [FrozenSlice.at(model, sl.ctx, sl.t, sl.strikes, sl.is_calls)
+              for sl in heston_surface.slices]
+    monkeypatch.setattr(svjd.proj, "LIVE_NODE_CUTOFF", 0.0)
+    for frozen, sl in zip(frozen, heston_surface.slices):
+        full = FrozenSlice.at(model, sl.ctx, sl.t, sl.strikes, sl.is_calls)
+        k = frozen.xi.size
+        assert 0 < k < full.xi.size
+        # the frozen functional reprices the base within 1e-12 of the spot
+        base = frozen.prices([model])[0]
+        assert np.abs(base - sl.model_prices(model, GridSpec())).max() <= 1e-12 * sl.ctx.spot
+        for m in [model] + bumped:
+            h = np.exp(svjd.proj.char_exponent(m, sl.ctx, full.xi, sl.t)
+                       - 1j * full.xi * math.log(sl.ctx.spot)) * full.weight
+            terms = np.abs(h)[:, None] * np.abs(full.gain)
+            bound = terms[k:].sum(axis=0)
+            rounding = 64 * np.finfo(float).eps * terms.sum(axis=0)
+            dropped = np.abs(frozen.prices([m])[0] - full.prices([m])[0])
+            assert np.all(dropped <= bound + rounding)
+            assert bound.max() <= 1e-13 * sl.ctx.spot
+
+
+def test_grid_move_falls_back_to_slice_pricing_and_fits(monkeypatch):
+    # a start at p = 1 with a heavy unused down side: bumping p gives that side
+    # weight, and the grid width, which goes as sqrt(c4), jumps with it
+    truth = PARAM_ROWS["hkde"]["SPOT"]
+    surface = synthetic_surface(truth, 100.0, 0.05, 0.0, [0.1, 0.25, 0.5, 1.0, 2.0],
+                                np.linspace(-0.35, 0.35, 15))
+    init = HKDEParams(HestonParams(0.0402, 0.1394, 11.566, 2.3318, -0.2507),
+                      KouJumpParams(20.378, 1.0, 26.297, 0.0785))
+    calls = []
+    original = MaturitySlice.model_prices
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(MaturitySlice, "model_prices", counted)
+    result = calibrate("hkde", surface, init=init)
+    # residual vectors and the closing error metrics price each slice once
+    repriced = len(calls) - (result.n_residuals + 1) * len(surface.slices)
+    assert repriced > 0
+    assert result.rmse < 1e-3
+    assert result.n_penalties == 0
+
+
+def test_calibrate_counts_penalties_of_a_forced_off_grid_strike(heston_surface, monkeypatch):
+    # a tiny-variance start floors every grid half-width at 0.5, which leaves the
+    # 0.7 log-moneyness strike of the last tenor off the grid: the residual
+    # evaluations at the start (the trace's and the solver's) fall back to the
+    # penalty, and the start's Jacobian zeroes that tenor's rows
+    truth = PARAM_ROWS["heston"]["SPOT"]
+    far = synthetic_surface(truth, 100.0, 0.05, 0.0, [1.0], list(MONEYNESS) + [0.7])
+    surface = QuoteSurface(100.0, heston_surface.slices[:2] + far.slices)
+    raised = []
+    original = svjd.proj._straddle
+
+    def counted(*args):
+        try:
+            return original(*args)
+        except ValueError:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(svjd.proj, "_straddle", counted)
+    init = HestonParams(1e-4, 1e-4, 3.0, 0.01, -0.5)
+    J, penalties = _jacobian("heston", np.asarray(init.flat()), surface)
+    n_head = sum(sl.strikes.size for sl in surface.slices[:2])
+    assert penalties == 1 and raised == [1]
+    assert np.all(J[n_head:] == 0.0) and np.all(np.any(J[:n_head] != 0.0, axis=0))
+
+    raised.clear()
+    result = calibrate("heston", surface, init=init)
+    assert result.n_penalties == len(raised) == 3
+    assert result.trace[0] == pytest.approx(PRICING_PENALTY, rel=1e-12)
+    assert result.rmse < 1e-6
+
+
+def test_calibrate_counts_residuals_and_jacobians(heston_surface, monkeypatch):
+    calls = {"residuals": 0, "jacobians": 0}
+    originals = {name: getattr(svjd.calibration, name) for name in ("residuals", "_jacobian")}
+
+    def counting(name, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return originals[name](*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(svjd.calibration, "residuals", counting("residuals", "residuals"))
+    monkeypatch.setattr(svjd.calibration, "_jacobian", counting("_jacobian", "jacobians"))
+    result = calibrate("heston", heston_surface, schedule=[1e-4, 1e-6])
+    assert (result.n_residuals, result.n_jacobians) == (calls["residuals"], calls["jacobians"])
+    assert result.n_jacobians >= 2 and result.n_penalties == 0
+
+
+# ---------------------------------------------------------------------------
+# Unit-horizon ladder cache
+# ---------------------------------------------------------------------------
+
+def test_residuals_run_one_ladder_for_five_tenors(monkeypatch):
+    model = PARAM_ROWS["hkde"]["AMZN"]
+    surface = synthetic_surface(model, 100.0, 0.05, 0.0, [0.1, 0.25, 0.5, 1.0, 2.0], MONEYNESS)
+    calls = []
+    original = svjd.proj.cumulants_numeric
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    svjd.proj._unit_cumulants.cache_clear()
+    monkeypatch.setattr(svjd.proj, "cumulants_numeric", counted)
+    residuals(model, surface)
+    assert len(calls) == 1 and calls[0][2] == 1.0

@@ -421,6 +421,26 @@ def test_sim_config_rejects_non_integer_counts_by_name(field, bad):
     assert str(info.value) == f"{field} must be an integer >= {least}; got {bad!r}"
 
 
+@pytest.mark.parametrize("field, bad, kind", [
+    ("seed", 2.5, "an integer"), ("seed", "3", "an integer"), ("seed", True, "an integer"),
+    ("seed", None, "an integer"), ("antithetic", "no", "a bool"), ("antithetic", 0, "a bool"),
+    ("antithetic", None, "a bool")])
+def test_sim_config_rejects_bad_seed_or_antithetic_by_name(field, bad, kind):
+    # 2.5 and "3" used to fail inside the chunk stream, True to run as seed 1,
+    # and "no" to switch antithetic sampling on
+    with pytest.raises(ValueError) as info:
+        SimConfig(**{field: bad})
+    assert str(info.value) == f"{field} must be {kind}; got {bad!r}"
+
+
+def test_sim_config_numpy_seed_and_flag_price_as_python_ones(ctx, amzn_hkde):
+    spec = _european(0.25, 100.0)
+    a, b = (price_exotic(amzn_hkde, ctx, spec,
+                         SimConfig(n_paths=1_000, seed=seed, steps_per_interval=2, antithetic=anti))
+            for seed, anti in ((7, True), (np.int64(7), np.True_)))
+    assert (a.price, a.std_err) == (b.price, b.std_err)
+
+
 def test_sim_config_accepts_numpy_integer_substeps(ctx, amzn_hkde):
     spec = _european(0.25, 100.0)
     a, b = (price_exotic(amzn_hkde, ctx, spec, SimConfig(n_paths=1_000, steps_per_interval=s))

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import svjd.models
+import svjd.proj
 from svjd.black_scholes import bs_price
 from svjd.models import HestonParams, HKDEParams, KouJumpParams, MarketContext, cumulants_numeric
 from svjd.proj import (
@@ -46,7 +47,8 @@ def test_alpha_bar_amzn_matches_hand_evaluation(ctx, amzn_hkde):
 
 
 def test_build_grid_makes_one_exponent_call(ctx, amzn_hkde, monkeypatch):
-    # one finite-difference ladder yields all four cumulants
+    # one finite-difference ladder yields all four cumulants, and every later
+    # tenor of the same model and context reads them from the cache
     calls = []
     original = svjd.models.char_exponent
 
@@ -54,9 +56,26 @@ def test_build_grid_makes_one_exponent_call(ctx, amzn_hkde, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
+    svjd.proj._unit_cumulants.cache_clear()
     monkeypatch.setattr(svjd.models, "char_exponent", counted)
     build_grid(amzn_hkde, ctx, 0.5)
     assert len(calls) == 1
+    build_grid(amzn_hkde, ctx, 2.0)
+    assert len(calls) == 1
+
+
+def test_build_grid_cached_ladder_is_bit_identical(ctx, monkeypatch):
+    def fields(grid):
+        return (grid.n_basis, grid.alpha_bar, grid.x1, grid.delta, grid.a, grid.delta_xi)
+
+    tenors = (0.1, 0.5, 2.0)
+    cached = {(kind, name, t): fields(build_grid(model, ctx, t))
+              for kind, name, model in ALL_ROWS for t in tenors}
+    monkeypatch.setattr(svjd.proj, "_unit_cumulants",
+                        lambda model, ctx: cumulants_numeric(model, ctx, 1.0))
+    for kind, name, model in ALL_ROWS:
+        for t in tenors:
+            assert fields(build_grid(model, ctx, t)) == cached[kind, name, t], (kind, name, t)
 
 
 def test_grid_invariants(ctx, amzn_hkde):
