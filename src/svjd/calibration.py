@@ -10,6 +10,7 @@ current point (`FrozenSlice`).
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,8 @@ from svjd.proj import FrozenSlice, GridSpec, build_grid, price_strike_slice
 __all__ = ["MaturitySlice", "QuoteSurface", "CalibrationResult", "ErrorMetrics",
            "objective", "residuals", "calibrate", "error_metrics", "synthetic_surface",
            "default_bounds", "default_init", "PRICING_PENALTY"]
+
+_log = logging.getLogger(__name__)
 
 PRICING_PENALTY = 1e10          # objective value substituted when pricing fails
 PRICING_ERRORS = (ValueError, FloatingPointError, OverflowError)
@@ -155,10 +158,14 @@ def objective(model: ModelParams, surface: QuoteSurface,
     """Vega-weighted sum of squared price residuals."""
     try:
         r = residuals(model, surface, grid_spec=grid_spec)
-    except PRICING_ERRORS:
+    except PRICING_ERRORS as exc:
+        _log.debug("objective: pricing failed, penalty substituted: %s", exc)
         return PRICING_PENALTY
     val = float(r @ r)
-    return val if math.isfinite(val) else PRICING_PENALTY
+    if math.isfinite(val):
+        return val
+    _log.debug("objective: non-finite value %r, penalty substituted", val)
+    return PRICING_PENALTY
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +218,11 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
     """Least squares within default_bounds, run once per tolerance, warm-started.
 
     Each pass terminates on the relative change of the cost function (ftol);
-    the Jacobian is `_jacobian`'s forward differences on frozen grids.
+    the Jacobian is `_jacobian`'s forward differences on frozen grids. Every
+    residual vector of the call, and the latest Jacobian, are remembered by the
+    bytes of their point, so the solver's first call, each warm start at the
+    point where the previous pass ended, and any repeated trial point reuse
+    them; the counts are of real evaluations.
     """
     cls = _model_class(model_kind)
     lo, hi = default_bounds(model_kind)
@@ -228,24 +239,33 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
     penalty_vec = np.full(n_res, math.sqrt(PRICING_PENALTY / n_res))
     counts = {"residuals": 0, "jacobians": 0, "penalties": 0}
 
-    def fun(x):
+    def residual_vector(x):
         counts["residuals"] += 1
         try:
             r = residuals(cls.from_flat(x), surface, grid_spec=grid_spec)
-        except PRICING_ERRORS:
+        except PRICING_ERRORS as exc:
             counts["penalties"] += 1
+            _log.debug("calibrate: pricing failed at %s, penalty substituted: %s", x, exc)
             return penalty_vec
         finite = np.isfinite(r)
         if finite.all():
             return r
         counts["penalties"] += 1
+        _log.debug("calibrate: %d non-finite residuals at %s, penalty substituted",
+                   int((~finite).sum()), x)
         return np.where(finite, r, penalty_vec)
 
-    def jac(x):
+    def jacobian(x):
         counts["jacobians"] += 1
         J, penalties = _jacobian(cls, x, lo, hi, surface, grid_spec)
         counts["penalties"] += penalties
         return J
+
+    # trial points can repeat (a step that rounds to nothing, a later pass
+    # retracing an earlier one); Jacobians are taken only at accepted points,
+    # which repeat only where a warm start begins at the previous pass's end
+    fun = _remembered(residual_vector, keep_all=True)
+    jac = _remembered(jacobian, keep_all=False)
 
     x, r = x0, fun(x0)
     trace = [float(r @ r)]
@@ -271,17 +291,37 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
                              trace=trace, stagnated=stagnated)
 
 
+def _remembered(evaluate, keep_all: bool):
+    """evaluate(x), or a copy of its value at an earlier x of the same bytes:
+    at any earlier x if keep_all, else at the latest.
+
+    The copy keeps the value's memory order: the Jacobian is Fortran-ordered,
+    and SciPy's solver steps differ in the last bits on a C-ordered copy.
+    """
+    values = {}     # bytes of x -> value
+
+    def call(x):
+        key = x.tobytes()
+        if key not in values:
+            if not keep_all:
+                values.clear()
+            values[key] = evaluate(x)
+        return values[key].copy(order="K")
+    return call
+
+
 def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, surface: QuoteSurface,
               grid_spec: GridSpec) -> tuple[np.ndarray, int]:
     """Forward-difference Jacobian of `residuals` at x and its penalty count.
 
     Steps follow SciPy's 2-point rule, FD_STEP sign(x) max(1, |x|), flipped
     where they would leave the bounds. Each tenor prices the base and every
-    bumped model on one FrozenSlice built at x. A bumped model whose grid
-    half-width moves by more than GRID_MOVE_RTOL (the width goes as sqrt(c4),
-    which has a kink where a Kou side loses its weight) is differenced through
-    full slice pricings instead. A tenor whose base cannot be priced gets zero
-    rows, and non-finite entries are zeroed; each counts as a penalty.
+    bumped model on one FrozenSlice built at x, in one exponent call. A bumped
+    model whose grid half-width moves by more than GRID_MOVE_RTOL (the width
+    goes as sqrt(c4), which has a kink where a Kou side loses its weight) is
+    differenced through full slice pricings instead. A tenor whose base cannot
+    be priced gets zero rows, and non-finite entries are zeroed; each counts as
+    a penalty.
     """
     step = FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     step = np.where((x + step < lo) | (x + step > hi), -step, step)
@@ -301,8 +341,9 @@ def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, surface: Quote
             diffs[~moved] = prices[1:] - prices[0]
             if moved.any():
                 p0 = sl.model_prices(base, grid_spec)
-        except PRICING_ERRORS:
+        except PRICING_ERRORS as exc:
             penalties += 1
+            _log.debug("jacobian: tenor %g cannot be priced, rows zeroed: %s", sl.t, exc)
             blocks.append(np.zeros((sl.strikes.size, x.size)))
             continue
         for i in np.flatnonzero(moved):

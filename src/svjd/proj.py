@@ -28,6 +28,10 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 _GL01_X = 0.5 * (_GL_X + 1.0)   # nodes on [0, 1]
 _GL01_W = 0.5 * _GL_W
 LIVE_NODE_CUTOFF = 1e-16    # FrozenSlice keeps nodes up to the last |h| above this share of max |h|
+# (model, ctx, t, grid) -> (exponent, dual_zeta) on all N nodes of the latest
+# coefficient builds, oldest first; only FrozenSlice.at reads it
+_SPECTRA: dict = {}
+_SPECTRA_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -114,16 +118,18 @@ def build_grid(model: ModelParams, ctx: MarketContext, t: float, spec: GridSpec 
                     delta=delta, a=a, delta_xi=2.0 * math.pi * a / spec.n)
 
 
-def _cf(model: ModelParams, ctx: MarketContext, xi: np.ndarray, t: float) -> np.ndarray:
-    """Characteristic function of ln(S_t/S_0) on the nodes xi."""
-    return np.exp(char_exponent(model, ctx, xi, t) - 1j * xi * math.log(ctx.spot))
-
-
 def proj_coefficients(model: ModelParams, ctx: MarketContext, t: float, grid: ProjGrid) -> ProjCoefficients:
-    """Dual-basis projection coefficients of the log-return density via one FFT."""
+    """Dual-basis projection coefficients of the log-return density via one FFT.
+
+    The exponent and dual transform on the N nodes are kept for FrozenSlice.at.
+    """
     n = grid.n_basis
     xi = grid.delta_xi * np.arange(n)
-    h = _cf(model, ctx, xi, t) * dual_zeta(xi, grid.a) * np.exp(-1j * xi * grid.x1)
+    psi, zeta = char_exponent(model, ctx, xi, t), dual_zeta(xi, grid.a)
+    if len(_SPECTRA) >= _SPECTRA_SIZE:
+        del _SPECTRA[next(iter(_SPECTRA))]
+    _SPECTRA[model, ctx, t, grid] = psi, zeta
+    h = np.exp(psi - 1j * xi * math.log(ctx.spot)) * zeta * np.exp(-1j * xi * grid.x1)
     h[0] *= 0.5  # trapezoid half-weight on the first node
     beta = (32.0 * grid.a**4.5 / n) * np.real(np.fft.fft(h))
     return ProjCoefficients(beta=beta, grid=grid)
@@ -241,6 +247,8 @@ class FrozenSlice:
     [0, k) is kept: k is one past the last node where the base model's |h|
     exceeds LIVE_NODE_CUTOFF times its maximum (all N if phi does not decay there).
     A dropped node j moves a price by at most |h_j| max_s sum_i |L_is|.
+    The base model's exponent on the N nodes comes from the coefficient build
+    that priced it last, if that is still remembered.
     """
     ctx: MarketContext
     t: float
@@ -268,9 +276,13 @@ class FrozenSlice:
         payoff *= (32.0 * grid.a**4.5 / n) * disc * grid.delta * math.sqrt(grid.a)
 
         xi = grid.delta_xi * np.arange(n)
-        zeta = dual_zeta(xi, grid.a)
+        spectrum = _SPECTRA.get((model, ctx, t, grid))
+        if spectrum is None:
+            spectrum = char_exponent(model, ctx, xi, t), dual_zeta(xi, grid.a)
+        psi, zeta = spectrum
+        zeta = zeta.copy()
         zeta[0] *= 0.5          # trapezoid half weight on the first node
-        mag = np.exp(char_exponent(model, ctx, xi, t).real) * zeta     # |h|
+        mag = np.exp(psi.real) * zeta     # |h|
         live = np.flatnonzero(mag > LIVE_NODE_CUTOFF * mag.max())
         k = live[-1] + 1 if live.size else n
         # L is real: its spectrum's first n/2 + 1 nodes are the cheaper rfft
@@ -281,8 +293,14 @@ class FrozenSlice:
                             0.0))
 
     def prices(self, models: Sequence[ModelParams]) -> np.ndarray:
-        """Prices (models x strikes) of each model's density projected on the frozen grid."""
-        h = np.array([_cf(m, self.ctx, self.xi, self.t) for m in models]) * self.weight
+        """Prices (models x strikes) of each model's density projected on the frozen grid.
+
+        The models, all of one class, are stacked into one whose fields are
+        columns, so a single exponent call covers them all.
+        """
+        stacked = type(models[0]).from_flat(np.array([m.flat() for m in models]).T[..., None])
+        psi = char_exponent(stacked, self.ctx, self.xi, self.t)
+        h = np.exp(psi - 1j * self.xi * math.log(self.ctx.spot)) * self.weight   # phi D
         return np.real(h @ self.gain) + self.offset
 
 

@@ -1,4 +1,5 @@
 """Objective construction, calibration driver, error metrics."""
+import logging
 import math
 
 import numpy as np
@@ -116,13 +117,21 @@ def test_objective_invariant_under_quote_reordering(heston_surface):
     assert float((r[::-1] ** 2).sum()) == pytest.approx(base, rel=1e-12)
 
 
-def test_objective_penalty_on_pricing_failure():
+def test_objective_penalty_on_pricing_failure(caplog):
     # strikes far outside the floor grid of a near-zero-vol model cannot price
     model = degenerate_hkde(0.01)
     rows = [(0.05, 0.0, Quote(maturity=0.25, strike=k, is_call=True, iv=3.5))
             for k in (300.0, 320.0, 340.0)]
     surface = QuoteSurface.build(100.0, rows)
-    assert objective(model, surface) == PRICING_PENALTY
+    with caplog.at_level(logging.DEBUG, logger="svjd.calibration"):
+        assert objective(model, surface) == PRICING_PENALTY
+    # the substitution is logged once, at DEBUG, with the pricing error's text
+    assert [(r.name, r.levelno) for r in caplog.records] == [("svjd.calibration", logging.DEBUG)]
+    assert "outside the projection grid" in caplog.records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="svjd.calibration"):
+        objective(PARAM_ROWS["heston"]["SPOT"], surface)
+    assert caplog.records == []
 
 
 def test_error_metrics_zero_for_generating_model(heston_surface):
@@ -386,11 +395,13 @@ def test_grid_move_falls_back_to_slice_pricing_and_fits(monkeypatch):
     assert result.n_penalties == 0
 
 
-def test_calibrate_counts_penalties_of_a_forced_off_grid_strike(heston_surface, monkeypatch):
+def test_calibrate_counts_penalties_of_a_forced_off_grid_strike(heston_surface, monkeypatch,
+                                                                caplog):
     # a tiny-variance start floors every grid half-width at 0.5, which leaves the
     # 0.7 log-moneyness strike of the last tenor off the grid: the residual
-    # evaluations at the start (the trace's and the solver's) fall back to the
-    # penalty, and the start's Jacobian zeroes that tenor's rows
+    # evaluation at the start falls back to the penalty (the trace prices it, and
+    # the solver's first call reuses that vector), and the start's Jacobian
+    # zeroes that tenor's rows
     truth = PARAM_ROWS["heston"]["SPOT"]
     far = synthetic_surface(truth, 100.0, 0.05, 0.0, [1.0], list(MONEYNESS) + [0.7])
     surface = QuoteSurface(100.0, heston_surface.slices[:2] + far.slices)
@@ -412,8 +423,12 @@ def test_calibrate_counts_penalties_of_a_forced_off_grid_strike(heston_surface, 
     assert np.all(J[n_head:] == 0.0) and np.all(np.any(J[:n_head] != 0.0, axis=0))
 
     raised.clear()
-    result = calibrate("heston", surface, init=init)
-    assert result.n_penalties == len(raised) == 3
+    with caplog.at_level(logging.DEBUG, logger="svjd.calibration"):
+        result = calibrate("heston", surface, init=init)
+    assert result.n_penalties == len(raised) == 2
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m.split(":")[0] for m in messages] == ["calibrate", "jacobian"]
+    assert all("outside the projection grid" in m for m in messages)
     assert result.trace[0] == pytest.approx(PRICING_PENALTY, rel=1e-12)
     assert result.rmse < 1e-6
 
@@ -433,6 +448,85 @@ def test_calibrate_counts_residuals_and_jacobians(heston_surface, monkeypatch):
     result = calibrate("heston", heston_surface, schedule=[1e-4, 1e-6])
     assert (result.n_residuals, result.n_jacobians) == (calls["residuals"], calls["jacobians"])
     assert result.n_jacobians >= 2 and result.n_penalties == 0
+
+
+def _per_model_prices(self, models):
+    """FrozenSlice.prices with one exponent call per model: the reference loop."""
+    h = np.array([np.exp(svjd.proj.char_exponent(m, self.ctx, self.xi, self.t)
+                         - 1j * self.xi * math.log(self.ctx.spot)) for m in models]) * self.weight
+    return np.real(h @ self.gain) + self.offset
+
+
+@pytest.mark.parametrize("kind", MODEL_NAMES)
+def test_jacobian_equals_the_per_model_reference(kind, heston_surface, monkeypatch):
+    # the Jacobian under test reuses the spectrum of the residual evaluation just
+    # run and prices all models in one exponent call per tenor; the reference
+    # evaluates the base exponent afresh and prices model by model
+    points = [default_init(kind, heston_surface)] + list(PARAM_ROWS[kind].values())
+    for model in points:
+        x = np.asarray(model.flat(), dtype=float)
+        residuals(model, heston_surface)
+        J, penalties = _jacobian(kind, x, heston_surface)
+        with monkeypatch.context() as patched:
+            patched.setattr(FrozenSlice, "prices", _per_model_prices)
+            patched.setattr(svjd.proj, "_SPECTRA", {})
+            J_ref, penalties_ref = _jacobian(kind, x, heston_surface)
+        assert np.array_equal(J, J_ref) and penalties == penalties_ref, (kind, model)
+
+
+def _count_nodes(monkeypatch) -> list:
+    """Node counts of each char_exponent call made through svjd.proj."""
+    nodes = []
+    original = svjd.proj.char_exponent
+
+    def counted(model, ctx, xi, t):
+        nodes.append(np.size(xi))
+        return original(model, ctx, xi, t)
+
+    monkeypatch.setattr(svjd.proj, "char_exponent", counted)
+    return nodes
+
+
+def test_jacobian_after_residuals_prices_only_live_nodes(heston_surface, monkeypatch):
+    model = default_init("hkde", heston_surface)
+    nodes = _count_nodes(monkeypatch)
+    residuals(model, heston_surface)
+    assert nodes == [GridSpec().n] * len(heston_surface.slices)
+    nodes.clear()
+    _jacobian("hkde", np.asarray(model.flat(), dtype=float), heston_surface)
+    # one call per tenor, for the base and all nine bumped models, on the live prefix
+    live = [FrozenSlice.at(model, sl.ctx, sl.t, sl.strikes, sl.is_calls).xi.size
+            for sl in heston_surface.slices]
+    assert nodes == live and all(k < GridSpec().n for k in live)
+
+
+def test_slice_pricing_does_not_reuse_the_spectrum(monkeypatch):
+    model = PARAM_ROWS["heston"]["SPOT"]
+    ctx = MarketContext(100.0, 0.05, 0.0)
+    strikes = np.array([90.0, 100.0, 110.0])
+    nodes = _count_nodes(monkeypatch)
+    first = price_strike_slice(model, ctx, 0.5, strikes, strikes >= 100.0)
+    second = price_strike_slice(model, ctx, 0.5, strikes, strikes >= 100.0)
+    assert nodes == [GridSpec().n] * 2 and np.array_equal(first, second)
+
+
+def test_calibrate_evaluates_each_point_once(heston_surface, monkeypatch):
+    seen = {"residuals": [], "_jacobian": []}
+    originals = {name: getattr(svjd.calibration, name) for name in seen}
+
+    def residuals_at(model, *args, **kwargs):
+        seen["residuals"].append(np.asarray(model.flat(), dtype=float).tobytes())
+        return originals["residuals"](model, *args, **kwargs)
+
+    def jacobian_at(cls, x, *args):
+        seen["_jacobian"].append(x.tobytes())
+        return originals["_jacobian"](cls, x, *args)
+
+    monkeypatch.setattr(svjd.calibration, "residuals", residuals_at)
+    monkeypatch.setattr(svjd.calibration, "_jacobian", jacobian_at)
+    result = calibrate("heston", heston_surface)
+    assert len(set(seen["residuals"])) == len(seen["residuals"]) == result.n_residuals
+    assert len(set(seen["_jacobian"])) == len(seen["_jacobian"]) == result.n_jacobians
 
 
 # ---------------------------------------------------------------------------

@@ -82,13 +82,17 @@ def test_omega_requires_eta1_above_one():
         KouJumpParams(1.0, 0.5, 1.0, 2.0)
 
 
-@pytest.mark.parametrize("cls, values", [
+# a valid flat parameter list of each parameter class
+VALID_FLAT = pytest.mark.parametrize("cls, values", [
     (HestonParams, [0.04, 0.04, 1.0, 0.5, -0.5]),
     (KouJumpParams, [1.0, 0.5, 10.0, 5.0]),
     (NormalJumpParams, [1.0, -0.1, 0.2]),
     (BatesParams, [0.04, 0.04, 1.0, 0.5, -0.5, 1.0, -0.1, 0.2]),
     (BGMParams, [1.0, 15.0, 1.0, 15.0, 0.2]),
 ], ids=["heston", "kou", "normal", "bates", "bgm"])
+
+
+@VALID_FLAT
 def test_params_reject_nonfinite_field(cls, values):
     cls.from_flat(values)
     for i, name in enumerate(cls.FIELDS):
@@ -330,6 +334,71 @@ def test_cumulants_numeric_first_carries_forward_drift(ctx):
        eta1=st.floats(1.05, 200.0), eta2=st.floats(0.05, 200.0))
 def test_cumulants_kou_second_order_nonnegative(lam, p, eta1, eta2):
     assert cumulants_kou(KouJumpParams(lam, p, eta1, eta2), 1.0, 2) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Column fields: m models in one object
+# ---------------------------------------------------------------------------
+
+def _column(cls, rows):
+    """One object of cls whose fields are (len(rows), 1) columns."""
+    return cls.from_flat(np.array(rows, dtype=float).T[..., None])
+
+
+def _message(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@VALID_FLAT
+def test_column_with_one_bad_row_is_rejected_with_the_scalar_message(cls, values):
+    rejected = 0
+    for i in range(len(values)):
+        for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 1.0, 1.5, 50.0):
+            row = values[:i] + [bad] + values[i + 1:]
+            expected = _message(lambda: cls.from_flat(row))
+            rejected += expected is not None
+            for rows in ([values, row], [row, values, values]):
+                assert _message(lambda: _column(cls, rows)) == expected, (cls.FIELDS[i], bad)
+    assert rejected >= 4 * len(values)
+
+
+def test_stacked_omega_equals_each_rows_scalar_omega():
+    # NumPy's expm1, log and power round differently from math's on some of
+    # these; Monte Carlo drifts read the scalar omega, the Jacobian the stacked one
+    rng = np.random.default_rng(11)
+    n = 20000
+    heston = [0.04, 0.04, 1.0, 0.5, -0.5]
+    bates = [heston + [lam, mu, sj] for lam, mu, sj in
+             zip(rng.uniform(0.0, 5.0, n), rng.uniform(-2.0, 0.5, n), rng.uniform(0.01, 1.5, n))]
+    bgm = np.column_stack([rng.uniform(0.01, 20.0, n), rng.uniform(1.01, 300.0, n),
+                           rng.uniform(0.01, 20.0, n), rng.uniform(0.01, 300.0, n),
+                           rng.uniform(0.01, 2.0, n)])
+    written_out = {
+        BatesParams: lambda v0, theta, kappa, sigma_v, rho, lam, mu_j, sigma_j:
+            -lam * math.expm1(mu_j + 0.5 * sigma_j * sigma_j),
+        BGMParams: lambda alpha_p, lam_p, alpha_m, lam_m, sigma:
+            (-0.5 * sigma**2 - alpha_p * math.log(lam_p / (lam_p - 1.0))
+             - alpha_m * math.log(lam_m / (lam_m + 1.0))),
+    }
+    for cls, rows in ((BatesParams, bates), (BGMParams, bgm)):
+        scalar = [cls.from_flat(row).omega() for row in rows]
+        assert scalar == [written_out[cls](*map(float, row)) for row in rows]
+        stacked = _column(cls, rows).omega()
+        assert stacked.shape == (n, 1) and np.array_equal(stacked[:, 0], scalar)
+
+
+def test_stacked_exponent_rows_equal_scalar_exponents(ctx):
+    xi = 0.37 * np.arange(301)
+    for kind, name, params in ALL_ROWS:
+        x = np.asarray(params.flat(), dtype=float)
+        rows = [x] + [x * (1.0 - 1e-6 * e) for e in np.eye(x.size)]
+        stacked = _column(type(params), rows).exponent(ctx, xi, 0.5)
+        scalar = [type(params).from_flat(row).exponent(ctx, xi, 0.5) for row in rows]
+        assert np.array_equal(stacked, scalar), (kind, name)
 
 
 # ---------------------------------------------------------------------------
