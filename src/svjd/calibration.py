@@ -356,7 +356,8 @@ def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, surface: Quote
         penalties += int(bad.any(axis=0).sum())
         block[bad] = 0.0
         blocks.append(block)
-    return np.concatenate(blocks), penalties
+    # Fortran order even with zeroed tenors: SciPy's steps depend on J's layout
+    return np.asfortranarray(np.concatenate(blocks)), penalties
 
 
 def error_metrics(model: ModelParams, surface: QuoteSurface,

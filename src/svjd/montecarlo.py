@@ -13,8 +13,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ __all__ = ["SimConfig", "MonitoringSchedule", "PathBatch", "ExoticSpec", "McEsti
 _CHUNK = 1 << 18          # paths per worker chunk; part of the reproducibility key
 _MAX_DT = 1.0 / 250.0     # default substep cap for discretized models
 _BLOCK = 1 << 15          # paths per cache block of the Euler substep arithmetic
+_ROWS = 1 << 12           # paths per row block of the payoff statistics (~1.3 MB at M = 40)
 
 EXOTIC_KINDS = ("european_call", "european_put", "asian_call", "asian_put", "variance_swap",
                 "variance_call", "cliquet", "barrier_uo", "barrier_do", "barrier_double")
@@ -56,6 +56,9 @@ class SimConfig:
             raise ValueError(f"seed must be an integer; got {self.seed!r}")
         if not isinstance(self.antithetic, (bool, np.bool_)):
             raise ValueError(f"antithetic must be a bool; got {self.antithetic!r}")
+        # two antithetic paths make one pair average, which has no standard error
+        if self.antithetic and self.n_paths < 3:
+            raise ValueError(f"n_paths must be >= 3 with antithetic sampling; got {self.n_paths!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,10 @@ class MonitoringSchedule:
 
     def __post_init__(self):
         d = np.asarray(self.dates, dtype=float)
-        if self.maturity <= 0:
-            raise ValueError("maturity must be positive")
+        if not (math.isfinite(self.maturity) and self.maturity > 0):
+            raise ValueError(f"maturity must be finite and positive; got {self.maturity!r}")
+        if not np.isfinite(d).all():
+            raise ValueError(f"dates must be finite; got {self.dates!r}")
         if d.size < 2 or d[0] != 0.0 or np.any(np.diff(d) <= 0):
             raise ValueError("dates must start at 0 and increase strictly")
         if d[-1] > self.maturity * (1 + 1e-12):
@@ -95,20 +100,25 @@ class MonitoringSchedule:
 @dataclass
 class PathBatch:
     """Log prices at monitoring dates; simulate_paths also fills the positive-part
-    variance of diffusive models (None elsewhere)."""
+    variance of diffusive models (None elsewhere). The payoff statistics memo
+    has no lock: a batch belongs to one chunk, priced on one thread."""
     log_prices: np.ndarray
     variance: Optional[np.ndarray]
     schedule: MonitoringSchedule
+    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def returns(self) -> np.ndarray:
-        """Log returns between consecutive monitoring dates."""
-        return np.diff(self.log_prices, axis=1)
-
-    @cached_property
-    def simple_returns(self) -> np.ndarray:
-        """Simple returns S_k / S_{k-1} - 1 between consecutive monitoring dates."""
-        return np.expm1(self.returns)
+    def statistic(self, key, row_fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Per-path vector row_fn(log_prices), computed once per key and row block
+        by row block, so no temporary spans the whole batch. row_fn must reduce
+        along axis 1: each path's value then depends on its own row alone, and
+        the blocks equal the whole-array expression bit for bit."""
+        if key not in self._stats:
+            logs = self.log_prices
+            out = np.empty(logs.shape[0])
+            for i in range(0, logs.shape[0], _ROWS):
+                out[i:i + _ROWS] = row_fn(logs[i:i + _ROWS])
+            self._stats[key] = out
+        return self._stats[key]
 
 
 @dataclass(frozen=True)
@@ -343,32 +353,48 @@ def _vanilla(s: np.ndarray, strike: float, is_call: bool) -> np.ndarray:
     return np.maximum(s - strike, 0.0) if is_call else np.maximum(strike - s, 0.0)
 
 
+def _simple_returns(logs: np.ndarray) -> np.ndarray:
+    return np.expm1(np.diff(logs, axis=1))
+
+
 def evaluate_payoff(spec: ExoticSpec, batch: PathBatch) -> np.ndarray:
-    """Undiscounted payoff per path, evaluated at the monitoring dates only."""
+    """Undiscounted payoff per path, evaluated at the monitoring dates only.
+
+    Statistics that do not depend on the contract (running extremes, the
+    average, realized-variance and clipped-return sums) are computed once per
+    batch and shared by every contract priced on it.
+    """
     logs = batch.log_prices
     kind = spec.kind
     if kind in ("european_call", "european_put"):
         return _vanilla(np.exp(logs[:, -1]), spec.strike, kind == "european_call")
     if kind in ("asian_call", "asian_put"):
-        avg = np.exp(logs).mean(axis=1)    # equal-weight average including t_0
+        # equal-weight average including t_0
+        avg = batch.statistic("average", lambda b: np.exp(b).mean(axis=1))
         return _vanilla(avg, spec.strike, kind == "asian_call")
 
     t = batch.schedule.maturity
     if kind == "variance_swap":
-        return (batch.returns ** 2).sum(axis=1) / t - spec.strike
+        sq = batch.statistic("log_sq", lambda b: (np.diff(b, axis=1) ** 2).sum(axis=1))
+        return sq / t - spec.strike
     if kind == "variance_call":
-        return np.maximum((batch.simple_returns ** 2).sum(axis=1) / t - spec.strike, 0.0)
+        sq = batch.statistic("simple_sq", lambda b: (_simple_returns(b) ** 2).sum(axis=1))
+        return np.maximum(sq / t - spec.strike, 0.0)
     if kind == "cliquet":
-        period = np.clip(batch.simple_returns, spec.floor, spec.cap)
-        return spec.strike * np.clip(period.sum(axis=1), spec.global_floor, spec.global_cap)
+        total = batch.statistic(
+            ("clipped", spec.floor, spec.cap),
+            lambda b: np.clip(_simple_returns(b), spec.floor, spec.cap).sum(axis=1))
+        return spec.strike * np.clip(total, spec.global_floor, spec.global_cap)
 
     # knock-out barriers: monitored at t_1..t_M, payoff on S at the last date
     vanilla = _vanilla(np.exp(logs[:, -1]), spec.strike, spec.is_call)
     alive = np.ones(logs.shape[0], dtype=bool)
     if kind in ("barrier_uo", "barrier_double"):
-        alive &= logs[:, 1:].max(axis=1) <= math.log(spec.barrier_up)
+        high = batch.statistic("max", lambda b: b[:, 1:].max(axis=1))
+        alive &= high <= math.log(spec.barrier_up)
     if kind in ("barrier_do", "barrier_double"):
-        alive &= logs[:, 1:].min(axis=1) >= math.log(spec.barrier_down)
+        low = batch.statistic("min", lambda b: b[:, 1:].min(axis=1))
+        alive &= low >= math.log(spec.barrier_down)
     return vanilla * alive
 
 

@@ -421,6 +421,7 @@ def test_calibrate_counts_penalties_of_a_forced_off_grid_strike(heston_surface, 
     n_head = sum(sl.strikes.size for sl in surface.slices[:2])
     assert penalties == 1 and raised == [1]
     assert np.all(J[n_head:] == 0.0) and np.all(np.any(J[:n_head] != 0.0, axis=0))
+    assert J.flags.f_contiguous   # a C-ordered zero block must not flip the layout
 
     raised.clear()
     with caplog.at_level(logging.DEBUG, logger="svjd.calibration"):
@@ -448,6 +449,28 @@ def test_calibrate_counts_residuals_and_jacobians(heston_surface, monkeypatch):
     result = calibrate("heston", heston_surface, schedule=[1e-4, 1e-6])
     assert (result.n_residuals, result.n_jacobians) == (calls["residuals"], calls["jacobians"])
     assert result.n_jacobians >= 2 and result.n_penalties == 0
+
+
+def test_jacobian_reaches_scipy_fortran_ordered(heston_surface, monkeypatch):
+    # SciPy's steps depend on J's memory order, so the layout is part of the fit:
+    # _jacobian returns Fortran order, and calibrate's memo hands out the same
+    x = np.asarray(default_init("heston", heston_surface).flat(), dtype=float)
+    J, _ = _jacobian("heston", x, heston_surface)
+    assert J.flags.f_contiguous and not J.flags.c_contiguous
+    layouts = []
+    solve = svjd.calibration.least_squares
+
+    def spy(fun, x0, jac, **kwargs):
+        def seen(x):
+            value = jac(x)
+            layouts.append((value.flags.f_contiguous, value.flags.c_contiguous))
+            return value
+        seen(x0)      # a repeated point: the memo's copy
+        return solve(fun, x0, jac=seen, **kwargs)
+
+    monkeypatch.setattr(svjd.calibration, "least_squares", spy)
+    calibrate("heston", heston_surface, schedule=[1e-4, 1e-6])
+    assert len(layouts) >= 4 and set(layouts) == {(True, False)}
 
 
 def _per_model_prices(self, models):

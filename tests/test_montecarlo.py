@@ -1,5 +1,6 @@
 """Path engine, payoff evaluators, estimator statistics."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import svjd.montecarlo as montecarlo
 from svjd.models import KouJumpParams, MarketContext, NormalJumpParams
 from svjd.montecarlo import (
+    EXOTIC_KINDS,
     ExoticSpec,
     MonitoringSchedule,
     PathBatch,
@@ -23,6 +25,9 @@ from svjd.montecarlo import (
 )
 
 from conftest import PARAM_ROWS, degenerate_hkde
+
+# a NaN estimate (say a standard error over one pair average) warns; make it fail
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _european(t, strike, is_call=True):
@@ -53,6 +58,23 @@ def test_schedule_validation():
         MonitoringSchedule(maturity=1.0, dates=(0.1, 0.5, 1.0))
     with pytest.raises(ValueError):
         MonitoringSchedule(maturity=1.0, dates=(0.0, 1.5))
+    with pytest.raises(ValueError, match="^maturity must be finite and positive; got nan$"):
+        MonitoringSchedule.uniform(math.nan, 4)
+
+
+@pytest.mark.parametrize("maturity, dates, message", [
+    (math.nan, (0.0, 1.0), "maturity must be finite and positive; got nan"),
+    (math.inf, (0.0, 1.0), "maturity must be finite and positive; got inf"),
+    (0.0, (0.0, 1.0), "maturity must be finite and positive; got 0.0"),
+    (1.0, (0.0, math.nan), "dates must be finite; got (0.0, nan)"),
+    (1.0, (0.0, math.nan, 1.0), "dates must be finite; got (0.0, nan, 1.0)"),
+    (math.inf, (0.0, math.inf), "maturity must be finite and positive; got inf")])
+def test_schedule_rejects_non_finite_entries_by_name(maturity, dates, message):
+    # nan maturity or dates used to price a variance swap at nan, an infinite
+    # maturity at 0
+    with pytest.raises(ValueError) as info:
+        MonitoringSchedule(maturity=maturity, dates=dates)
+    assert str(info.value) == message
 
 
 def test_exotic_spec_validation():
@@ -150,6 +172,97 @@ def test_barrier_payoffs_by_hand():
     put = ExoticSpec(kind="barrier_uo", schedule=batch.schedule, strike=120.0,
                      barrier_up=130.0, is_call=False)
     assert evaluate_payoff(put, batch) == pytest.approx([5.0, 0.0, 0.0])
+
+
+def _random_walk(n, m=40, seed=5):
+    """n log-price paths over m dates after t_0 = 0, from S_0 = 100."""
+    steps = np.random.default_rng(seed).normal(-0.002, 0.06, (n, m))
+    return math.log(100.0) + np.concatenate([np.zeros((n, 1)), np.cumsum(steps, axis=1)], axis=1)
+
+
+def _one_of_each_kind(schedule):
+    # strikes and global terms that bite on some of _random_walk's paths
+    terms = {"variance_swap": dict(strike=0.15), "variance_call": dict(strike=0.15),
+             "cliquet": dict(strike=1.0, cap=0.06, floor=0.01, global_cap=1.2, global_floor=0.8),
+             "barrier_uo": dict(barrier_up=130.0), "barrier_do": dict(barrier_down=80.0),
+             "barrier_double": dict(barrier_up=130.0, barrier_down=80.0)}
+    return [ExoticSpec(kind=kind, schedule=schedule, **{"strike": 100.0, **terms.get(kind, {})})
+            for kind in EXOTIC_KINDS]
+
+
+def _whole_array_payoff(spec, logs):
+    """The payoffs written out over the whole batch: one n x M temporary per statistic."""
+    k, t = spec.strike, spec.schedule.maturity
+
+    def vanilla(s, is_call):
+        return np.maximum(s - k, 0.0) if is_call else np.maximum(k - s, 0.0)
+
+    returns = np.diff(logs, axis=1)
+    simple = np.expm1(returns)
+    if spec.kind in ("european_call", "european_put"):
+        return vanilla(np.exp(logs[:, -1]), spec.kind == "european_call")
+    if spec.kind in ("asian_call", "asian_put"):
+        return vanilla(np.exp(logs).mean(axis=1), spec.kind == "asian_call")
+    if spec.kind == "variance_swap":
+        return (returns ** 2).sum(axis=1) / t - k
+    if spec.kind == "variance_call":
+        return np.maximum((simple ** 2).sum(axis=1) / t - k, 0.0)
+    if spec.kind == "cliquet":
+        period = np.clip(simple, spec.floor, spec.cap)
+        return k * np.clip(period.sum(axis=1), spec.global_floor, spec.global_cap)
+    alive = np.ones(logs.shape[0], dtype=bool)
+    if spec.barrier_up is not None:
+        alive &= logs[:, 1:].max(axis=1) <= math.log(spec.barrier_up)
+    if spec.barrier_down is not None:
+        alive &= logs[:, 1:].min(axis=1) >= math.log(spec.barrier_down)
+    return vanilla(np.exp(logs[:, -1]), spec.is_call) * alive
+
+
+@pytest.mark.parametrize("rows", [1, montecarlo._ROWS, 2 * montecarlo._ROWS + 3])
+@pytest.mark.parametrize("kind", EXOTIC_KINDS)
+def test_payoffs_equal_whole_array_formulas(kind, rows):
+    # every other kind fills the batch's statistics first, so a shared entry
+    # read under the wrong key shows too
+    logs = _random_walk(rows)
+    batch = _batch(logs, 1.0)
+    specs = _one_of_each_kind(batch.schedule)
+    (spec,) = (s for s in specs if s.kind == kind)
+    for other in specs:
+        if other is not spec:
+            assert np.array_equal(evaluate_payoff(other, batch),
+                                  _whole_array_payoff(other, logs)), other.kind
+    pay = evaluate_payoff(spec, batch)
+    assert pay.shape == (rows,)
+    assert np.array_equal(pay, _whole_array_payoff(spec, logs))
+
+
+def test_cliquets_with_different_local_terms_read_different_sums():
+    logs = _random_walk(2 * montecarlo._ROWS + 3)
+    batch = _batch(logs, 1.0)
+    specs = [ExoticSpec(kind="cliquet", schedule=batch.schedule, strike=1.0, floor=floor, cap=cap,
+                        global_cap=100.0, global_floor=-100.0)
+             for floor, cap in ((0.01, 0.06), (-0.01, 0.06), (0.01, 0.02))]
+    pays = [evaluate_payoff(spec, batch) for spec in specs]
+    for spec, pay in zip(specs, pays):
+        assert np.array_equal(pay, _whole_array_payoff(spec, logs))
+        assert np.array_equal(evaluate_payoff(spec, batch), pay)     # read again
+    assert not any(np.array_equal(a, b) for a, b in [pays[:2], pays[::2], pays[1:]])
+
+
+def test_payoff_statistics_need_no_batch_sized_temporary():
+    # the whole-array form, one n x M temporary per statistic, peaks near 3x
+    # the path matrix here
+    logs = _random_walk(1 << 16)
+    batch = _batch(logs, 1.0)
+    specs = _one_of_each_kind(batch.schedule)
+    tracemalloc.start()
+    try:
+        for spec in specs:
+            evaluate_payoff(spec, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * logs.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +546,19 @@ def test_sim_config_rejects_bad_seed_or_antithetic_by_name(field, bad, kind):
     assert str(info.value) == f"{field} must be {kind}; got {bad!r}"
 
 
+def test_sim_config_needs_two_antithetic_pairs(ctx, amzn_hkde):
+    # two paths make one pair average, which has no standard error
+    with pytest.raises(ValueError) as info:
+        SimConfig(n_paths=2)
+    assert str(info.value) == "n_paths must be >= 3 with antithetic sampling; got 2"
+    spec = _european(0.25, 100.0)
+    est = price_exotic(amzn_hkde, ctx, spec, SimConfig(n_paths=3, seed=1, steps_per_interval=1))
+    assert est.n_paths == 4 and est.std_err > 0      # rounded up to two pairs
+    est = price_exotic(amzn_hkde, ctx, spec,
+                       SimConfig(n_paths=2, seed=1, steps_per_interval=1, antithetic=False))
+    assert est.n_paths == 2 and math.isfinite(est.std_err)
+
+
 def test_sim_config_numpy_seed_and_flag_price_as_python_ones(ctx, amzn_hkde):
     spec = _european(0.25, 100.0)
     a, b = (price_exotic(amzn_hkde, ctx, spec,
@@ -618,8 +744,21 @@ def test_payoffs_do_not_depend_on_evaluation_order(ctx, amzn_hkde):
     reverse = [evaluate_payoff(s, reverse_batch) for s in reversed(specs)][::-1]
     for a, b in zip(forward, reverse):
         assert np.array_equal(a, b)
-    assert np.array_equal(forward_batch.returns, np.diff(forward_batch.log_prices, axis=1))
-    assert np.array_equal(forward_batch.simple_returns, np.expm1(forward_batch.returns))
+    logs = forward_batch.log_prices
+    simple = np.expm1(np.diff(logs, axis=1))
+    whole = {"log_sq": (np.diff(logs, axis=1) ** 2).sum(axis=1),
+             "simple_sq": (simple ** 2).sum(axis=1),
+             ("clipped", 0.01, 0.06): np.clip(simple, 0.01, 0.06).sum(axis=1),
+             "average": np.exp(logs).mean(axis=1),
+             "max": logs[:, 1:].max(axis=1)}
+
+    def recompute(rows):
+        raise AssertionError("a batch statistic was computed twice")
+
+    for batch in (forward_batch, reverse_batch):
+        assert batch._stats.keys() == whole.keys()
+        for key, value in whole.items():
+            assert np.array_equal(batch.statistic(key, recompute), value), key
 
 
 @pytest.mark.parametrize("raw", ["two", "0", "-3"])
