@@ -4,9 +4,9 @@ The objective is sum over maturities and strikes of w (V_model - v_mkt)^2 with
 w = 1/(S0 pdf(d1) sqrt(T)) evaluated at each quote's market implied volatility,
 which makes price residuals behave like implied-volatility residuals. A
 trust-region-reflective solver is run through a schedule of tightening cost
-tolerances, warm-starting each pass at the previous solution. Its Jacobian
-columns are forward differences priced on each tenor's grid frozen at the
-current point (`FrozenSlice`).
+tolerances, warm-starting each pass at the previous solution. Trial points and
+the forward-difference Jacobian are priced on one grid per tenor held across
+the fit (`FrozenSlice`), and only the start and the result by full pricings.
 """
 from __future__ import annotations
 
@@ -33,7 +33,8 @@ PRICING_PENALTY = 1e10          # objective value substituted when pricing fails
 PRICING_ERRORS = (ValueError, FloatingPointError, OverflowError)
 DEFAULT_SCHEDULE = (1e-4, 1e-6, 1e-8)
 FD_STEP = 1e-6                  # forward-difference step relative to max(1, |x|)
-GRID_MOVE_RTOL = 1e-3           # a bumped grid half-width change past this is repriced
+GRID_MOVE_RTOL = 1e-3           # a grid move past this from the held grid re-anchors it
+NOISE_FLOOR = 1e-18             # of max(1, start cost): a later pass starting below it is skipped
 
 
 @dataclass
@@ -126,10 +127,11 @@ class ErrorMetrics:
 
 @dataclass
 class CalibrationResult:
-    """A fit and its work: residual vectors evaluated, Jacobians built, and
-    penalty substitutions (residual vectors that fell back to the penalty in
-    whole or part, tenors whose Jacobian rows were zeroed because the slice
-    could not be priced, and Jacobian columns whose non-finite entries were zeroed)."""
+    """A fit and its work: residual vectors evaluated (the start's and each
+    trial point's), Jacobians built, held grids anchored, and penalty
+    substitutions (residual vectors that fell back to the penalty in whole or
+    part, tenors whose Jacobian rows were zeroed because the slice could not
+    be priced, and Jacobian columns whose non-finite entries were zeroed)."""
     params: ModelParams
     objective: float
     per_quote_residuals: np.ndarray
@@ -138,6 +140,7 @@ class CalibrationResult:
     n_residuals: int
     n_jacobians: int
     n_penalties: int
+    n_anchors: int
     trace: list
     stagnated: bool = False
 
@@ -146,11 +149,20 @@ class CalibrationResult:
 # Objective
 # ---------------------------------------------------------------------------
 
+def _model_prices(model: ModelParams, surface: QuoteSurface, grid_spec: GridSpec) -> list:
+    return [sl.model_prices(model, grid_spec) for sl in surface.slices]
+
+
+def _weighted(surface: QuoteSurface, prices: Sequence[np.ndarray]) -> np.ndarray:
+    """sqrt(w) (V_model - v_mkt) over the whole surface, from each tenor's model prices."""
+    return np.concatenate([np.sqrt(sl.weights) * (p - sl.prices)
+                           for sl, p in zip(surface.slices, prices)])
+
+
 def residuals(model: ModelParams, surface: QuoteSurface,
               grid_spec: GridSpec = GridSpec()) -> np.ndarray:
     """sqrt(w) (V_model - v_mkt) over the whole surface, one slice pricing per tenor."""
-    return np.concatenate([np.sqrt(sl.weights) * (sl.model_prices(model, grid_spec) - sl.prices)
-                           for sl in surface.slices])
+    return _weighted(surface, _model_prices(model, surface, grid_spec))
 
 
 def objective(model: ModelParams, surface: QuoteSurface,
@@ -217,12 +229,14 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
               grid_spec: GridSpec = GridSpec()) -> CalibrationResult:
     """Least squares within default_bounds, run once per tolerance, warm-started.
 
-    Each pass terminates on the relative change of the cost function (ftol);
-    the Jacobian is `_jacobian`'s forward differences on frozen grids. Every
-    residual vector of the call, and the latest Jacobian, are remembered by the
-    bytes of their point, so the solver's first call, each warm start at the
-    point where the previous pass ended, and any repeated trial point reuse
-    them; the counts are of real evaluations.
+    Each pass terminates on the relative change of the cost function (ftol); a
+    later pass starting at most NOISE_FLOOR max(1, start cost) is skipped and
+    repeats that cost in the trace. Trial points and `_jacobian` are priced on
+    `_HeldSlices`; the start (the trace's first entry and the solver's first
+    residual vector) and the result (objective, residuals, IV errors) are each
+    priced once by full slice pricings. Residual vectors, and the latest
+    Jacobian, are remembered by the bytes of their point, so warm starts and
+    repeated trial points reuse them; the counts are of real evaluations.
     """
     cls = _model_class(model_kind)
     lo, hi = default_bounds(model_kind)
@@ -238,11 +252,12 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
     n_res = surface.n_quotes
     penalty_vec = np.full(n_res, math.sqrt(PRICING_PENALTY / n_res))
     counts = {"residuals": 0, "jacobians": 0, "penalties": 0}
+    held = _HeldSlices(surface, grid_spec)
 
-    def residual_vector(x):
+    def residual_vector(x, price=held.residuals):
         counts["residuals"] += 1
         try:
-            r = residuals(cls.from_flat(x), surface, grid_spec=grid_spec)
+            r = price(cls.from_flat(x))
         except PRICING_ERRORS as exc:
             counts["penalties"] += 1
             _log.debug("calibrate: pricing failed at %s, penalty substituted: %s", x, exc)
@@ -257,48 +272,56 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
 
     def jacobian(x):
         counts["jacobians"] += 1
-        J, penalties = _jacobian(cls, x, lo, hi, surface, grid_spec)
+        J, penalties = _jacobian(cls, x, lo, hi, held)
         counts["penalties"] += penalties
         return J
 
+    r = residual_vector(x0, lambda model: residuals(model, surface, grid_spec))
     # trial points can repeat (a step that rounds to nothing, a later pass
     # retracing an earlier one); Jacobians are taken only at accepted points,
     # which repeat only where a warm start begins at the previous pass's end
-    fun = _remembered(residual_vector, keep_all=True)
+    fun = _remembered(residual_vector, keep_all=True, values={x0.tobytes(): r})
     jac = _remembered(jacobian, keep_all=False)
 
-    x, r = x0, fun(x0)
+    x = x0
     trace = [float(r @ r)]
+    floor = NOISE_FLOOR * max(1.0, trace[0])
     stagnated = False
     for tol in schedule:
+        # the first pass always runs: at an exact optimum it is one Jacobian to see g = 0
+        if len(trace) > 1 and trace[-1] <= floor:
+            trace.append(trace[-1])
+            continue
         # ftol (relative cost change) is the operative criterion; the tiny gtol
         # only catches exactly stationary starts where ftol can never fire.
         # errstate silences scipy's internal divide-by-zero chatter at zero cost.
         with np.errstate(divide="ignore", invalid="ignore"):
             res = least_squares(fun, x, jac=jac, bounds=(lo, hi), method="trf",
                                 ftol=tol, xtol=None, gtol=1e-14)
-        x, r = res.x, res.fun
+        x = res.x
         trace.append(2.0 * float(res.cost))   # scipy cost is half the SSE
         if res.status == 0:
             stagnated = True
 
     final = cls.from_flat(x)
-    metrics = error_metrics(final, surface, grid_spec=grid_spec)
+    prices = _model_prices(final, surface, grid_spec)
+    r = _weighted(surface, prices)
+    metrics = _iv_errors(surface, prices)
     return CalibrationResult(params=final, objective=float(r @ r),
                              per_quote_residuals=r, mape_pct=metrics.mape_pct,
                              rmse=metrics.rmse, n_residuals=counts["residuals"],
                              n_jacobians=counts["jacobians"], n_penalties=counts["penalties"],
-                             trace=trace, stagnated=stagnated)
+                             n_anchors=held.n_anchors, trace=trace, stagnated=stagnated)
 
 
-def _remembered(evaluate, keep_all: bool):
-    """evaluate(x), or a copy of its value at an earlier x of the same bytes:
-    at any earlier x if keep_all, else at the latest.
+def _remembered(evaluate, keep_all: bool, values: Optional[dict] = None):
+    """evaluate(x), or a copy of its value at an earlier x of the same bytes (or
+    in `values`, keyed so): at any earlier x if keep_all, else at the latest.
 
     The copy keeps the value's memory order: the Jacobian is Fortran-ordered,
     and SciPy's solver steps differ in the last bits on a C-ordered copy.
     """
-    values = {}     # bytes of x -> value
+    values = {} if values is None else values
 
     def call(x):
         key = x.tobytes()
@@ -310,15 +333,51 @@ def _remembered(evaluate, keep_all: bool):
     return call
 
 
-def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, surface: QuoteSurface,
-              grid_spec: GridSpec) -> tuple[np.ndarray, int]:
+class _HeldSlices:
+    """One FrozenSlice per tenor, held across a calibration call. A tenor
+    re-anchors at the model it is asked to price only when that model's grid
+    half-width moves from the held one by more than GRID_MOVE_RTOL relative, or
+    its left edge x1 by more than GRID_MOVE_RTOL held half-widths; every model
+    is checked, because the width, which goes as sqrt(c4), has a kink where a
+    Kou side loses its weight (p = 1)."""
+
+    def __init__(self, surface: QuoteSurface, grid_spec: GridSpec):
+        self.surface, self.grid_spec = surface, grid_spec
+        self.slices = [None] * len(surface.slices)
+        self.n_anchors = 0
+
+    def moved(self, i: int, model: ModelParams) -> bool:
+        """Whether model's grid for tenor i is past the re-anchor rule (or none is held)."""
+        frozen, sl = self.slices[i], self.surface.slices[i]
+        if frozen is None:
+            return True
+        grid, width = build_grid(model, sl.ctx, sl.t, self.grid_spec), frozen.grid.alpha_bar
+        return (abs(grid.alpha_bar / width - 1.0) > GRID_MOVE_RTOL
+                or abs(grid.x1 - frozen.grid.x1) > GRID_MOVE_RTOL * width)
+
+    def at(self, i: int, model: ModelParams) -> FrozenSlice:
+        """Tenor i's held slice, re-anchored at model first if its grid moved."""
+        if self.moved(i, model):
+            sl = self.surface.slices[i]
+            self.slices[i] = FrozenSlice.at(model, sl.ctx, sl.t, sl.strikes, sl.is_calls,
+                                            self.grid_spec)
+            self.n_anchors += 1
+        return self.slices[i]
+
+    def residuals(self, model: ModelParams) -> np.ndarray:
+        """`residuals` of model priced on the held slices."""
+        return _weighted(self.surface, [self.at(i, model).prices([model])[0]
+                                        for i in range(len(self.slices))])
+
+
+def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              held: _HeldSlices) -> tuple[np.ndarray, int]:
     """Forward-difference Jacobian of `residuals` at x and its penalty count.
 
     Steps follow SciPy's 2-point rule, FD_STEP sign(x) max(1, |x|), flipped
     where they would leave the bounds. Each tenor prices the base and every
-    bumped model on one FrozenSlice built at x, in one exponent call. A bumped
-    model whose grid half-width moves by more than GRID_MOVE_RTOL (the width
-    goes as sqrt(c4), which has a kink where a Kou side loses its weight) is
+    bumped model on its held slice, re-anchored at x if x's grid moved, in one
+    exponent call. A bumped model whose grid moves past the held one is
     differenced through full slice pricings instead. A tenor whose base cannot
     be priced gets zero rows, and non-finite entries are zeroed; each counts as
     a penalty.
@@ -330,27 +389,25 @@ def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, surface: Quote
     base = cls.from_flat(x)
     bumped = [cls.from_flat(row) for row in x_bumped]
     blocks, penalties = [], 0
-    for sl in surface.slices:
+    for i, sl in enumerate(held.surface.slices):
         diffs = np.zeros((x.size, sl.strikes.size))
         try:
-            frozen = FrozenSlice.at(base, sl.ctx, sl.t, sl.strikes, sl.is_calls, grid_spec)
-            width = frozen.grid.alpha_bar
-            moved = np.array([abs(build_grid(m, sl.ctx, sl.t, grid_spec).alpha_bar / width - 1.0)
-                              > GRID_MOVE_RTOL for m in bumped])
+            frozen = held.at(i, base)
+            moved = np.array([held.moved(i, m) for m in bumped])
             prices = frozen.prices([base] + [m for m, mv in zip(bumped, moved) if not mv])
             diffs[~moved] = prices[1:] - prices[0]
             if moved.any():
-                p0 = sl.model_prices(base, grid_spec)
+                p0 = sl.model_prices(base, held.grid_spec)
         except PRICING_ERRORS as exc:
             penalties += 1
             _log.debug("jacobian: tenor %g cannot be priced, rows zeroed: %s", sl.t, exc)
             blocks.append(np.zeros((sl.strikes.size, x.size)))
             continue
-        for i in np.flatnonzero(moved):
+        for j in np.flatnonzero(moved):
             try:
-                diffs[i] = sl.model_prices(bumped[i], grid_spec) - p0
+                diffs[j] = sl.model_prices(bumped[j], held.grid_spec) - p0
             except PRICING_ERRORS:
-                diffs[i] = np.nan
+                diffs[j] = np.nan
         block = np.sqrt(sl.weights)[:, None] * diffs.T / dx
         bad = ~np.isfinite(block)
         penalties += int(bad.any(axis=0).sum())
@@ -360,14 +417,10 @@ def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, surface: Quote
     return np.asfortranarray(np.concatenate(blocks)), penalties
 
 
-def error_metrics(model: ModelParams, surface: QuoteSurface,
-                  grid_spec: GridSpec = GridSpec()) -> ErrorMetrics:
-    """Surface-wide IV errors: MAPE in percent, RMSE in absolute IV units.
-
-    Quotes whose model price cannot be inverted are excluded and counted.
-    """
-    ivs, failures = zip(*(_invert(sl.ctx, sl.t, sl.strikes, sl.model_prices(model, grid_spec),
-                                  sl.is_calls) for sl in surface.slices))
+def _iv_errors(surface: QuoteSurface, prices: Sequence[np.ndarray]) -> ErrorMetrics:
+    """error_metrics from each tenor's model prices."""
+    ivs, failures = zip(*(_invert(sl.ctx, sl.t, sl.strikes, p, sl.is_calls)
+                          for sl, p in zip(surface.slices, prices)))
     ok = np.concatenate(failures) == 0
     if not ok.any():
         raise ValueError("no quote could be inverted to an implied volatility")
@@ -375,6 +428,15 @@ def error_metrics(model: ModelParams, surface: QuoteSurface,
     err = np.concatenate(ivs)[ok] - iv_mkt
     return ErrorMetrics(mape_pct=100.0 * float(np.mean(np.abs(err) / iv_mkt)),
                         rmse=float(np.sqrt(np.mean(err ** 2))), n_excluded=int((~ok).sum()))
+
+
+def error_metrics(model: ModelParams, surface: QuoteSurface,
+                  grid_spec: GridSpec = GridSpec()) -> ErrorMetrics:
+    """Surface-wide IV errors: MAPE in percent, RMSE in absolute IV units.
+
+    Quotes whose model price cannot be inverted are excluded and counted.
+    """
+    return _iv_errors(surface, _model_prices(model, surface, grid_spec))
 
 
 # ---------------------------------------------------------------------------

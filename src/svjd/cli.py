@@ -216,8 +216,8 @@ def cmd_calibrate(args) -> int:
         "metrics": {"objective": result.objective, "mape_pct": result.mape_pct,
                     "rmse": result.rmse, "n_residuals": result.n_residuals,
                     "n_jacobians": result.n_jacobians, "n_penalties": result.n_penalties,
-                    "trace": result.trace, "stagnated": result.stagnated,
-                    "n_quotes": surface.n_quotes},
+                    "n_anchors": result.n_anchors, "trace": result.trace,
+                    "stagnated": result.stagnated, "n_quotes": surface.n_quotes},
     }
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)

@@ -418,7 +418,10 @@ def price_exotic_batch(model: ModelParams, ctx: MarketContext, specs: Sequence[E
     disc = math.exp(-ctx.rate * schedule.maturity)
 
     def payoff(batch: PathBatch) -> np.ndarray:
-        return np.stack([disc * evaluate_payoff(spec, batch) for spec in specs])
+        out = np.empty((len(specs), batch.log_prices.shape[0]))
+        for row, spec in zip(out, specs):
+            np.multiply(disc, evaluate_payoff(spec, batch), out=row)
+        return out
 
     return mc_run(model, ctx, schedule, config, payoff)
 

@@ -5,7 +5,8 @@ projection coefficients come from a trapezoid discretization of the inverse
 transform evaluated with one FFT, and claims are priced by integrating the
 payoff against each basis element with fixed-order Gauss-Legendre quadrature.
 On a grid held fixed, prices are linear in the characteristic function
-(`FrozenSlice`), which is how calibration prices its Jacobian columns.
+(`FrozenSlice`), which is how calibration prices its trial points and Jacobian
+columns on grids it holds across a fit.
 """
 from __future__ import annotations
 
@@ -28,10 +29,6 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 _GL01_X = 0.5 * (_GL_X + 1.0)   # nodes on [0, 1]
 _GL01_W = 0.5 * _GL_W
 LIVE_NODE_CUTOFF = 1e-16    # FrozenSlice keeps nodes up to the last |h| above this share of max |h|
-# (model, ctx, t, grid) -> (exponent, dual_zeta) on all N nodes of the latest
-# coefficient builds, oldest first; only FrozenSlice.at reads it
-_SPECTRA: dict = {}
-_SPECTRA_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -119,17 +116,11 @@ def build_grid(model: ModelParams, ctx: MarketContext, t: float, spec: GridSpec 
 
 
 def proj_coefficients(model: ModelParams, ctx: MarketContext, t: float, grid: ProjGrid) -> ProjCoefficients:
-    """Dual-basis projection coefficients of the log-return density via one FFT.
-
-    The exponent and dual transform on the N nodes are kept for FrozenSlice.at.
-    """
+    """Dual-basis projection coefficients of the log-return density via one FFT."""
     n = grid.n_basis
     xi = grid.delta_xi * np.arange(n)
-    psi, zeta = char_exponent(model, ctx, xi, t), dual_zeta(xi, grid.a)
-    if len(_SPECTRA) >= _SPECTRA_SIZE:
-        del _SPECTRA[next(iter(_SPECTRA))]
-    _SPECTRA[model, ctx, t, grid] = psi, zeta
-    h = np.exp(psi - 1j * xi * math.log(ctx.spot)) * zeta * np.exp(-1j * xi * grid.x1)
+    h = (np.exp(char_exponent(model, ctx, xi, t) - 1j * xi * math.log(ctx.spot))
+         * dual_zeta(xi, grid.a) * np.exp(-1j * xi * grid.x1))
     h[0] *= 0.5  # trapezoid half-weight on the first node
     beta = (32.0 * grid.a**4.5 / n) * np.real(np.fft.fft(h))
     return ProjCoefficients(beta=beta, grid=grid)
@@ -247,8 +238,9 @@ class FrozenSlice:
     [0, k) is kept: k is one past the last node where the base model's |h|
     exceeds LIVE_NODE_CUTOFF times its maximum (all N if phi does not decay there).
     A dropped node j moves a price by at most |h_j| max_s sum_i |L_is|.
-    The base model's exponent on the N nodes comes from the coefficient build
-    that priced it last, if that is still remembered.
+    Each build evaluates the base model's exponent on all N nodes once; any
+    model of the tenor whose grid stays near this one can then be priced on
+    the live nodes alone.
     """
     ctx: MarketContext
     t: float
@@ -276,19 +268,15 @@ class FrozenSlice:
         payoff *= (32.0 * grid.a**4.5 / n) * disc * grid.delta * math.sqrt(grid.a)
 
         xi = grid.delta_xi * np.arange(n)
-        spectrum = _SPECTRA.get((model, ctx, t, grid))
-        if spectrum is None:
-            spectrum = char_exponent(model, ctx, xi, t), dual_zeta(xi, grid.a)
-        psi, zeta = spectrum
-        zeta = zeta.copy()
+        zeta = dual_zeta(xi, grid.a)
         zeta[0] *= 0.5          # trapezoid half weight on the first node
-        mag = np.exp(psi.real) * zeta     # |h|
+        mag = np.exp(char_exponent(model, ctx, xi, t).real) * zeta     # |h|
         live = np.flatnonzero(mag > LIVE_NODE_CUTOFF * mag.max())
         k = live[-1] + 1 if live.size else n
         # L is real: its spectrum's first n/2 + 1 nodes are the cheaper rfft
         spectrum = (np.fft.rfft if k <= n // 2 + 1 else np.fft.fft)(payoff, n, axis=1)
         return cls(ctx, t, grid, xi[:k], zeta[:k] * np.exp(-1j * xi[:k] * grid.x1),
-                   spectrum[:, :k].T,
+                   np.ascontiguousarray(spectrum[:, :k]).T,   # not a view of all n nodes
                    np.where(is_calls, ctx.spot * math.exp(-ctx.div_yield * t) - strikes * disc,
                             0.0))
 

@@ -1,4 +1,5 @@
 """Objective construction, calibration driver, error metrics."""
+import dataclasses
 import logging
 import math
 
@@ -314,9 +315,11 @@ def _forward_difference(kind, x, surface):
     return np.column_stack(cols)
 
 
-def _jacobian(kind, x, surface):
+def _jacobian(kind, x, surface, held=None):
+    """calibration._jacobian on held slices, anchored at x unless `held` is given."""
     lo, hi = default_bounds(kind)
-    return svjd.calibration._jacobian(MODELS[kind], x, lo, hi, surface, GridSpec())
+    held = svjd.calibration._HeldSlices(surface, GridSpec()) if held is None else held
+    return svjd.calibration._jacobian(MODELS[kind], x, lo, hi, held)
 
 
 @pytest.mark.parametrize("kind", MODEL_NAMES)
@@ -388,9 +391,12 @@ def test_grid_move_falls_back_to_slice_pricing_and_fits(monkeypatch):
 
     monkeypatch.setattr(MaturitySlice, "model_prices", counted)
     result = calibrate("hkde", surface, init=init)
-    # residual vectors and the closing error metrics price each slice once
-    repriced = len(calls) - (result.n_residuals + 1) * len(surface.slices)
+    # the start and the result price each slice once; trial points are priced
+    # on held slices, so the rest are the bumped models that moved their grid
+    repriced = len(calls) - 2 * len(surface.slices)
     assert repriced > 0
+    # the width's kink at p = 1 moves trial points off the grids anchored at the start
+    assert result.n_anchors > len(surface.slices)
     assert result.rmse < 1e-3
     assert result.n_penalties == 0
 
@@ -435,20 +441,39 @@ def test_calibrate_counts_penalties_of_a_forced_off_grid_strike(heston_surface, 
 
 
 def test_calibrate_counts_residuals_and_jacobians(heston_surface, monkeypatch):
+    # the start's full pricing plus every residual vector on the held slices
     calls = {"residuals": 0, "jacobians": 0}
-    originals = {name: getattr(svjd.calibration, name) for name in ("residuals", "_jacobian")}
+    held_residuals = svjd.calibration._HeldSlices.residuals
+    jacobian = svjd.calibration._jacobian
 
-    def counting(name, key):
-        def counted(*args, **kwargs):
-            calls[key] += 1
-            return originals[name](*args, **kwargs)
-        return counted
+    def on_held(self, model):
+        calls["residuals"] += 1
+        return held_residuals(self, model)
 
-    monkeypatch.setattr(svjd.calibration, "residuals", counting("residuals", "residuals"))
-    monkeypatch.setattr(svjd.calibration, "_jacobian", counting("_jacobian", "jacobians"))
+    def counted(*args):
+        calls["jacobians"] += 1
+        return jacobian(*args)
+
+    monkeypatch.setattr(svjd.calibration._HeldSlices, "residuals", on_held)
+    monkeypatch.setattr(svjd.calibration, "_jacobian", counted)
     result = calibrate("heston", heston_surface, schedule=[1e-4, 1e-6])
-    assert (result.n_residuals, result.n_jacobians) == (calls["residuals"], calls["jacobians"])
+    assert (result.n_residuals, result.n_jacobians) == (1 + calls["residuals"],
+                                                        calls["jacobians"])
     assert result.n_jacobians >= 2 and result.n_penalties == 0
+
+
+def test_n_anchors_counts_frozen_slice_builds(heston_surface, monkeypatch):
+    builds = []
+    build = FrozenSlice.at
+
+    def counted(cls, *args):
+        frozen = build(*args)
+        builds.append(frozen)
+        return frozen
+
+    monkeypatch.setattr(FrozenSlice, "at", classmethod(counted))
+    result = calibrate("heston", heston_surface, schedule=[1e-4, 1e-6])
+    assert result.n_anchors == len(builds) >= len(heston_surface.slices)
 
 
 def test_jacobian_reaches_scipy_fortran_ordered(heston_surface, monkeypatch):
@@ -482,17 +507,18 @@ def _per_model_prices(self, models):
 
 @pytest.mark.parametrize("kind", MODEL_NAMES)
 def test_jacobian_equals_the_per_model_reference(kind, heston_surface, monkeypatch):
-    # the Jacobian under test reuses the spectrum of the residual evaluation just
-    # run and prices all models in one exponent call per tenor; the reference
-    # evaluates the base exponent afresh and prices model by model
+    # the Jacobian under test reuses the slices the residual evaluation just run
+    # anchored and prices all models in one exponent call per tenor; the
+    # reference anchors afresh and prices model by model
     points = [default_init(kind, heston_surface)] + list(PARAM_ROWS[kind].values())
     for model in points:
         x = np.asarray(model.flat(), dtype=float)
-        residuals(model, heston_surface)
-        J, penalties = _jacobian(kind, x, heston_surface)
+        held = svjd.calibration._HeldSlices(heston_surface, GridSpec())
+        held.residuals(model)
+        J, penalties = _jacobian(kind, x, heston_surface, held)
+        assert held.n_anchors == len(heston_surface.slices)
         with monkeypatch.context() as patched:
             patched.setattr(FrozenSlice, "prices", _per_model_prices)
-            patched.setattr(svjd.proj, "_SPECTRA", {})
             J_ref, penalties_ref = _jacobian(kind, x, heston_surface)
         assert np.array_equal(J, J_ref) and penalties == penalties_ref, (kind, model)
 
@@ -512,14 +538,16 @@ def _count_nodes(monkeypatch) -> list:
 
 def test_jacobian_after_residuals_prices_only_live_nodes(heston_surface, monkeypatch):
     model = default_init("hkde", heston_surface)
-    nodes = _count_nodes(monkeypatch)
-    residuals(model, heston_surface)
-    assert nodes == [GridSpec().n] * len(heston_surface.slices)
-    nodes.clear()
-    _jacobian("hkde", np.asarray(model.flat(), dtype=float), heston_surface)
-    # one call per tenor, for the base and all nine bumped models, on the live prefix
     live = [FrozenSlice.at(model, sl.ctx, sl.t, sl.strikes, sl.is_calls).xi.size
             for sl in heston_surface.slices]
+    nodes = _count_nodes(monkeypatch)
+    held = svjd.calibration._HeldSlices(heston_surface, GridSpec())
+    held.residuals(model)
+    # each tenor anchors (all N nodes) and prices the model on the live prefix
+    assert nodes == [n for k in live for n in (GridSpec().n, k)]
+    nodes.clear()
+    _jacobian("hkde", np.asarray(model.flat(), dtype=float), heston_surface, held)
+    # one call per tenor, for the base and all nine bumped models, on the live prefix
     assert nodes == live and all(k < GridSpec().n for k in live)
 
 
@@ -534,22 +562,132 @@ def test_slice_pricing_does_not_reuse_the_spectrum(monkeypatch):
 
 
 def test_calibrate_evaluates_each_point_once(heston_surface, monkeypatch):
+    # the start is priced in full once; every other residual vector is on the
+    # held slices, each at a point of its own
     seen = {"residuals": [], "_jacobian": []}
-    originals = {name: getattr(svjd.calibration, name) for name in seen}
+    held_residuals = svjd.calibration._HeldSlices.residuals
+    jacobian = svjd.calibration._jacobian
 
-    def residuals_at(model, *args, **kwargs):
+    def residuals_at(self, model):
         seen["residuals"].append(np.asarray(model.flat(), dtype=float).tobytes())
-        return originals["residuals"](model, *args, **kwargs)
+        return held_residuals(self, model)
 
     def jacobian_at(cls, x, *args):
         seen["_jacobian"].append(x.tobytes())
-        return originals["_jacobian"](cls, x, *args)
+        return jacobian(cls, x, *args)
 
-    monkeypatch.setattr(svjd.calibration, "residuals", residuals_at)
+    monkeypatch.setattr(svjd.calibration._HeldSlices, "residuals", residuals_at)
     monkeypatch.setattr(svjd.calibration, "_jacobian", jacobian_at)
+    start = np.asarray(default_init("heston", heston_surface).flat(), dtype=float).tobytes()
     result = calibrate("heston", heston_surface)
-    assert len(set(seen["residuals"])) == len(seen["residuals"]) == result.n_residuals
+    assert len(set(seen["residuals"])) == len(seen["residuals"]) == result.n_residuals - 1
+    assert start not in seen["residuals"] and seen["_jacobian"][0] == start
     assert len(set(seen["_jacobian"])) == len(seen["_jacobian"]) == result.n_jacobians
+
+
+# ---------------------------------------------------------------------------
+# Held slices and the schedule's noise floor (SPOT-HKDE 5x15 round-trip surface)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def spot_hkde_surface():
+    return synthetic_surface(PARAM_ROWS["hkde"]["SPOT"], 100.0, 0.05, 0.0,
+                             [0.1, 0.25, 0.5, 1.0, 2.0], np.linspace(-0.35, 0.35, 15))
+
+
+def test_held_residuals_match_full_pricing_inside_the_re_anchor_rule(spot_hkde_surface):
+    # perturbations of up to 1e-3 relative, p held at the truth's 1 (below it the
+    # width jumps); the held slices stay anchored at the truth. Measured gap over
+    # 200 such draws: at most 2.3e-12 in residual units (sqrt(w) times price),
+    # 4.7e-11 relative to the price; the bound leaves 40x headroom
+    truth = PARAM_ROWS["hkde"]["SPOT"]
+    x = np.asarray(truth.flat(), dtype=float)
+    held = svjd.calibration._HeldSlices(spot_hkde_surface, GridSpec())
+    held.residuals(truth)
+    rng = np.random.default_rng(16)
+    n_tenors, tested = len(spot_hkde_surface.slices), 0
+    for _ in range(40):
+        factors = 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, x.size)
+        factors[HKDEParams.FIELDS.index("p")] = 1.0
+        model = HKDEParams.from_flat(x * factors)
+        if any(held.moved(i, model) for i in range(n_tenors)):
+            continue
+        gap = np.abs(held.residuals(model) - residuals(model, spot_hkde_surface))
+        assert gap.max() <= 1e-10
+        tested += 1
+    assert held.n_anchors == n_tenors and tested >= 20
+
+
+def test_re_anchor_rule_bounds_the_width_and_the_left_edge(spot_hkde_surface, monkeypatch):
+    truth = PARAM_ROWS["hkde"]["SPOT"]
+    held = svjd.calibration._HeldSlices(spot_hkde_surface, GridSpec())
+    held.residuals(truth)
+    grid = held.slices[0].grid
+    rtol = svjd.calibration.GRID_MOVE_RTOL
+    for fields, moved in [
+            ({"alpha_bar": grid.alpha_bar * (1 + 0.99 * rtol)}, False),
+            ({"alpha_bar": grid.alpha_bar * (1 - 1.01 * rtol)}, True),
+            ({"x1": grid.x1 + 0.99 * rtol * grid.alpha_bar}, False),
+            ({"x1": grid.x1 - 1.01 * rtol * grid.alpha_bar}, True)]:
+        shifted = dataclasses.replace(grid, **fields)
+        monkeypatch.setattr(svjd.calibration, "build_grid", lambda *args: shifted)
+        assert held.moved(0, truth) is moved, fields
+        # a move past the rule re-anchors tenor 0, here on the truth's own grid again
+        anchors = held.n_anchors
+        held.at(0, truth)
+        assert held.n_anchors == anchors + moved and held.slices[0].grid == grid
+
+
+def _pass_events(monkeypatch) -> list:
+    """'r', 'j' per residual vector on the held slices and Jacobian, 'pass' per solver run."""
+    events = []
+    held_residuals = svjd.calibration._HeldSlices.residuals
+    jacobian, solve = svjd.calibration._jacobian, svjd.calibration.least_squares
+
+    def on_held(self, model):
+        events.append("r")
+        return held_residuals(self, model)
+
+    def counted(*args):
+        events.append("j")
+        return jacobian(*args)
+
+    def one_pass(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        events.append("pass")
+        return res
+
+    monkeypatch.setattr(svjd.calibration._HeldSlices, "residuals", on_held)
+    monkeypatch.setattr(svjd.calibration, "_jacobian", counted)
+    monkeypatch.setattr(svjd.calibration, "least_squares", one_pass)
+    return events
+
+
+def test_passes_below_the_noise_floor_are_skipped(spot_hkde_surface, monkeypatch):
+    # the criterion-08 round trip from start 2024: pass 1 reaches the floor, so
+    # passes 2 and 3 evaluate nothing and repeat its cost in the trace
+    truth = PARAM_ROWS["hkde"]["SPOT"]
+    lo, hi = default_bounds("hkde")
+    x = np.clip(np.asarray(truth.flat()) * np.random.default_rng(2024).uniform(0.5, 2.0, 9),
+                lo, hi)
+    events = _pass_events(monkeypatch)
+    result = calibrate("hkde", spot_hkde_surface, init=HKDEParams.from_flat(x))
+    assert events.count("pass") == 1 and events[-1] == "pass"
+    assert result.trace[1] <= 1e-18 * max(1.0, result.trace[0])
+    assert len(result.trace) == 4 and result.trace[2:] == [result.trace[1]] * 2
+    assert result.n_residuals == 1 + events.count("r")
+    assert result.n_jacobians == events.count("j")
+    # the result is fully priced, not read off the held grids
+    assert np.array_equal(result.per_quote_residuals, residuals(result.params, spot_hkde_surface))
+    assert result.objective == objective(result.params, spot_hkde_surface)
+    assert result.rmse == error_metrics(result.params, spot_hkde_surface).rmse < 1e-3
+
+
+def test_a_fit_above_the_noise_floor_runs_every_pass(spot_hkde_surface, monkeypatch):
+    events = _pass_events(monkeypatch)
+    result = calibrate("heston", spot_hkde_surface)
+    assert events.count("pass") == 3 and len(result.trace) == 4
+    assert min(result.trace) > 1e-18 * max(1.0, result.trace[0])
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,8 @@ def test_cmd_calibrate_smoke(tmp_path, spot_heston_file, capsys):
     # first call reusing the trace's vector, and one Jacobian to see g = 0
     assert (doc["metrics"]["n_residuals"], doc["metrics"]["n_jacobians"]) == (1, 1)
     assert doc["metrics"]["n_penalties"] == 0
+    # that Jacobian anchors one held slice per tenor
+    assert doc["metrics"]["n_anchors"] == 3
     calibrate_parser = build_parser()._subparsers._group_actions[0].choices["calibrate"]
     assert tuple(calibrate_parser._option_string_actions["--model"].choices) == MODEL_NAMES
 

@@ -423,6 +423,33 @@ def test_european_kinds_equal_mc_run_reference(ctx, amzn_hkde, antithetic, n_pat
         assert (est.price, est.std_err, est.n_paths) == (ref.price, ref.std_err, ref.n_paths)
 
 
+_M40 = MonitoringSchedule.uniform(1.0, 40)
+_CLIQUET_KW = dict(cap=0.06, floor=0.01, global_cap=0.75 * 40 * 0.06,
+                   global_floor=1.25 * 40 * 0.01)
+# the eight criterion-02 contracts at M = 40
+_M40_SPECS = ([ExoticSpec(kind="barrier_uo", schedule=_M40, strike=k, barrier_up=140.0)
+               for k in (70.0, 100.0, 130.0)]
+              + [ExoticSpec(kind="variance_call", schedule=_M40, strike=k) for k in (0.01, 0.05)]
+              + [ExoticSpec(kind="cliquet", schedule=_M40, strike=k, **_CLIQUET_KW)
+                 for k in (0.5, 1.0, 1.5)])
+
+
+def test_batch_estimates_equal_stacked_payoff_reference(ctx, amzn_hkde, monkeypatch):
+    # the batch writes each discounted payoff into one preallocated matrix; the
+    # reference stacks the list of them; three chunks, on one and two threads
+    monkeypatch.setattr(montecarlo, "_CHUNK", 4096)
+    cfg = SimConfig(n_paths=10_001, seed=202, steps_per_interval=2)
+    disc = math.exp(-ctx.rate * _M40.maturity)
+    reference = mc_run(amzn_hkde, ctx, _M40, cfg,
+                       lambda batch: np.stack([disc * evaluate_payoff(spec, batch)
+                                               for spec in _M40_SPECS]))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SVJD_THREADS", threads)
+        batch = price_exotic_batch(amzn_hkde, ctx, _M40_SPECS, cfg)
+        assert [(e.price, e.std_err, e.n_paths) for e in batch] == \
+            [(r.price, r.std_err, r.n_paths) for r in reference]
+
+
 def test_seed_changes_results(ctx, amzn_hkde):
     sched = MonitoringSchedule.uniform(0.5, 4)
     spec = ExoticSpec(kind="asian_call", schedule=sched, strike=100.0)
