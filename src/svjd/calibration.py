@@ -376,11 +376,11 @@ def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
     Steps follow SciPy's 2-point rule, FD_STEP sign(x) max(1, |x|), flipped
     where they would leave the bounds. Each tenor prices the base and every
-    bumped model on its held slice, re-anchored at x if x's grid moved, in one
-    exponent call. A bumped model whose grid moves past the held one is
-    differenced through full slice pricings instead. A tenor whose base cannot
-    be priced gets zero rows, and non-finite entries are zeroed; each counts as
-    a penalty.
+    bumped model on its held slice, re-anchored at x if x's grid moved, with
+    one exponent call per model and one matmul for all of them. A bumped model
+    whose grid moves past the held one is differenced through full slice
+    pricings instead. A tenor whose base cannot be priced gets zero rows, and
+    non-finite entries are zeroed; each counts as a penalty.
     """
     step = FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     step = np.where((x + step < lo) | (x + step > hi), -step, step)

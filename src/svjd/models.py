@@ -22,16 +22,12 @@ HKDE and Bates are one composite: the Heston leg ``heston`` plus a jump leg
 ``omega()`` and ``interval_total(rng, n, tau)``. BGM carries ``increment``.
 
 ``MODELS`` maps each name to its class; everything else dispatches through it.
-
-A parameter class built from (m, 1) column fields (``from_flat`` of an array
-of shape (fields, m, 1)) is m models at once: its checks hold on every row,
-and ``exponent`` and ``omega`` broadcast over the rows, each row bit for bit
-the scalar model's. ``FrozenSlice.prices`` prices a Jacobian's models that way.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Union
 
 import numpy as np
@@ -47,27 +43,12 @@ __all__ = [
 # Parameter containers
 # ---------------------------------------------------------------------------
 
-def _fails(check) -> bool:
-    """A check that fails on a scalar field, or on any row of a column field."""
-    return check.any() if isinstance(check, np.ndarray) else check
-
-
-def _math(fn, value, *args):
-    """A math-module function of a scalar field, or of each row of a column field.
-
-    Keeps math's bits: NumPy's vectorised expm1, log and power round differently.
-    """
-    if isinstance(value, np.ndarray):
-        return np.array([fn(v, *args) for v in value.ravel()]).reshape(value.shape)
-    return fn(value, *args)
-
-
 def _require_finite(params, names) -> None:
+    """Each field must be a finite real scalar; a bool, str, None or array is not."""
     for name in names:
-        field = getattr(params, name)
-        for value in field.ravel() if isinstance(field, np.ndarray) else (field,):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite; got {value}")
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be finite; got {value}")
 
 
 class _FlatFields:
@@ -95,9 +76,9 @@ class HestonParams(_FlatFields):
 
     def __post_init__(self):
         _require_finite(self, self.FIELDS)
-        if _fails((self.v0 <= 0) | (self.theta <= 0) | (self.kappa <= 0) | (self.sigma_v <= 0)):
+        if self.v0 <= 0 or self.theta <= 0 or self.kappa <= 0 or self.sigma_v <= 0:
             raise ValueError("v0, theta, kappa, sigma_v must be positive")
-        if _fails((self.rho < -1.0) | (self.rho > 1.0)):
+        if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
 
     def exponent(self, ctx: MarketContext, xi, t: float):
@@ -137,14 +118,14 @@ class KouJumpParams(_FlatFields):
 
     def __post_init__(self):
         _require_finite(self, self.FIELDS)
-        if _fails(self.lam < 0):
+        if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if _fails((self.p < 0.0) | (self.p > 1.0)):
+        if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if _fails(self.eta1 <= 1.0):
+        if self.eta1 <= 1.0:
             # eta1 > 1 keeps E[exp(J)] finite, so the drift compensator exists
             raise ValueError("eta1 must exceed 1")
-        if _fails(self.eta2 <= 0):
+        if self.eta2 <= 0:
             raise ValueError("eta2 must be positive")
 
     def exponent(self, xi, t: float):
@@ -205,9 +186,9 @@ class NormalJumpParams(_FlatFields):
 
     def __post_init__(self):
         _require_finite(self, self.FIELDS)
-        if _fails(self.lam < 0):
+        if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if _fails(self.sigma_j <= 0):
+        if self.sigma_j <= 0:
             raise ValueError("sigma_j must be positive")
 
     def exponent(self, xi, t: float):
@@ -220,7 +201,7 @@ class NormalJumpParams(_FlatFields):
         return 1.0 / (abs(self.mu_j) + self.sigma_j) if self.lam > 0 else math.inf
 
     def omega(self) -> float:
-        return -self.lam * _math(math.expm1, self.mu_j + 0.5 * self.sigma_j * self.sigma_j)
+        return -self.lam * math.expm1(self.mu_j + 0.5 * self.sigma_j * self.sigma_j)
 
     def interval_total(self, rng: np.random.Generator, n: int, tau: float) -> np.ndarray:
         """Sum of a Poisson(lam tau) number of jumps per path: one normal given the count."""
@@ -278,17 +259,16 @@ class BGMParams(_FlatFields):
 
     def __post_init__(self):
         _require_finite(self, self.FIELDS)
-        if _fails((self.alpha_p <= 0) | (self.lam_p <= 0) | (self.alpha_m <= 0)
-                  | (self.lam_m <= 0) | (self.sigma <= 0)):
+        if min(self.alpha_p, self.lam_p, self.alpha_m, self.lam_m, self.sigma) <= 0:
             raise ValueError("all BGM parameters must be positive")
-        if _fails(self.lam_p <= 1.0):
+        if self.lam_p <= 1.0:
             # lam_p > 1 keeps E[exp(X)] finite for the martingale drift
             raise ValueError("lam_p must exceed 1")
 
     def exponent(self, ctx: MarketContext, xi, t: float):
         xi = np.asarray(xi, dtype=complex)
         ix = 1j * xi
-        psi = (-0.5 * _math(math.pow, self.sigma, 2) * xi * xi
+        psi = (-0.5 * math.pow(self.sigma, 2) * xi * xi
                + self.alpha_p * (np.log(self.lam_p) - np.log(self.lam_p - ix))
                + self.alpha_m * (np.log(self.lam_m) - np.log(self.lam_m + ix))
                + ix * self.omega())
@@ -304,9 +284,9 @@ class BGMParams(_FlatFields):
                 - rng.gamma(self.alpha_m * dt, 1.0 / self.lam_m, size=x.size))
 
     def omega(self) -> float:
-        return (-0.5 * _math(math.pow, self.sigma, 2)
-                - self.alpha_p * _math(math.log, self.lam_p / (self.lam_p - 1.0))
-                - self.alpha_m * _math(math.log, self.lam_m / (self.lam_m + 1.0)))
+        return (-0.5 * math.pow(self.sigma, 2)
+                - self.alpha_p * math.log(self.lam_p / (self.lam_p - 1.0))
+                - self.alpha_m * math.log(self.lam_m / (self.lam_m + 1.0)))
 
 
 ModelParams = Union[HKDEParams, HestonParams, BatesParams, BGMParams]

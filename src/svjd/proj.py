@@ -283,12 +283,12 @@ class FrozenSlice:
     def prices(self, models: Sequence[ModelParams]) -> np.ndarray:
         """Prices (models x strikes) of each model's density projected on the frozen grid.
 
-        The models, all of one class, are stacked into one whose fields are
-        columns, so a single exponent call covers them all.
+        Each model's exponent is evaluated once on the live nodes, giving one row
+        of h = phi D; the rows are priced together by one matmul.
         """
-        stacked = type(models[0]).from_flat(np.array([m.flat() for m in models]).T[..., None])
-        psi = char_exponent(stacked, self.ctx, self.xi, self.t)
-        h = np.exp(psi - 1j * self.xi * math.log(self.ctx.spot)) * self.weight   # phi D
+        shift = 1j * self.xi * math.log(self.ctx.spot)
+        h = np.array([np.exp(char_exponent(m, self.ctx, self.xi, self.t) - shift)
+                      for m in models]) * self.weight
         return np.real(h @ self.gain) + self.offset
 
 

@@ -26,6 +26,9 @@ from svjd.proj import (
 
 from conftest import ALL_ROWS, PARAM_ROWS, degenerate_hkde
 
+# an overflow, a divide by zero or an invalid value is a failure, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # ---------------------------------------------------------------------------
 # Grid rule
