@@ -2,11 +2,11 @@
 
 The objective is sum over maturities and strikes of w (V_model - v_mkt)^2 with
 w = 1/(S0 pdf(d1) sqrt(T)) evaluated at each quote's market implied volatility,
-which makes price residuals behave like implied-volatility residuals. A
-trust-region-reflective solver is run through a schedule of tightening cost
-tolerances, warm-starting each pass at the previous solution. Trial points and
-the forward-difference Jacobian are priced on one grid per tenor held across
-the fit (`FrozenSlice`), and only the start and the result by full pricings.
+which makes price residuals behave like implied-volatility residuals. One
+trust-region-reflective solver pass fits it, stopping on the relative change of
+the cost (ftol = 1e-8). Trial points and the forward-difference Jacobian are
+priced on one grid per tenor held across the fit (`FrozenSlice`), and only the
+start and the result by full pricings.
 """
 from __future__ import annotations
 
@@ -31,10 +31,8 @@ _log = logging.getLogger(__name__)
 
 PRICING_PENALTY = 1e10          # objective value substituted when pricing fails
 PRICING_ERRORS = (ValueError, FloatingPointError, OverflowError)
-DEFAULT_SCHEDULE = (1e-4, 1e-6, 1e-8)
 FD_STEP = 1e-6                  # forward-difference step relative to max(1, |x|)
 GRID_MOVE_RTOL = 1e-3           # a grid move past this from the held grid re-anchors it
-NOISE_FLOOR = 1e-18             # of max(1, start cost): a later pass starting below it is skipped
 
 
 @dataclass
@@ -131,7 +129,9 @@ class CalibrationResult:
     trial point's), Jacobians built, held grids anchored, and penalty
     substitutions (residual vectors that fell back to the penalty in whole or
     part, tenors whose Jacobian rows were zeroed because the slice could not
-    be priced, and Jacobian columns whose non-finite entries were zeroed)."""
+    be priced, and Jacobian columns whose non-finite entries were zeroed).
+    `trace` is the start's cost and the solver's final cost; `stagnated` is
+    whether the solver stopped at its evaluation limit."""
     params: ModelParams
     objective: float
     per_quote_residuals: np.ndarray
@@ -225,24 +225,18 @@ def default_init(model_kind: str, surface: QuoteSurface) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams] = None,
-              schedule: Sequence[float] = DEFAULT_SCHEDULE,
               grid_spec: GridSpec = GridSpec()) -> CalibrationResult:
-    """Least squares within default_bounds, run once per tolerance, warm-started.
+    """Least squares within default_bounds, one solver pass.
 
-    Each pass terminates on the relative change of the cost function (ftol); a
-    later pass starting at most NOISE_FLOOR max(1, start cost) is skipped and
-    repeats that cost in the trace. Trial points and `_jacobian` are priced on
-    `_HeldSlices`; the start (the trace's first entry and the solver's first
-    residual vector) and the result (objective, residuals, IV errors) are each
-    priced once by full slice pricings. Residual vectors, and the latest
-    Jacobian, are remembered by the bytes of their point, so warm starts and
-    repeated trial points reuse them; the counts are of real evaluations.
+    The pass stops on the relative change of the cost (ftol = 1e-8). Trial
+    points and `_jacobian` are priced on `_HeldSlices`; the start (the trace's
+    first entry and the solver's first residual vector) and the result
+    (objective, residuals, IV errors) are each priced once by full slice
+    pricings. Residual vectors are remembered by the bytes of their point, so a
+    repeated trial point reuses its vector; the counts are of real evaluations.
     """
     cls = _model_class(model_kind)
     lo, hi = default_bounds(model_kind)
-    for tol in schedule:
-        if not 0 < tol < math.inf:
-            raise ValueError(f"schedule entries must be finite positive numbers; got {tol!r}")
     if init is None:
         init = default_init(model_kind, surface)
     elif init.NAME != model_kind:
@@ -277,33 +271,26 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
         return J
 
     r = residual_vector(x0, lambda model: residuals(model, surface, grid_spec))
-    # trial points can repeat (a step that rounds to nothing, a later pass
-    # retracing an earlier one); Jacobians are taken only at accepted points,
-    # which repeat only where a warm start begins at the previous pass's end
-    fun = _remembered(residual_vector, keep_all=True, values={x0.tobytes(): r})
-    jac = _remembered(jacobian, keep_all=False)
-
-    x = x0
+    # the solver's first call is at the start, and trial points can repeat (a
+    # step that rounds to nothing)
+    values = {x0.tobytes(): r}
     trace = [float(r @ r)]
-    floor = NOISE_FLOOR * max(1.0, trace[0])
-    stagnated = False
-    for tol in schedule:
-        # the first pass always runs: at an exact optimum it is one Jacobian to see g = 0
-        if len(trace) > 1 and trace[-1] <= floor:
-            trace.append(trace[-1])
-            continue
-        # ftol (relative cost change) is the operative criterion; the tiny gtol
-        # only catches exactly stationary starts where ftol can never fire.
-        # errstate silences scipy's internal divide-by-zero chatter at zero cost.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = least_squares(fun, x, jac=jac, bounds=(lo, hi), method="trf",
-                                ftol=tol, xtol=None, gtol=1e-14)
-        x = res.x
-        trace.append(2.0 * float(res.cost))   # scipy cost is half the SSE
-        if res.status == 0:
-            stagnated = True
 
-    final = cls.from_flat(x)
+    def fun(x):
+        key = x.tobytes()
+        if key not in values:
+            values[key] = residual_vector(x)
+        return values[key].copy()
+
+    # ftol (relative cost change) is the operative criterion; the tiny gtol
+    # only catches exactly stationary starts where ftol can never fire.
+    # errstate silences scipy's internal divide-by-zero chatter at zero cost.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = least_squares(fun, x0, jac=jacobian, bounds=(lo, hi), method="trf",
+                            ftol=1e-8, xtol=None, gtol=1e-14)
+    trace.append(2.0 * float(res.cost))   # scipy cost is half the SSE
+
+    final = cls.from_flat(res.x)
     prices = _model_prices(final, surface, grid_spec)
     r = _weighted(surface, prices)
     metrics = _iv_errors(surface, prices)
@@ -311,26 +298,8 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
                              per_quote_residuals=r, mape_pct=metrics.mape_pct,
                              rmse=metrics.rmse, n_residuals=counts["residuals"],
                              n_jacobians=counts["jacobians"], n_penalties=counts["penalties"],
-                             n_anchors=held.n_anchors, trace=trace, stagnated=stagnated)
-
-
-def _remembered(evaluate, keep_all: bool, values: Optional[dict] = None):
-    """evaluate(x), or a copy of its value at an earlier x of the same bytes (or
-    in `values`, keyed so): at any earlier x if keep_all, else at the latest.
-
-    The copy keeps the value's memory order: the Jacobian is Fortran-ordered,
-    and SciPy's solver steps differ in the last bits on a C-ordered copy.
-    """
-    values = {} if values is None else values
-
-    def call(x):
-        key = x.tobytes()
-        if key not in values:
-            if not keep_all:
-                values.clear()
-            values[key] = evaluate(x)
-        return values[key].copy(order="K")
-    return call
+                             n_anchors=held.n_anchors, trace=trace,
+                             stagnated=res.status == 0)
 
 
 class _HeldSlices:

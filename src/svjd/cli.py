@@ -198,20 +198,13 @@ def _bump_model(model: ModelParams, bump: str) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    try:
-        schedule = tuple(float(s) for s in args.tol_schedule.split(","))
-        if not all(0 < s < math.inf for s in schedule):
-            raise ValueError(args.tol_schedule)
-    except ValueError:
-        raise ValueError("--tol-schedule must be comma-separated positive numbers") from None
     surface = load_quotes(args.quotes)
     init = _load_params(args.init) if args.init else None
     spec = GridSpec(n=args.n, l1=args.l1)
-    result = calibrate(args.model, surface, init=init, schedule=schedule, grid_spec=spec)
+    result = calibrate(args.model, surface, init=init, grid_spec=spec)
     out = {
         "inputs": {"command": "calibrate", "model": args.model, "quotes": args.quotes,
-                   "tol_schedule": list(schedule), "n": args.n, "l1": args.l1,
-                   "init": args.init},
+                   "n": args.n, "l1": args.l1, "init": args.init},
         "params": model_to_dict(result.params),
         "metrics": {"objective": result.objective, "mape_pct": result.mape_pct,
                     "rmse": result.rmse, "n_residuals": result.n_residuals,
@@ -372,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
     p.add_argument("--quotes", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol-schedule", default="1e-4,1e-6,1e-8")
     p.add_argument("--init", default=None, help="optional params JSON used as initial guess")
     _add_grid_flags(p)
     p.set_defaults(func=cmd_calibrate)

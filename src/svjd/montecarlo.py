@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from svjd.models import MarketContext, ModelParams
+from svjd.models import MarketContext, ModelParams, _require_finite
 
 __all__ = ["SimConfig", "MonitoringSchedule", "PathBatch", "ExoticSpec", "McEstimate",
            "simulate_paths", "price_exotic", "price_exotic_batch", "evaluate_payoff", "mc_run"]
@@ -30,6 +30,7 @@ _ROWS = 1 << 12           # paths per row block of the payoff statistics (~1.3 M
 
 EXOTIC_KINDS = ("european_call", "european_put", "asian_call", "asian_put", "variance_swap",
                 "variance_call", "cliquet", "barrier_uo", "barrier_do", "barrier_double")
+_TERMS = ("cap", "floor", "global_cap", "global_floor", "barrier_up", "barrier_down")
 
 
 def _require_count(name: str, value, least: int) -> None:
@@ -139,6 +140,11 @@ class ExoticSpec:
     def __post_init__(self):
         if self.kind not in EXOTIC_KINDS:
             raise ValueError(f"unknown payoff kind '{self.kind}'")
+        # nan terms would price as nan or 0 and a negative barrier fail in log
+        _require_finite(self, ["strike"] + [f for f in _TERMS if getattr(self, f) is not None])
+        for name in ("barrier_up", "barrier_down"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive; got {getattr(self, name)}")
         if self.kind not in ("variance_swap", "variance_call", "cliquet") and self.strike <= 0:
             raise ValueError(f"{self.kind} needs a positive strike")
         # a European is discounted over the maturity, so it must pay there; t*m/m can miss t

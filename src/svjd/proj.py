@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +39,9 @@ class GridSpec:
     l1: float = 12.0
 
     def __post_init__(self):
-        if self.n < 16 or self.n & (self.n - 1):
-            raise ValueError("n must be a power of two, at least 16")
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral) \
+                or self.n < 16 or self.n & (self.n - 1):
+            raise ValueError(f"n must be a power of two, at least 16; got {self.n!r}")
         if not 0 < self.l1 < math.inf:   # a nan l1 would price on the 0.5 floor width
             raise ValueError(f"l1 must be finite and positive; got {self.l1}")
 

@@ -231,7 +231,7 @@ def test_surface_build_fills_slices_in_array_form():
 
 def test_calibrate_from_truth_converges_immediately(heston_surface):
     truth = PARAM_ROWS["heston"]["SPOT"]
-    result = calibrate("heston", heston_surface, init=truth, schedule=[1e-4])
+    result = calibrate("heston", heston_surface, init=truth)
     assert result.objective < 1e-14
     assert result.rmse < 1e-6
     assert not result.stagnated
@@ -244,10 +244,10 @@ def test_calibrate_heston_round_trip_small(heston_surface):
     init = HestonParams(truth.v0 * factors[0], truth.theta * factors[1],
                         truth.kappa * factors[2], truth.sigma_v * factors[3],
                         max(-0.95, min(truth.rho * factors[4], 0.95)))
-    result = calibrate("heston", heston_surface, init=init, schedule=[1e-4, 1e-6])
+    result = calibrate("heston", heston_surface, init=init)
     assert result.rmse < 1e-3
     assert result.mape_pct < 0.5
-    # trace of outer passes never increases (up to squared-residual noise floor)
+    # the trace (start, end) never increases (up to squared-residual noise)
     floor = 1e-18 * max(1.0, result.trace[0])
     assert all(b <= a * (1 + 1e-12) + floor for a, b in zip(result.trace, result.trace[1:]))
     # final parameters respect bounds exactly
@@ -267,28 +267,6 @@ def test_default_init_within_bounds(heston_surface):
         x = np.asarray(default_init(kind, heston_surface).flat())
         assert np.all(x >= lo) and np.all(x <= hi)
         assert list(model_to_dict(cls.from_flat(x))["params"]) == list(cls.FIELDS)
-
-
-def test_calibrate_prices_surface_once_without_passes(heston_surface, monkeypatch):
-    calls = []
-    original = svjd.calibration.residuals
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(svjd.calibration, "residuals", counted)
-    truth = PARAM_ROWS["heston"]["SPOT"]
-    result = calibrate("heston", heston_surface, init=truth, schedule=())
-    assert len(calls) == 1
-    assert result.trace == [result.objective]
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-def test_calibrate_rejects_nonpositive_or_nan_schedule_entry(heston_surface, tol):
-    truth = PARAM_ROWS["heston"]["SPOT"]
-    with pytest.raises(ValueError, match=f"finite positive numbers; got {tol!r}"):
-        calibrate("heston", heston_surface, init=truth, schedule=(1e-4, tol))
 
 
 def test_calibrate_rejects_unknown_kind(heston_surface):
@@ -459,7 +437,7 @@ def test_calibrate_counts_residuals_and_jacobians(heston_surface, monkeypatch):
 
     monkeypatch.setattr(svjd.calibration._HeldSlices, "residuals", on_held)
     monkeypatch.setattr(svjd.calibration, "_jacobian", counted)
-    result = calibrate("heston", heston_surface, schedule=[1e-4, 1e-6])
+    result = calibrate("heston", heston_surface)
     assert (result.n_residuals, result.n_jacobians) == (1 + calls["residuals"],
                                                         calls["jacobians"])
     assert result.n_jacobians >= 2 and result.n_penalties == 0
@@ -475,13 +453,13 @@ def test_n_anchors_counts_frozen_slice_builds(heston_surface, monkeypatch):
         return frozen
 
     monkeypatch.setattr(FrozenSlice, "at", classmethod(counted))
-    result = calibrate("heston", heston_surface, schedule=[1e-4, 1e-6])
+    result = calibrate("heston", heston_surface)
     assert result.n_anchors == len(builds) >= len(heston_surface.slices)
 
 
 def test_jacobian_reaches_scipy_fortran_ordered(heston_surface, monkeypatch):
     # SciPy's steps depend on J's memory order, so the layout is part of the fit:
-    # _jacobian returns Fortran order, and calibrate's memo hands out the same
+    # _jacobian returns Fortran order, and calibrate hands it to SciPy as it is
     x = np.asarray(default_init("heston", heston_surface).flat(), dtype=float)
     J, _ = _jacobian("heston", x, heston_surface)
     assert J.flags.f_contiguous and not J.flags.c_contiguous
@@ -493,11 +471,10 @@ def test_jacobian_reaches_scipy_fortran_ordered(heston_surface, monkeypatch):
             value = jac(x)
             layouts.append((value.flags.f_contiguous, value.flags.c_contiguous))
             return value
-        seen(x0)      # a repeated point: the memo's copy
         return solve(fun, x0, jac=seen, **kwargs)
 
     monkeypatch.setattr(svjd.calibration, "least_squares", spy)
-    calibrate("heston", heston_surface, schedule=[1e-4, 1e-6])
+    calibrate("heston", heston_surface)
     assert len(layouts) >= 4 and set(layouts) == {(True, False)}
 
 
@@ -579,7 +556,7 @@ def test_calibrate_evaluates_each_point_once(heston_surface, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Held slices and the schedule's noise floor (SPOT-HKDE 5x15 round-trip surface)
+# Held slices and the one-pass driver (SPOT-HKDE 5x15 round-trip surface)
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -656,9 +633,8 @@ def _pass_events(monkeypatch) -> list:
     return events
 
 
-def test_passes_below_the_noise_floor_are_skipped(spot_hkde_surface, monkeypatch):
-    # the criterion-08 round trip from start 2024: pass 1 reaches the floor, so
-    # passes 2 and 3 evaluate nothing and repeat its cost in the trace
+def test_the_hkde_round_trip_runs_one_solver_pass(spot_hkde_surface, monkeypatch):
+    # the criterion-08 round trip from start 2024
     truth = PARAM_ROWS["hkde"]["SPOT"]
     lo, hi = default_bounds("hkde")
     x = np.clip(np.asarray(truth.flat()) * np.random.default_rng(2024).uniform(0.5, 2.0, 9),
@@ -666,8 +642,7 @@ def test_passes_below_the_noise_floor_are_skipped(spot_hkde_surface, monkeypatch
     events = _pass_events(monkeypatch)
     result = calibrate("hkde", spot_hkde_surface, init=HKDEParams.from_flat(x))
     assert events.count("pass") == 1 and events[-1] == "pass"
-    assert result.trace[1] <= 1e-18 * max(1.0, result.trace[0])
-    assert len(result.trace) == 4 and result.trace[2:] == [result.trace[1]] * 2
+    assert len(result.trace) == 2 and result.trace[1] <= 1e-18 * max(1.0, result.trace[0])
     assert result.n_residuals == 1 + events.count("r")
     assert result.n_jacobians == events.count("j")
     # the result is fully priced, not read off the held grids
@@ -676,11 +651,16 @@ def test_passes_below_the_noise_floor_are_skipped(spot_hkde_surface, monkeypatch
     assert result.rmse == error_metrics(result.params, spot_hkde_surface).rmse < 1e-3
 
 
-def test_a_fit_above_the_noise_floor_runs_every_pass(spot_hkde_surface, monkeypatch):
+def test_a_misspecified_fit_runs_one_solver_pass(spot_hkde_surface, monkeypatch):
+    # Heston cannot fit the HKDE smile, so the fit ends well above zero
     events = _pass_events(monkeypatch)
     result = calibrate("heston", spot_hkde_surface)
-    assert events.count("pass") == 3 and len(result.trace) == 4
-    assert min(result.trace) > 1e-18 * max(1.0, result.trace[0])
+    assert events.count("pass") == 1 and len(result.trace) == 2
+    assert 1e-6 * result.trace[0] < result.trace[1] < result.trace[0]
+    assert not result.stagnated
+    # the result is fully priced, not read off the held grids
+    assert np.array_equal(result.per_quote_residuals, residuals(result.params, spot_hkde_surface))
+    assert result.objective == objective(result.params, spot_hkde_surface)
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def test_cmd_calibrate_smoke(tmp_path, spot_heston_file, capsys):
           "--out", str(quotes)])
     out = tmp_path / "fit.json"
     rc = main(["calibrate", "--model", "heston", "--quotes", str(quotes),
-               "--out", str(out), "--init", spot_heston_file, "--tol-schedule", "1e-4"])
+               "--out", str(out), "--init", spot_heston_file])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["inputs"]["command"] == "calibrate"
@@ -289,15 +289,12 @@ def test_cli_smile_names_bad_flag(tmp_path, shop_hkde_file, capsys, flag, value,
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
-@pytest.mark.parametrize("schedule", ["1e-4,abc", "0", "-1e-4", "1e-4,nan", "1e-4,inf", "",
-                                      "1e-4,"])
-def test_cli_calibrate_names_bad_tol_schedule(tmp_path, capsys, schedule):
-    # the quote file does not exist: the schedule must be rejected before it is read
+def test_cli_calibrate_has_no_tol_schedule(tmp_path, capsys):
+    # one solver pass per fit: the old flag is a usage error, before any file is read
     rc = main(["calibrate", "--model", "heston", "--quotes", str(tmp_path / "missing.csv"),
-               "--out", str(tmp_path / "fit.json"), f"--tol-schedule={schedule}"])
+               "--out", str(tmp_path / "fit.json"), "--tol-schedule", "1e-4"])
     assert rc == 2
-    assert capsys.readouterr().err.strip() == \
-        "error: --tol-schedule must be comma-separated positive numbers"
+    assert capsys.readouterr().err == "error: unrecognized arguments: --tol-schedule 1e-4\n"
 
 
 @pytest.mark.parametrize("grid", ["0.25x-0.2:0.2:0", "0.25x0.2:-0.2:0.1", "0.25x-0.2:0.2",

@@ -90,6 +90,34 @@ def test_exotic_spec_validation():
         ExoticSpec(kind="barrier_uo", schedule=sched, strike=100.0)
 
 
+@pytest.mark.parametrize("kind, terms, message", [
+    ("european_call", dict(strike=math.nan), "strike must be finite; got nan"),
+    ("european_put", dict(strike=True), "strike must be finite; got True"),
+    ("asian_call", dict(strike=math.inf), "strike must be finite; got inf"),
+    ("variance_call", dict(strike=-math.inf), "strike must be finite; got -inf"),
+    ("barrier_uo", dict(strike=100.0, barrier_up=math.nan), "barrier_up must be finite; got nan"),
+    ("barrier_do", dict(strike=100.0, barrier_down=math.inf),
+     "barrier_down must be finite; got inf"),
+    ("barrier_do", dict(strike=100.0, barrier_down=-5.0),
+     "barrier_down must be positive; got -5.0"),
+    ("barrier_double", dict(strike=100.0, barrier_up=0.0, barrier_down=80.0),
+     "barrier_up must be positive; got 0.0"),
+    ("cliquet", dict(strike=1.0, cap=math.nan, floor=0.0, global_cap=1.0, global_floor=0.0),
+     "cap must be finite; got nan"),
+    ("cliquet", dict(strike=1.0, cap=0.06, floor=-math.inf, global_cap=1.0, global_floor=0.0),
+     "floor must be finite; got -inf"),
+    ("cliquet", dict(strike=1.0, cap=0.06, floor=0.0, global_cap=math.inf, global_floor=0.0),
+     "global_cap must be finite; got inf"),
+    ("cliquet", dict(strike=1.0, cap=0.06, floor=0.0, global_cap=1.0, global_floor=False),
+     "global_floor must be finite; got False"),
+])
+def test_exotic_spec_rejects_bad_terms_by_name(kind, terms, message):
+    # unchecked, these priced as nan, as 0 or failed with a bare math domain error
+    with pytest.raises(ValueError) as info:
+        ExoticSpec(kind=kind, schedule=MonitoringSchedule.uniform(1.0, 4), **terms)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("kind", ["european_call", "european_put"])
 @pytest.mark.parametrize("strike", [0.0, -100.0])
 def test_european_spec_needs_positive_strike(kind, strike):

@@ -91,6 +91,7 @@ def test_grid_invariants(ctx, amzn_hkde):
 
 
 def test_grid_spec_validation():
+    assert GridSpec(np.int64(4096)).n == 4096
     with pytest.raises(ValueError):
         GridSpec(n=1000)    # not a power of two
     with pytest.raises(ValueError):
@@ -101,6 +102,14 @@ def test_grid_spec_validation():
     for bad in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match=f"^l1 must be finite and positive; got {bad}$"):
             GridSpec(l1=bad)
+
+
+@pytest.mark.parametrize("n", [4096.0, "4096", True, None, 1000, 8])
+def test_grid_spec_names_a_bad_n(n):
+    # a float or str n once failed with a bare TypeError from & or <
+    with pytest.raises(ValueError) as info:
+        GridSpec(n)
+    assert str(info.value) == f"n must be a power of two, at least 16; got {n!r}"
 
 
 # ---------------------------------------------------------------------------
