@@ -7,6 +7,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+# Imported with the module on purpose, unlike calibration's optimizer: deferring
+# it saves start-up, but then glibc trims the heap slack this import happens to
+# leave, and strike-slice pricing re-faults its NumPy temporaries on every call
+# (on a 2-core x86_64 host, a 64-command CLI smile pass took 39k minor page
+# faults instead of 0-2, and 16% longer).
 from scipy.special import ndtr
 
 from svjd.models import MarketContext

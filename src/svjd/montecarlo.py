@@ -83,8 +83,7 @@ class MonitoringSchedule:
     def uniform(cls, maturity: float, m: int, spacing: str = "span") -> "MonitoringSchedule":
         """m monitoring intervals; spacing "span" puts t_m = maturity (step T/m),
         "m_plus_1" uses step T/(m+1) so the last date falls short of maturity."""
-        if m < 1:
-            raise ValueError("m must be at least 1")
+        _require_count("m", m, 1)
         if spacing == "span":
             dates = tuple(maturity * k / m for k in range(m + 1))
         elif spacing == "m_plus_1":
@@ -140,6 +139,9 @@ class ExoticSpec:
     def __post_init__(self):
         if self.kind not in EXOTIC_KINDS:
             raise ValueError(f"unknown payoff kind '{self.kind}'")
+        # the payoff tests its truth, so "no" would price the call
+        if not isinstance(self.is_call, (bool, np.bool_)):
+            raise ValueError(f"is_call must be a bool; got {self.is_call!r}")
         # nan terms would price as nan or 0 and a negative barrier fail in log
         _require_finite(self, ["strike"] + [f for f in _TERMS if getattr(self, f) is not None])
         for name in ("barrier_up", "barrier_down"):

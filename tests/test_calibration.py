@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from svjd.black_scholes import Quote, bs_price, bs_vega, implied_vol
 from svjd.calibration import (
@@ -460,11 +461,12 @@ def test_n_anchors_counts_frozen_slice_builds(heston_surface, monkeypatch):
 def test_jacobian_reaches_scipy_fortran_ordered(heston_surface, monkeypatch):
     # SciPy's steps depend on J's memory order, so the layout is part of the fit:
     # _jacobian returns Fortran order, and calibrate hands it to SciPy as it is
+    # (calibrate imports the solver per fit, so the spy sits on scipy.optimize)
     x = np.asarray(default_init("heston", heston_surface).flat(), dtype=float)
     J, _ = _jacobian("heston", x, heston_surface)
     assert J.flags.f_contiguous and not J.flags.c_contiguous
     layouts = []
-    solve = svjd.calibration.least_squares
+    solve = scipy.optimize.least_squares
 
     def spy(fun, x0, jac, **kwargs):
         def seen(x):
@@ -473,7 +475,7 @@ def test_jacobian_reaches_scipy_fortran_ordered(heston_surface, monkeypatch):
             return value
         return solve(fun, x0, jac=seen, **kwargs)
 
-    monkeypatch.setattr(svjd.calibration, "least_squares", spy)
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
     calibrate("heston", heston_surface)
     assert len(layouts) >= 4 and set(layouts) == {(True, False)}
 
@@ -612,7 +614,7 @@ def _pass_events(monkeypatch) -> list:
     """'r', 'j' per residual vector on the held slices and Jacobian, 'pass' per solver run."""
     events = []
     held_residuals = svjd.calibration._HeldSlices.residuals
-    jacobian, solve = svjd.calibration._jacobian, svjd.calibration.least_squares
+    jacobian, solve = svjd.calibration._jacobian, scipy.optimize.least_squares
 
     def on_held(self, model):
         events.append("r")
@@ -629,7 +631,7 @@ def _pass_events(monkeypatch) -> list:
 
     monkeypatch.setattr(svjd.calibration._HeldSlices, "residuals", on_held)
     monkeypatch.setattr(svjd.calibration, "_jacobian", counted)
-    monkeypatch.setattr(svjd.calibration, "least_squares", one_pass)
+    monkeypatch.setattr(scipy.optimize, "least_squares", one_pass)
     return events
 
 

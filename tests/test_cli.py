@@ -471,3 +471,35 @@ def test_main_builds_the_parser_once(tmp_path, shop_hkde_file, monkeypatch, caps
 def test_importing_the_cli_builds_no_parser():
     code = "import svjd.cli as cli; assert cli._parser is None"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+_PRICING_COMMANDS_LOAD_NO_OPTIMIZER = """
+import sys
+import svjd, svjd.cli
+params, contract, barrier, out = sys.argv[1:5]
+for argv in (["price", "--params", params, "--contract", contract],
+             ["mc-compare", "--params", params, "--contract", barrier, "--paths", "2000",
+              "--out", out + "/cmp.csv"],
+             ["smile", "--params", params, "--maturity", "0.5", "--strikes", "80:120:5",
+              "--out", out + "/smile.csv"],
+             ["synth", "--params", params, "--grid", "0.25,1x-0.2:0.2:0.1",
+              "--out", out + "/synth.csv"]):
+    assert svjd.cli.main(argv) == 0, argv
+assert "scipy.optimize" not in sys.modules
+assert "scipy.special" in sys.modules     # black_scholes keeps its import on purpose
+assert svjd.cli.main(["calibrate", "--model", "heston", "--quotes", out + "/synth.csv",
+                      "--init", params, "--out", out + "/fit.json"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_calibrate_loads_the_optimizer(tmp_path, spot_heston_file):
+    contract = tmp_path / "euro.json"
+    contract.write_text(json.dumps({"kind": "european_call", "strike": 110, "maturity": 0.5,
+                                    "spot": 100, "rate": 0.05}))
+    barrier = tmp_path / "uo.json"
+    barrier.write_text(json.dumps({"kind": "barrier_uo", "strike": 100, "barrier_up": 140,
+                                   "maturity": 0.5, "monitoring": 4, "spot": 100, "rate": 0.05}))
+    subprocess.run([sys.executable, "-c", _PRICING_COMMANDS_LOAD_NO_OPTIMIZER, spot_heston_file,
+                    str(contract), str(barrier), str(tmp_path)], check=True, timeout=120,
+                   stdout=subprocess.DEVNULL)

@@ -62,6 +62,18 @@ def test_schedule_validation():
         MonitoringSchedule.uniform(math.nan, 4)
 
 
+@pytest.mark.parametrize("bad", [True, 4.5, "4", 0, -1, None])
+def test_uniform_schedule_rejects_a_bad_interval_count_by_name(bad):
+    # True used to build one interval, 4.5 and "4" to fail with a bare TypeError
+    with pytest.raises(ValueError) as info:
+        MonitoringSchedule.uniform(1.0, bad)
+    assert str(info.value) == f"m must be an integer >= 1; got {bad!r}"
+
+
+def test_uniform_schedule_accepts_a_numpy_integer_count():
+    assert MonitoringSchedule.uniform(2.0, np.int64(4)) == MonitoringSchedule.uniform(2.0, 4)
+
+
 @pytest.mark.parametrize("maturity, dates, message", [
     (math.nan, (0.0, 1.0), "maturity must be finite and positive; got nan"),
     (math.inf, (0.0, 1.0), "maturity must be finite and positive; got inf"),
@@ -110,12 +122,24 @@ def test_exotic_spec_validation():
      "global_cap must be finite; got inf"),
     ("cliquet", dict(strike=1.0, cap=0.06, floor=0.0, global_cap=1.0, global_floor=False),
      "global_floor must be finite; got False"),
+    *[("barrier_uo", dict(strike=100.0, barrier_up=140.0, is_call=bad),
+       f"is_call must be a bool; got {bad!r}") for bad in ("no", 0, 1, None, np.float64(1.0))],
 ])
 def test_exotic_spec_rejects_bad_terms_by_name(kind, terms, message):
-    # unchecked, these priced as nan, as 0 or failed with a bare math domain error
+    # unchecked, these priced as nan, as 0, failed with a bare math domain error,
+    # or (is_call "no") priced the call
     with pytest.raises(ValueError) as info:
         ExoticSpec(kind=kind, schedule=MonitoringSchedule.uniform(1.0, 4), **terms)
     assert str(info.value) == message
+
+
+def test_exotic_spec_numpy_flag_prices_as_the_python_one():
+    batch = _batch([[np.log(100.0), np.log(80.0)], [np.log(100.0), np.log(120.0)]], 1.0)
+    spec, np_spec = (ExoticSpec(kind="european_put", schedule=batch.schedule, strike=100.0,
+                                is_call=flag) for flag in (False, np.False_))
+    payoff = evaluate_payoff(spec, batch)
+    assert np.array_equal(payoff, evaluate_payoff(np_spec, batch))
+    assert payoff == pytest.approx([20.0, 0.0])
 
 
 @pytest.mark.parametrize("kind", ["european_call", "european_put"])
