@@ -14,7 +14,7 @@ import numpy as np
 # faults instead of 0-2, and 16% longer).
 from scipy.special import ndtr
 
-from svjd.models import MarketContext
+from svjd.models import MarketContext, _require_finite, _require_real
 
 __all__ = ["Quote", "bs_price", "bs_vega", "bs_vega_greek", "implied_vol",
            "no_arbitrage_bounds"]
@@ -48,9 +48,7 @@ class Quote:
     iv: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("maturity", "strike"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive; got {getattr(self, name)}")
+        _require_finite(self, ("maturity", "strike"), positive=True)
         if self.price is None and self.iv is None:
             raise ValueError("quote needs a price or an implied volatility")
 
@@ -66,18 +64,13 @@ def _call_put(fwd: float, disc_k, sign, t: float, vol, d1):
     return sign * (fwd * ndtr(sign * d1) - disc_k * ndtr(sign * d2))
 
 
-def _check_maturity(t: float) -> None:
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be finite and positive; got {t}")
-
-
 def _vega(spot: float, t: float, d1):
     return spot * (_INV_SQRT_2PI * np.exp(-0.5 * d1 * d1)) * math.sqrt(t)
 
 
 def bs_price(ctx: MarketContext, t: float, strike, vol, is_call):
     """Black-Scholes price with continuous rate and dividend yield."""
-    _check_maturity(t)
+    _require_real("t", t, positive=True)
     if np.any(vol <= 0):
         raise ValueError("vol must be positive")
     d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
@@ -91,7 +84,7 @@ def bs_vega(ctx: MarketContext, t: float, strike, vol):
     Deliberately carries no dividend discounting; see bs_vega_greek for the
     derivative of bs_price with respect to vol.
     """
-    _check_maturity(t)
+    _require_real("t", t, positive=True)
     if np.any(vol <= 0):
         raise ValueError("vol must be positive")
     d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
@@ -100,13 +93,13 @@ def bs_vega(ctx: MarketContext, t: float, strike, vol):
 
 def bs_vega_greek(ctx: MarketContext, t: float, strike, vol):
     """dPrice/dVol, including the exp(-q t) factor."""
-    _check_maturity(t)   # before exp(-q t), which overflows for q < 0 and t = inf
+    _require_real("t", t, positive=True)   # before exp(-q t): it overflows for q < 0, t = inf
     return math.exp(-ctx.div_yield * t) * bs_vega(ctx, t, strike, vol)
 
 
 def no_arbitrage_bounds(ctx: MarketContext, t: float, strike, is_call) -> tuple:
     """(lower, upper) static bounds for a European option price."""
-    _check_maturity(t)   # implied_vol's maturity check too: _invert calls this first
+    _require_real("t", t, positive=True)   # implied_vol's too: _invert calls this first
     fwd = ctx.spot * math.exp(-ctx.div_yield * t)
     disc_k = strike * math.exp(-ctx.rate * t)
     lower = np.maximum(np.where(is_call, fwd - disc_k, disc_k - fwd), 0.0)

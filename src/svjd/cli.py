@@ -85,22 +85,23 @@ def load_quotes(path: str) -> QuoteSurface:
                 spot = row_spot
             elif row_spot != spot:
                 raise ValueError(f"{path}:{line_no}: spot differs from earlier rows")
-            ctx = MarketContext(spot=spot, rate=rate, div_yield=div_yield)
             is_call = opt == "C"
-            if price is not None and iv is not None:
-                recomputed = bs_price(ctx, t, strike, iv, is_call)
-                if abs(recomputed - price) > 0.01 * max(price, 1e-12):
-                    print(f"warning: {path}:{line_no}: price {price} and iv {iv} disagree "
-                          f"by more than 1% (iv implies {recomputed:.6g}); using price",
-                          file=sys.stderr)
-                iv = None   # price takes precedence
-            check_price = price if price is not None else bs_price(ctx, t, strike, iv, is_call)
+            try:   # the row's market and quote first, so a bad input is named as such
+                ctx = MarketContext(spot=spot, rate=rate, div_yield=div_yield)
+                quote = Quote(maturity=t, strike=strike, is_call=is_call, price=price,
+                              iv=iv if price is None else None)   # price takes precedence
+                implied = price if iv is None else bs_price(ctx, t, strike, iv, is_call)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if price is not None and abs(implied - price) > 0.01 * max(price, 1e-12):
+                print(f"warning: {path}:{line_no}: price {price} and iv {iv} disagree "
+                      f"by more than 1% (iv implies {implied:.6g}); using price", file=sys.stderr)
+            check_price = implied if price is None else price
             lo, hi = no_arbitrage_bounds(ctx, t, strike, is_call)
             if not lo < check_price < hi:
                 rejected.append((line_no, f"price {check_price:.6g} outside bounds ({lo:.6g}, {hi:.6g})"))
                 continue
-            rows.append((rate, div_yield,
-                         Quote(maturity=t, strike=strike, is_call=is_call, price=price, iv=iv)))
+            rows.append((rate, div_yield, quote))
     for line_no, reason in rejected:
         print(f"warning: {path}:{line_no}: rejected, {reason}", file=sys.stderr)
     if not rows:
@@ -132,6 +133,8 @@ def write_quotes(path: str, surface: QuoteSurface) -> None:
 def _load_params(path: str) -> ModelParams:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("parameter file must hold a JSON object")
     if "model" not in doc and isinstance(doc.get("params"), dict):
         doc = doc["params"]   # accept a calibrate output file directly
     return model_from_dict(doc)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Union
 
 import numpy as np
@@ -43,12 +43,24 @@ __all__ = [
 # Parameter containers
 # ---------------------------------------------------------------------------
 
-def _require_finite(params, names) -> None:
-    """Each field must be a finite real scalar; a bool, str, None or array is not."""
+def _require_real(name: str, value, positive: bool = False) -> None:
+    """A finite real scalar, > 0 if `positive`; a bool, str, None or array is not."""
+    # a float skips the Real check, an abstract-class lookup of about a microsecond
+    real = isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
+    if not real or not math.isfinite(value) or (positive and value <= 0):
+        raise ValueError(f"{name} must be finite{' and positive' if positive else ''}; got {value}")
+
+
+def _require_finite(params, names, positive: bool = False) -> None:
+    """_require_real on each named field of params."""
     for name in names:
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-            raise ValueError(f"{name} must be finite; got {value}")
+        _require_real(name, getattr(params, name), positive)
+
+
+def _require_count(name: str, value, least: int) -> None:
+    """An integer (not bool) of at least `least`; int() would truncate 2.9 and accept "3"."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")
 
 
 class _FlatFields:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from svjd.models import MarketContext, ModelParams, _require_finite
+from svjd.models import MarketContext, ModelParams, _require_count, _require_finite, _require_real
 
 __all__ = ["SimConfig", "MonitoringSchedule", "PathBatch", "ExoticSpec", "McEstimate",
            "simulate_paths", "price_exotic", "price_exotic_batch", "evaluate_payoff", "mc_run"]
@@ -31,12 +31,6 @@ _ROWS = 1 << 12           # paths per row block of the payoff statistics (~1.3 M
 EXOTIC_KINDS = ("european_call", "european_put", "asian_call", "asian_put", "variance_swap",
                 "variance_call", "cliquet", "barrier_uo", "barrier_do", "barrier_double")
 _TERMS = ("cap", "floor", "global_cap", "global_floor", "barrier_up", "barrier_down")
-
-
-def _require_count(name: str, value, least: int) -> None:
-    """An integer (not bool) of at least `least`; int() would truncate 2.9 and accept "3"."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +63,8 @@ class MonitoringSchedule:
     dates: tuple
 
     def __post_init__(self):
+        _require_real("maturity", self.maturity, positive=True)
         d = np.asarray(self.dates, dtype=float)
-        if not (math.isfinite(self.maturity) and self.maturity > 0):
-            raise ValueError(f"maturity must be finite and positive; got {self.maturity!r}")
         if not np.isfinite(d).all():
             raise ValueError(f"dates must be finite; got {self.dates!r}")
         if d.size < 2 or d[0] != 0.0 or np.any(np.diff(d) <= 0):
@@ -83,6 +76,7 @@ class MonitoringSchedule:
     def uniform(cls, maturity: float, m: int, spacing: str = "span") -> "MonitoringSchedule":
         """m monitoring intervals; spacing "span" puts t_m = maturity (step T/m),
         "m_plus_1" uses step T/(m+1) so the last date falls short of maturity."""
+        _require_real("maturity", maturity, positive=True)
         _require_count("m", m, 1)
         if spacing == "span":
             dates = tuple(maturity * k / m for k in range(m + 1))

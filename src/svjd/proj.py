@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from svjd.models import MarketContext, ModelParams, char_exponent, cumulants_numeric
+from svjd.models import MarketContext, ModelParams, _require_real, char_exponent, cumulants_numeric
 
 __all__ = ["GridSpec", "ProjGrid", "ProjCoefficients", "FrozenSlice", "alpha_bar_from_cumulants",
            "build_grid", "proj_coefficients", "density", "price_european", "price_strike_slice",
@@ -42,8 +42,7 @@ class GridSpec:
         if isinstance(self.n, bool) or not isinstance(self.n, Integral) \
                 or self.n < 16 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two, at least 16; got {self.n!r}")
-        if not 0 < self.l1 < math.inf:   # a nan l1 would price on the 0.5 floor width
-            raise ValueError(f"l1 must be finite and positive; got {self.l1}")
+        _require_real("l1", self.l1, positive=True)   # a nan l1 would price on the 0.5 floor width
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,7 @@ def build_grid(model: ModelParams, ctx: MarketContext, t: float, spec: GridSpec 
     The half-width comes from the second and fourth cumulants at unit horizon,
     which do not depend on t and are cached per (model, context).
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be finite and positive; got {t}")
+    _require_real("t", t, positive=True)
     k1, k2, _, k4 = _unit_cumulants(model, ctx)
     c1 = k1 - math.log(ctx.spot)
     half_width = alpha_bar_from_cumulants(k2, k4, t, spec.l1)
@@ -192,8 +190,7 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
     wholly below a strike's log-moneyness enter through cumulative sums; the
     four elements whose support holds the kink are integrated by GL quadrature.
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be finite and positive; got {t}")
+    _require_real("t", t, positive=True)
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or np.any(strikes <= 0):
         raise ValueError("strikes must be a 1-d array of positive values")

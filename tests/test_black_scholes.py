@@ -133,14 +133,14 @@ def test_quote_validation():
 
 
 @pytest.mark.parametrize("name", ["maturity", "strike"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, True, "1", None])
 def test_quote_rejects_bad_maturity_or_strike_by_name(name, bad):
     fields = {"maturity": 1.0, "strike": 100.0, "is_call": True, "price": 5.0, name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive; got {bad}$"):
         Quote(**fields)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1", None])
 @pytest.mark.parametrize("rate", [0.05, -0.01])   # r < 0 and t = inf used to overflow in exp
 def test_maturity_rejected_by_name(bad, rate):
     # a nan maturity used to price as nan and be blamed on the price in implied_vol
@@ -155,6 +155,14 @@ def test_maturity_rejected_by_name(bad, rate):
                                      np.array([False, True]))):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("cast", [np.float64, np.int64])
+def test_numpy_scalar_maturity_and_strike_accepted(cast):
+    ctx = MarketContext(spot=100.0, rate=0.05)
+    t, k = cast(1), cast(110)
+    assert Quote(maturity=t, strike=k, is_call=True, price=5.0).maturity == 1.0
+    assert bs_price(ctx, t, k, 0.2, True) == bs_price(ctx, 1.0, 110.0, 0.2, True)
 
 
 # ---------------------------------------------------------------------------

