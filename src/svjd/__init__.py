@@ -27,7 +27,6 @@ from svjd.montecarlo import (
     PathBatch,
     SimConfig,
     price_exotic,
-    simulate_paths,
 )
 
 __version__ = "0.1.0"

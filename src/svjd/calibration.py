@@ -91,17 +91,21 @@ class QuoteSurface:
     @classmethod
     def build(cls, spot: float, rows: Sequence[tuple]) -> "QuoteSurface":
         """rows: (rate, div_yield, Quote), sliced by quote.maturity. ITM quotes are
-        dropped (the call/put pivot is the forward); each slice fills missing prices and IVs."""
+        dropped (the call/put pivot is the forward); each slice fills missing prices and IVs.
+        A row whose rate or dividend yield differs from its tenor's raises a ValueError
+        whose `row` is that row's index."""
         by_t: dict = {}
         n_dropped = 0
-        for rate, div_yield, quote in rows:
+        for i, (rate, div_yield, quote) in enumerate(rows):
             t = quote.maturity
             if quote.is_call != (quote.strike >= MarketContext(spot, rate, div_yield).forward(t)):
                 n_dropped += 1
                 continue
             key = round(t, 12)
             if key in by_t and (by_t[key][0] != rate or by_t[key][1] != div_yield):
-                raise ValueError(f"maturity {t}: inconsistent rate or dividend yield")
+                exc = ValueError(f"maturity {t}: inconsistent rate or dividend yield")
+                exc.row = i    # the first row that disagrees with its tenor's earlier rows
+                raise exc
             by_t.setdefault(key, (rate, div_yield, []))[2].append(quote)
         if n_dropped and not by_t:
             raise ValueError(f"no out-of-the-money quotes: all {n_dropped} were in the money "

@@ -64,6 +64,7 @@ def load_quotes(path: str) -> QuoteSurface:
         if [h.strip() for h in header] != QUOTE_HEADER:
             raise ValueError(f"{path}: header must be {','.join(QUOTE_HEADER)}")
         rows = []
+        row_lines = []   # the file line of each row
         spot = None
         rejected = []
         for line_no, rec in enumerate(reader, start=2):
@@ -102,11 +103,17 @@ def load_quotes(path: str) -> QuoteSurface:
                 rejected.append((line_no, f"price {check_price:.6g} outside bounds ({lo:.6g}, {hi:.6g})"))
                 continue
             rows.append((rate, div_yield, quote))
+            row_lines.append(line_no)
     for line_no, reason in rejected:
         print(f"warning: {path}:{line_no}: rejected, {reason}", file=sys.stderr)
     if not rows:
         raise ValueError(f"{path}: no usable quotes")
-    surface = QuoteSurface.build(spot, rows)
+    try:
+        surface = QuoteSurface.build(spot, rows)
+    except ValueError as exc:
+        row = getattr(exc, "row", None)   # set where one row is at fault
+        where = path if row is None else f"{path}:{row_lines[row]}"
+        raise ValueError(f"{where}: {exc}") from None
     if surface.n_dropped_itm:
         print(f"warning: {path}: dropped {surface.n_dropped_itm} in-the-money quotes; "
               f"the call/put pivot is the forward", file=sys.stderr)

@@ -21,7 +21,7 @@ import numpy as np
 from svjd.models import MarketContext, ModelParams, _require_count, _require_finite, _require_real
 
 __all__ = ["SimConfig", "MonitoringSchedule", "PathBatch", "ExoticSpec", "McEstimate",
-           "simulate_paths", "price_exotic", "price_exotic_batch", "evaluate_payoff", "mc_run"]
+           "price_exotic", "price_exotic_batch", "evaluate_payoff", "mc_run"]
 
 _CHUNK = 1 << 18          # paths per worker chunk; part of the reproducibility key
 _MAX_DT = 1.0 / 250.0     # default substep cap for discretized models
@@ -93,13 +93,14 @@ class MonitoringSchedule:
 
 @dataclass
 class PathBatch:
-    """Log prices at monitoring dates; simulate_paths also fills the positive-part
-    variance of diffusive models (None elsewhere). The payoff statistics memo
-    has no lock: a batch belongs to one chunk, priced on one thread."""
+    """Log prices at monitoring dates. The payoff statistics memo has no lock:
+    a batch belongs to one chunk, priced on one thread."""
     log_prices: np.ndarray
-    variance: Optional[np.ndarray]
     schedule: MonitoringSchedule
     _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # not a field: no batch holds variance paths, but perfbench/tracer.py still
+    # reads this name when it sizes the arrays a payoff is handed
+    variance = None
 
     def statistic(self, key, row_fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-path vector row_fn(log_prices), computed once per key and row block
@@ -194,8 +195,8 @@ def _chunk_sizes(n_paths: int, antithetic: bool) -> list[int]:
 
 
 def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
-                    sub: list[int], n: int, rng: np.random.Generator, antithetic: bool,
-                    keep_variance: bool = False) -> PathBatch:
+                    sub: list[int], n: int, rng: np.random.Generator,
+                    antithetic: bool) -> PathBatch:
     half = n // 2
 
     def gauss(out: np.ndarray) -> np.ndarray:
@@ -207,9 +208,8 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
             rng.standard_normal(out=out)
         return out
 
-    n_dates = len(schedule.dates)
     x = np.full(n, math.log(ctx.spot))
-    xs = np.empty((n, n_dates))
+    xs = np.empty((n, len(schedule.dates)))
     xs[:, 0] = x
     drift = ctx.rate - ctx.div_yield + model.omega()
     taus = np.diff(np.asarray(schedule.dates))
@@ -220,16 +220,12 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
             for _ in range(sub[m]):
                 x = model.increment(rng, x, drift, tau / sub[m], gauss(z))
             xs[:, m + 1] = x
-        return PathBatch(log_prices=xs, variance=None, schedule=schedule)
+        return PathBatch(log_prices=xs, schedule=schedule)
 
     heston = getattr(model, "heston", model)   # a bare Heston model is its own variance leg
     kappa, theta, sigma_v, rho = heston.kappa, heston.theta, heston.sigma_v, heston.rho
     rho_c = math.sqrt(1.0 - rho * rho)
     v = np.full(n, heston.v0)
-    vs = None
-    if keep_variance:
-        vs = np.empty((n, n_dates))
-        vs[:, 0] = heston.v0
     # per-chunk work buffers: the substep below is the full-truncation Euler step
     #   x += (drift_dt - (0.5*dt)*v+) + sqrt(v+ dt)*z_s
     #   v += (kappa*(theta - v+))*dt + sigma_v*(sqrt(v+ dt)*z_v)
@@ -271,24 +267,7 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
         if model.jumps is not None:
             x += model.jumps.interval_total(rng, n, tau)
         xs[:, m + 1] = x
-        if keep_variance:
-            np.maximum(v, 0.0, out=vs[:, m + 1])
-    return PathBatch(log_prices=xs, variance=vs, schedule=schedule)
-
-
-def simulate_paths(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
-                   config: SimConfig) -> PathBatch:
-    """Materialize all paths at the monitoring dates (memory: n_paths x dates)."""
-    sub = _substeps(schedule, config, model)
-    batches = [
-        _simulate_chunk(model, ctx, schedule, sub, size, _chunk_rng(config.seed, i),
-                        config.antithetic, keep_variance=True)
-        for i, size in enumerate(_chunk_sizes(config.n_paths, config.antithetic))
-    ]
-    log_prices = np.concatenate([b.log_prices for b in batches])
-    variance = (np.concatenate([b.variance for b in batches])
-                if batches[0].variance is not None else None)
-    return PathBatch(log_prices=log_prices, variance=variance, schedule=schedule)
+    return PathBatch(log_prices=xs, schedule=schedule)
 
 
 def _thread_count() -> int:
@@ -304,9 +283,8 @@ def _thread_count() -> int:
 
 def mc_run(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
            config: SimConfig, payoff_fn: Callable[[PathBatch], np.ndarray]) -> list[McEstimate]:
-    """Chunked estimator: payoff_fn maps a PathBatch (variance None) to discounted
-    per-path payoffs of shape (n_outputs, n_chunk_paths); returns one estimate per
-    output row.
+    """Chunked estimator: payoff_fn maps a PathBatch to discounted per-path payoffs
+    of shape (n_outputs, n_chunk_paths); returns one estimate per output row.
 
     With antithetic sampling the estimator and its standard error are computed
     over pair averages (path i pairs with path i + n/2 within a chunk).

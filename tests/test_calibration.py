@@ -87,8 +87,9 @@ def test_surface_rejects_inconsistent_tenor_rates():
     rows = [(0.05, 0.0, Quote(maturity=1.0, strike=k, is_call=True, iv=0.3))
             for k in (110.0, 120.0, 130.0)]
     rows.append((0.04, 0.0, Quote(maturity=1.0, strike=140.0, is_call=True, iv=0.3)))
-    with pytest.raises(ValueError, match="inconsistent"):
+    with pytest.raises(ValueError, match="inconsistent") as info:
         QuoteSurface.build(100.0, rows)
+    assert info.value.row == 3     # the row at fault, for callers that name its source
 
 
 def test_objective_zero_at_generating_model(heston_surface):

@@ -128,13 +128,32 @@ def test_calibrate_names_the_file_and_line_of_a_bad_quote(tmp_path, capsys, row,
     assert capsys.readouterr().err == f"error: {f}:2: {message}\n"
 
 
+@pytest.mark.parametrize("rows, message", [
+    # rows of one maturity that disagree on the rate: the second one is at fault
+    (["0.5,110,C,,0.3,0.05,0.0,100", "0.5,115,C,,0.3,0.04,0.0,100",
+      "0.5,120,C,,0.3,0.05,0.0,100"], ":3: maturity 0.5: inconsistent rate or dividend yield"),
+    (["0.5,110,C,,0.3,0.05,0.0,100", "0.5,110,C,,0.3,0.05,0.0,100",
+      "0.5,120,C,,0.3,0.05,0.0,100"], ": maturity 0.5: strikes must be strictly ascending"),
+    (["0.5,110,C,,0.3,0.05,0.0,100", "0.5,120,C,,0.3,0.05,0.0,100"],
+     ": maturity 0.5: needs at least 3 quotes"),
+])
+def test_calibrate_names_the_file_of_a_bad_surface(tmp_path, capsys, rows, message):
+    f = tmp_path / "q.csv"
+    f.write_text("maturity_yrs,strike,option_type,mid_price,iv,rate,div_yield,spot\n"
+                 + "\n".join(rows) + "\n")
+    rc = main(["calibrate", "--model", "heston", "--quotes", str(f),
+               "--out", str(tmp_path / "fit.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {f}{message}\n"
+
+
 def test_load_quotes_reports_dropped_in_the_money_quotes(tmp_path, capsys):
     f = tmp_path / "q.csv"
     header = "maturity_yrs,strike,option_type,mid_price,iv,rate,div_yield,spot\n"
     f.write_text(header + "0.5,100,C,,0.3,0.05,0.0,100\n")     # forward 102.5: in the money
     with pytest.raises(ValueError) as info:
         load_quotes(str(f))
-    assert str(info.value) == ("no out-of-the-money quotes: all 1 were in the money "
+    assert str(info.value) == (f"{f}: no out-of-the-money quotes: all 1 were in the money "
                                "against the forward")
     rows = [f"0.5,{k},C,,0.3,0.05,0.0,100\n" for k in (95, 100, 110, 120, 130)]
     f.write_text(header + "".join(rows))

@@ -21,7 +21,6 @@ from svjd.montecarlo import (
     mc_run,
     price_exotic,
     price_exotic_batch,
-    simulate_paths,
 )
 
 from conftest import PARAM_ROWS, degenerate_hkde
@@ -181,7 +180,7 @@ def test_european_spec_must_pay_at_maturity(kind):
 def _batch(log_prices, maturity):
     arr = np.asarray(log_prices, dtype=float)
     sched = MonitoringSchedule.uniform(maturity, arr.shape[1] - 1)
-    return PathBatch(log_prices=arr, variance=None, schedule=sched)
+    return PathBatch(log_prices=arr, schedule=sched)
 
 
 def test_asian_payoff_includes_initial_date():
@@ -375,48 +374,24 @@ def test_degenerate_model_matches_gaussian_moments(ctx):
     model = degenerate_hkde(0.2)
     sched = MonitoringSchedule.uniform(1.0, 1)
     cfg = SimConfig(n_paths=100_000, seed=4, antithetic=False, steps_per_interval=20)
-    batch = simulate_paths(model, ctx, sched, cfg)
-    x = batch.log_prices[:, -1]
     mean_target = math.log(100.0) + 0.05 - 0.5 * 0.04
-    assert abs(x.mean() - mean_target) < 3 * x.std(ddof=1) / math.sqrt(x.size)
-    var = x.var(ddof=1)
-    se_var = var * math.sqrt(2.0 / (x.size - 1))
-    assert abs(var - 0.04) < 3 * se_var
+
+    def moments(batch):
+        ret = batch.log_prices[:, -1] - mean_target
+        return np.stack([ret, ret * ret])
+
+    mean, var = mc_run(model, ctx, sched, cfg, moments)
+    assert abs(mean.price) < 3 * mean.std_err
+    assert abs(var.price - 0.04) < 3 * var.std_err
 
 
 def test_martingale_property_hkde(ctx, amzn_hkde):
     sched = MonitoringSchedule.uniform(1.0, 1)
     cfg = SimConfig(n_paths=200_000, seed=9, antithetic=True, steps_per_interval=50)
-    batch = simulate_paths(amzn_hkde, ctx, sched, cfg)
-    y = np.exp(batch.log_prices[:, -1] - 0.05) / 100.0
-    half = y.size // 2
-    pairs = 0.5 * (y[:half] + y[half:])
-    se = pairs.std(ddof=1) / math.sqrt(pairs.size)
-    assert abs(pairs.mean() - 1.0) < 3 * se
-
-
-def test_cir_long_run_mean(ctx):
-    params = PARAM_ROWS["heston"]["AMZN"]   # kappa = 14.8
-    sched = MonitoringSchedule.uniform(10.0, 20)
-    cfg = SimConfig(n_paths=20_000, seed=21, antithetic=False, steps_per_interval=60)
-    batch = simulate_paths(params, ctx, sched, cfg)
-    dates = np.asarray(sched.dates)
-    late = batch.variance[:, dates >= 5.0]
-    per_path = late.mean(axis=1)
-    se = per_path.std(ddof=1) / math.sqrt(per_path.size)
-    assert abs(per_path.mean() - params.theta) < 3 * se
-    assert batch.variance.min() >= 0.0
-
-
-def test_simulate_paths_shapes_and_bgm_variance(ctx):
-    sched = MonitoringSchedule.uniform(1.0, 5)
-    cfg = SimConfig(n_paths=1_000, seed=1, steps_per_interval=2)
-    hkde = simulate_paths(PARAM_ROWS["hkde"]["AMZN"], ctx, sched, cfg)
-    assert hkde.log_prices.shape == (1_000, 6)
-    assert hkde.variance.shape == (1_000, 6)
-    bgm = simulate_paths(PARAM_ROWS["bgm"]["AMZN"], ctx, sched, cfg)
-    assert bgm.log_prices.shape == (1_000, 6)
-    assert bgm.variance is None
+    # discounted S_T / S_0; mc_run estimates it over antithetic pair averages
+    est, = mc_run(amzn_hkde, ctx, sched, cfg,
+                  lambda batch: np.exp(batch.log_prices[:, -1] - 0.05) / 100.0)
+    assert abs(est.price - 1.0) < 3 * est.std_err
 
 
 # ---------------------------------------------------------------------------
@@ -667,25 +642,19 @@ def test_cf_and_second_cumulant_vs_million_path_sample(ctx, amzn_hkde):
     from svjd.models import cumulants_numeric
 
     sched = MonitoringSchedule.uniform(1.0, 1)
-    batch = simulate_paths(amzn_hkde, ctx, sched,
-                           SimConfig(n_paths=1_000_000, seed=99, antithetic=False))
-    x = batch.log_prices[:, -1]
-    n = x.size
-
+    k1, k2 = cumulants_numeric(amzn_hkde, ctx, 1.0)[:2]    # of ln S_T
     xi = 2.0
-    phase = np.exp(1j * xi * x)
-    cf = complex(np.exp(amzn_hkde.exponent(ctx, xi, 1.0)))
-    se_re = phase.real.std(ddof=1) / math.sqrt(n)
-    se_im = phase.imag.std(ddof=1) / math.sqrt(n)
-    assert abs(phase.real.mean() - cf.real) < 3 * se_re
-    assert abs(phase.imag.mean() - cf.imag) < 3 * se_im
 
-    ret = x - math.log(ctx.spot)
-    sample_var = ret.var(ddof=1)
-    k2 = cumulants_numeric(amzn_hkde, ctx, 1.0)[1]
-    centered = ret - ret.mean()
-    se_var = math.sqrt((np.mean(centered**4) - sample_var**2) / n)
-    assert abs(sample_var - k2) < 3 * se_var
+    def moments(batch):
+        x = batch.log_prices[:, -1]
+        return np.stack([np.cos(xi * x), np.sin(xi * x), (x - k1) ** 2])
+
+    re, im, var = mc_run(amzn_hkde, ctx, sched,
+                         SimConfig(n_paths=1_000_000, seed=99, antithetic=False), moments)
+    cf = complex(np.exp(amzn_hkde.exponent(ctx, xi, 1.0)))
+    assert abs(re.price - cf.real) < 3 * re.std_err
+    assert abs(im.price - cf.imag) < 3 * im.std_err
+    assert abs(var.price - k2) < 3 * var.std_err
 
 
 # ---------------------------------------------------------------------------
@@ -755,12 +724,24 @@ def test_chunk_kernel_equals_allocating_reference(ctx, monkeypatch, kind, name, 
     model = PARAM_ROWS[kind][name]
     sched = MonitoringSchedule.uniform(1.0, 4)
     sub = [3, 1, 5, 2]
-    batch = _simulate_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic,
-                            keep_variance=True)
-    xs, vs = _reference_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic)
+    batch = _simulate_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic)
+    xs, _ = _reference_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic)
+    # every substep's positive-part variance feeds x, so equal log prices pin the
+    # kernel's variance state to the reference's too
     assert np.array_equal(batch.log_prices, xs)
-    assert np.array_equal(batch.variance, vs)
-    assert _simulate_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic).variance is None
+
+
+def test_cir_long_run_mean(ctx):
+    params = PARAM_ROWS["heston"]["AMZN"]   # kappa = 14.8
+    sched = MonitoringSchedule.uniform(10.0, 20)
+    # the kernel keeps no variance path; the reference it equals above does
+    _, vs = _reference_chunk(params, ctx, sched, [60] * 20, 20_000, _chunk_rng(21, 0), False)
+    dates = np.asarray(sched.dates)
+    late = vs[:, dates >= 5.0]
+    per_path = late.mean(axis=1)
+    se = per_path.std(ddof=1) / math.sqrt(per_path.size)
+    assert abs(per_path.mean() - params.theta) < 3 * se
+    assert vs.min() >= 0.0
 
 
 @pytest.mark.parametrize("antithetic,n", [(True, 1_000), (False, 1_001)])
@@ -781,7 +762,6 @@ def test_bgm_chunk_equals_written_out_step(ctx, antithetic, n):
                  + rng.gamma(model.alpha_p * dt, 1.0 / model.lam_p, size=n)
                  - rng.gamma(model.alpha_m * dt, 1.0 / model.lam_m, size=n))
         assert np.array_equal(batch.log_prices[:, m + 1], x)
-    assert batch.variance is None
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-11, 0.1])
@@ -800,20 +780,6 @@ def test_jump_total_equals_per_count_loop(tau):
         assert (total != 0.0).mean() > 0.99
 
 
-def test_mc_run_hands_payoffs_no_variance(ctx, amzn_hkde):
-    sched = MonitoringSchedule.uniform(0.5, 3)
-    cfg = SimConfig(n_paths=1_000, seed=3, steps_per_interval=2)
-    seen = []
-
-    def payoff(batch):
-        seen.append(batch.variance)
-        return batch.log_prices[:, -1][None, :]
-
-    mc_run(amzn_hkde, ctx, sched, cfg, payoff)
-    assert seen == [None]
-    assert simulate_paths(amzn_hkde, ctx, sched, cfg).variance.shape == (1_000, 4)
-
-
 def test_payoffs_do_not_depend_on_evaluation_order(ctx, amzn_hkde):
     sched = MonitoringSchedule.uniform(1.0, 12)
     specs = [ExoticSpec(kind="variance_swap", schedule=sched, strike=0.02),
@@ -823,9 +789,8 @@ def test_payoffs_do_not_depend_on_evaluation_order(ctx, amzn_hkde):
              ExoticSpec(kind="asian_call", schedule=sched, strike=100.0),
              ExoticSpec(kind="barrier_uo", schedule=sched, strike=100.0, barrier_up=130.0)]
 
-    def fresh():
-        return simulate_paths(amzn_hkde, ctx, sched,
-                              SimConfig(n_paths=2_000, seed=4, steps_per_interval=2))
+    def fresh():   # one antithetic chunk of 2,000 paths, 2 substeps per interval
+        return _simulate_chunk(amzn_hkde, ctx, sched, [2] * 12, 2_000, _chunk_rng(4, 0), True)
 
     forward_batch, reverse_batch = fresh(), fresh()
     forward = [evaluate_payoff(s, forward_batch) for s in specs]
