@@ -7,12 +7,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-# Imported with the module on purpose, unlike calibration's optimizer: deferring
-# it saves start-up, but then glibc trims the heap slack this import happens to
-# leave, and strike-slice pricing re-faults its NumPy temporaries on every call
-# (on a 2-core x86_64 host, a 64-command CLI smile pass took 39k minor page
-# faults instead of 0-2, and 16% longer).
-from scipy.special import ndtr
 
 from svjd.models import MarketContext, _require_finite, _require_real
 
@@ -51,6 +45,18 @@ class Quote:
         _require_finite(self, ("maturity", "strike"), positive=True)
         if self.price is None and self.iv is None:
             raise ValueError("quote needs a price or an implied volatility")
+
+
+def ndtr(x):
+    """The standard normal CDF. The first call binds SciPy's ufunc over this
+    name, so importing the module loads NumPy only (`scipy.special` adds about
+    0.3 s and 24 MB to a cold start on a 2-core x86-64 host) and later calls
+    run no import statement.
+    The heap slack that pricing needs comes from the allocator warm-up in
+    `svjd/__init__.py`, not from this import."""
+    global ndtr
+    from scipy.special import ndtr
+    return ndtr(x)
 
 
 def _d1(log_sk, t: float, drift: float, vol):

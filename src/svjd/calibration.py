@@ -39,9 +39,9 @@ GRID_MOVE_RTOL = 1e-3           # a grid move past this from the held grid re-an
 class MaturitySlice:
     """All OTM quotes of one tenor with its own rate and dividend yield.
 
-    Missing prices come from IVs and missing IVs from prices, one array call each.
-    The filled quotes are a tuple, in step with the arrays `strikes`, `is_calls`,
-    `prices` and `ivs` built from them.
+    Missing prices come from IVs and missing IVs from prices, one array call each;
+    quotes that are already complete are kept as they are. The quotes are a tuple,
+    in step with the arrays `strikes`, `is_calls`, `prices` and `ivs` built from them.
     """
     t: float
     ctx: MarketContext
@@ -55,14 +55,15 @@ class MaturitySlice:
         if np.any(np.diff(k) <= 0):
             raise ValueError(f"maturity {self.t}: strikes must be strictly ascending")
         c = c == 1.0
-        gap = np.isnan(v)
-        v[gap] = bs_price(self.ctx, self.t, k[gap], iv[gap], c[gap])
-        gap = np.isnan(iv)
-        iv[gap] = implied_vol(self.ctx, self.t, k[gap], v[gap], c[gap])
+        no_price, no_iv = np.isnan(v), np.isnan(iv)
+        if no_price.any() or no_iv.any():   # fill the gaps and rebuild the quotes with them
+            v[no_price] = bs_price(self.ctx, self.t, k[no_price], iv[no_price], c[no_price])
+            iv[no_iv] = implied_vol(self.ctx, self.t, k[no_iv], v[no_iv], c[no_iv])
+            self.quotes = [Quote(self.t, *q) for q in zip(k.tolist(), c.tolist(), v.tolist(),
+                                                          iv.tolist())]
         if not np.all(iv > 0):   # the vega weights need them
             raise ValueError(f"maturity {self.t}: implied volatilities must be positive")
-        self.quotes = tuple(Quote(self.t, *q) for q in zip(k.tolist(), c.tolist(), v.tolist(),
-                                                          iv.tolist()))
+        self.quotes = tuple(self.quotes)
         self.strikes, self.is_calls, self.prices, self.ivs = k, c, v, iv
 
     @cached_property
@@ -134,13 +135,15 @@ class CalibrationResult:
     substitutions (residual vectors that fell back to the penalty in whole or
     part, tenors whose Jacobian rows were zeroed because the slice could not
     be priced, and Jacobian columns whose non-finite entries were zeroed).
-    `trace` is the start's cost and the solver's final cost; `stagnated` is
-    whether the solver stopped at its evaluation limit."""
+    `mape_pct` and `rmse` leave out the `n_excluded` quotes whose model price
+    cannot be inverted. `trace` is the start's cost and the solver's final cost;
+    `stagnated` is whether the solver stopped at its evaluation limit."""
     params: ModelParams
     objective: float
     per_quote_residuals: np.ndarray
     mape_pct: float
     rmse: float
+    n_excluded: int
     n_residuals: int
     n_jacobians: int
     n_penalties: int
@@ -304,7 +307,8 @@ def calibrate(model_kind: str, surface: QuoteSurface, init: Optional[ModelParams
     metrics = _iv_errors(surface, prices)
     return CalibrationResult(params=final, objective=float(r @ r),
                              per_quote_residuals=r, mape_pct=metrics.mape_pct,
-                             rmse=metrics.rmse, n_residuals=counts["residuals"],
+                             rmse=metrics.rmse, n_excluded=metrics.n_excluded,
+                             n_residuals=counts["residuals"],
                              n_jacobians=counts["jacobians"], n_penalties=counts["penalties"],
                              n_anchors=held.n_anchors, trace=trace,
                              stagnated=res.status == 0)
@@ -424,13 +428,15 @@ def synthetic_surface(model: ModelParams, spot: float, rate: float, div_yield: f
                       maturities: Sequence[float], log_moneyness: Sequence[float],
                       grid_spec: GridSpec = GridSpec()) -> QuoteSurface:
     """Noiseless OTM surface priced from a model: puts below the forward, calls
-    above; each slice's IVs come from one inversion when it is built."""
+    above; each tenor's IVs come from one inversion, and each quote is built once."""
     ctx = MarketContext(spot=spot, rate=rate, div_yield=div_yield)
     slices = []
     for t in sorted(float(t) for t in maturities):
         fwd = ctx.forward(t)
         strikes = np.array([fwd * math.exp(m) for m in sorted(log_moneyness)])
-        prices = price_strike_slice(model, ctx, t, strikes, strikes >= fwd, grid_spec)
-        slices.append(MaturitySlice(t, ctx, [Quote(t, k, k >= fwd, v) for k, v in
-                                             zip(strikes.tolist(), prices.tolist())]))
+        is_call = strikes >= fwd
+        prices = price_strike_slice(model, ctx, t, strikes, is_call, grid_spec)
+        ivs = implied_vol(ctx, t, strikes, prices, is_call)
+        quotes = zip(strikes.tolist(), is_call.tolist(), prices.tolist(), ivs.tolist())
+        slices.append(MaturitySlice(t, ctx, tuple(Quote(t, *q) for q in quotes)))
     return QuoteSurface(spot=spot, slices=slices)

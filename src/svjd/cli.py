@@ -217,7 +217,8 @@ def cmd_calibrate(args) -> int:
                    "n": args.n, "l1": args.l1, "init": args.init},
         "params": model_to_dict(result.params),
         "metrics": {"objective": result.objective, "mape_pct": result.mape_pct,
-                    "rmse": result.rmse, "n_residuals": result.n_residuals,
+                    "rmse": result.rmse, "n_excluded": result.n_excluded,
+                    "n_residuals": result.n_residuals,
                     "n_jacobians": result.n_jacobians, "n_penalties": result.n_penalties,
                     "n_anchors": result.n_anchors, "trace": result.trace,
                     "stagnated": result.stagnated, "n_quotes": surface.n_quotes},

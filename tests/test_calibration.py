@@ -170,6 +170,41 @@ def test_error_metrics_counts_forced_out_of_bounds_price(heston_surface, monkeyp
     assert metrics.rmse == pytest.approx(0.0, abs=1e-6)
 
 
+def test_calibrate_reports_quotes_left_out_of_the_iv_errors():
+    # bgm/AMZN prices the T = 0.1 call at 160 below zero on the default grid
+    # (the known negative-parity defect), so that quote's model price cannot
+    # be inverted. Quoting the model's own prices, with a market iv beside the
+    # negative one, makes the start the exact optimum: the fit ends there.
+    model, ctx, t = PARAM_ROWS["bgm"]["AMZN"], MarketContext(100.0, 0.05, 0.0), 0.1
+    strikes = np.array([90.0, 95.0, 105.0, 110.0, 160.0])
+    is_call = strikes >= ctx.forward(t)
+    prices = price_strike_slice(model, ctx, t, strikes, is_call)
+    assert prices[-1] < 0.0 and np.all(prices[:-1] > 0.0)
+    ivs = [*implied_vol(ctx, t, strikes[:-1], prices[:-1], is_call[:-1]), 0.5]
+    surface = QuoteSurface(spot=100.0, slices=[MaturitySlice(t, ctx, [
+        Quote(t, k, c, p, iv) for k, c, p, iv in zip(strikes, is_call, prices, ivs)])])
+    result = calibrate("bgm", surface, init=model)
+    assert (result.n_residuals, result.n_jacobians) == (1, 1)
+    assert result.n_excluded == 1
+    assert result.rmse == pytest.approx(0.0, abs=1e-9)
+
+
+def test_synthetic_surface_builds_each_quote_once(monkeypatch):
+    original, calls = Quote.__post_init__, []
+
+    def counted(quote):
+        calls.append(quote)
+        original(quote)
+
+    monkeypatch.setattr(Quote, "__post_init__", counted)
+    surface = synthetic_surface(PARAM_ROWS["heston"]["SPOT"], 100.0, 0.05, 0.0, [0.5, 1.0],
+                                MONEYNESS)
+    assert calls == [q for sl in surface.slices for q in sl.quotes]
+    for sl in surface.slices:
+        assert [(q.strike, q.is_call, q.price, q.iv) for q in sl.quotes] == list(zip(
+            sl.strikes.tolist(), sl.is_calls.tolist(), sl.prices.tolist(), sl.ivs.tolist()))
+
+
 def test_weights_match_scalar_vega(heston_surface):
     for sl in heston_surface.slices:
         scalar = np.array([1.0 / bs_vega(sl.ctx, sl.t, q.strike, q.iv) for q in sl.quotes])

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import platform
 import subprocess
 import sys
 
@@ -181,6 +182,7 @@ def test_cmd_calibrate_smoke(tmp_path, spot_heston_file, capsys):
     assert doc["params"]["model"] == "heston"
     assert doc["metrics"]["rmse"] < 1e-5
     assert doc["metrics"]["mape_pct"] < 1e-3
+    assert doc["metrics"]["n_excluded"] == 0
     assert "iterations" not in doc["metrics"]
     # the start is the exact optimum (zero residuals): priced once, the solver's
     # first call reusing the trace's vector, and one Jacobian to see g = 0
@@ -542,18 +544,62 @@ import svjd, svjd.cli
 params, contract, barrier, out = sys.argv[1:5]
 for argv in (["price", "--params", params, "--contract", contract],
              ["mc-compare", "--params", params, "--contract", barrier, "--paths", "2000",
-              "--out", out + "/cmp.csv"],
-             ["smile", "--params", params, "--maturity", "0.5", "--strikes", "80:120:5",
+              "--out", out + "/cmp.csv"]):
+    assert svjd.cli.main(argv) == 0, argv
+assert "scipy.special" not in sys.modules   # no Black-Scholes call, no normal CDF
+for argv in (["smile", "--params", params, "--maturity", "0.5", "--strikes", "80:120:5",
               "--out", out + "/smile.csv"],
              ["synth", "--params", params, "--grid", "0.25,1x-0.2:0.2:0.1",
               "--out", out + "/synth.csv"]):
     assert svjd.cli.main(argv) == 0, argv
+assert "scipy.special" in sys.modules       # the smile inverts, so it loads ndtr
 assert "scipy.optimize" not in sys.modules
-assert "scipy.special" in sys.modules     # black_scholes keeps its import on purpose
 assert svjd.cli.main(["calibrate", "--model", "heston", "--quotes", out + "/synth.csv",
                       "--init", params, "--out", out + "/fit.json"]) == 0
 assert "scipy.optimize" in sys.modules
 """
+
+
+_IMPORT_LOADS_NO_SCIPY_SPECIAL = """
+import sys
+import svjd, svjd.black_scholes as bs
+assert "scipy.special" not in sys.modules
+bs.bs_price(svjd.MarketContext(100.0), 0.5, 100.0, 0.2, True)
+import scipy.special
+assert bs.ndtr is scipy.special.ndtr   # bound once, on the first call
+"""
+
+
+def test_importing_svjd_loads_no_scipy_special():
+    subprocess.run([sys.executable, "-c", _IMPORT_LOADS_NO_SCIPY_SPECIAL], check=True,
+                   timeout=60)
+
+
+_SLICE_FAULTS = """
+import resource, sys
+import numpy as np
+import svjd
+from svjd.models import HestonParams, HKDEParams, KouJumpParams, MarketContext
+from svjd.proj import price_strike_slice
+model = HKDEParams(HestonParams(0.064, 0.163, 6.796, 1.698, -0.391),
+                   KouJumpParams(17.725, 1.0, 35.555, 0.049))
+ctx, strikes = MarketContext(100.0, 0.05, 0.0), np.arange(60.0, 160.5, 0.5)
+price_strike_slice(model, ctx, 0.5, strikes, strikes >= 100.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    price_strike_slice(model, ctx, 0.5, strikes, strikes >= 100.0)
+assert "scipy" not in sys.modules
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_repeated_slices_do_not_refault_the_heap():
+    # without svjd's allocator warm-up glibc trims the heap after every call,
+    # and each 201-strike slice re-faults about 190 pages; with it, about 0
+    out = subprocess.run([sys.executable, "-c", _SLICE_FAULTS], check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert float(out) < 5.0
 
 
 def test_only_calibrate_loads_the_optimizer(tmp_path, spot_heston_file):
