@@ -19,7 +19,7 @@ from svjd.models import (
     model_from_dict,
     model_to_dict,
 )
-from svjd.proj import GridSpec, ProjCoefficients, ProjGrid, price_european, price_strike_slice, proj_coefficients
+from svjd.proj import GridSpec, ProjGrid, price_european, price_strike_slice, proj_coefficients
 from svjd.black_scholes import Quote, bs_price, bs_vega, bs_vega_greek, implied_vol
 from svjd.calibration import CalibrationResult, QuoteSurface, calibrate, error_metrics, objective
 from svjd.montecarlo import (

@@ -77,8 +77,8 @@ def _vega(spot: float, t: float, d1):
 def bs_price(ctx: MarketContext, t: float, strike, vol, is_call):
     """Black-Scholes price with continuous rate and dividend yield."""
     _require_real("t", t, positive=True)
-    if np.any(vol <= 0):
-        raise ValueError("vol must be positive")
+    if not np.all((vol > 0) & (vol < math.inf)):     # a nan vol fails both
+        raise ValueError("vol must be finite and positive")
     d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
     fwd, disc_k = ctx.spot * math.exp(-ctx.div_yield * t), strike * math.exp(-ctx.rate * t)
     return _out(_call_put(fwd, disc_k, np.where(is_call, 1.0, -1.0), t, vol, d1))
@@ -91,8 +91,8 @@ def bs_vega(ctx: MarketContext, t: float, strike, vol):
     derivative of bs_price with respect to vol.
     """
     _require_real("t", t, positive=True)
-    if np.any(vol <= 0):
-        raise ValueError("vol must be positive")
+    if not np.all((vol > 0) & (vol < math.inf)):     # a nan vol fails both
+        raise ValueError("vol must be finite and positive")
     d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
     return _out(_vega(ctx.spot, t, d1))
 

@@ -122,7 +122,7 @@ class ExoticSpec:
     Europeans pay on S at the last date (give them one interval)."""
     kind: str
     schedule: MonitoringSchedule
-    strike: float = 0.0
+    strike: float = 0.0     # a cliquet's notional; only the variance payoffs may be <= 0
     is_call: bool = True
     cap: Optional[float] = None
     floor: Optional[float] = None
@@ -142,7 +142,7 @@ class ExoticSpec:
         for name in ("barrier_up", "barrier_down"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive; got {getattr(self, name)}")
-        if self.kind not in ("variance_swap", "variance_call", "cliquet") and self.strike <= 0:
+        if self.kind not in ("variance_swap", "variance_call") and self.strike <= 0:
             raise ValueError(f"{self.kind} needs a positive strike")
         # a European is discounted over the maturity, so it must pay there; t*m/m can miss t
         last, maturity = self.schedule.dates[-1], self.schedule.maturity

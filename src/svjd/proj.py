@@ -20,9 +20,9 @@ import numpy as np
 
 from svjd.models import MarketContext, ModelParams, _require_real, char_exponent, cumulants_numeric
 
-__all__ = ["GridSpec", "ProjGrid", "ProjCoefficients", "FrozenSlice", "alpha_bar_from_cumulants",
-           "build_grid", "proj_coefficients", "density", "price_european", "price_strike_slice",
-           "bspline3", "dual_zeta"]
+__all__ = ["GridSpec", "ProjGrid", "FrozenSlice", "alpha_bar_from_cumulants", "build_grid",
+           "proj_coefficients", "density", "price_european", "price_strike_slice", "bspline3",
+           "dual_zeta"]
 
 # Gauss-Legendre rule used on every knot interval of the basis support
 _GL_ORDER = 7
@@ -54,12 +54,6 @@ class ProjGrid:
     delta: float
     a: float
     delta_xi: float
-
-
-@dataclass(frozen=True)
-class ProjCoefficients:
-    beta: np.ndarray
-    grid: ProjGrid
 
 
 def bspline3(u):
@@ -115,50 +109,44 @@ def build_grid(model: ModelParams, ctx: MarketContext, t: float, spec: GridSpec 
                     delta=delta, a=a, delta_xi=2.0 * math.pi * a / spec.n)
 
 
-def proj_coefficients(model: ModelParams, ctx: MarketContext, t: float, grid: ProjGrid) -> ProjCoefficients:
-    """Dual-basis projection coefficients of the log-return density via one FFT."""
+def proj_coefficients(model: ModelParams, ctx: MarketContext, t: float, grid: ProjGrid) -> np.ndarray:
+    """Dual-basis projection coefficients of the log-return density on `grid` via one FFT."""
     n = grid.n_basis
     xi = grid.delta_xi * np.arange(n)
     h = (np.exp(char_exponent(model, ctx, xi, t) - 1j * xi * math.log(ctx.spot))
          * dual_zeta(xi, grid.a) * np.exp(-1j * xi * grid.x1))
     h[0] *= 0.5  # trapezoid half-weight on the first node
-    beta = (32.0 * grid.a**4.5 / n) * np.real(np.fft.fft(h))
-    return ProjCoefficients(beta=beta, grid=grid)
+    return (32.0 * grid.a**4.5 / n) * np.real(np.fft.fft(h))
 
 
-def density(coeffs: ProjCoefficients, x) -> np.ndarray:
-    """Reconstructed log-return density at points x."""
-    g = coeffs.grid
+def density(beta: np.ndarray, grid: ProjGrid, x) -> np.ndarray:
+    """Log-return density at points x reconstructed from coefficients `beta` on `grid`."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(x)
-    pos = (x - g.x1) / g.delta
-    sqrt_a = math.sqrt(g.a)
+    pos = (x - grid.x1) / grid.delta
+    sqrt_a = math.sqrt(grid.a)
     for off in (-1, 0, 1, 2):
         k = np.floor(pos).astype(int) + off
-        ok = (k >= 0) & (k < g.n_basis)
-        out[ok] += coeffs.beta[k[ok]] * sqrt_a * bspline3(pos[ok] - k[ok])
+        ok = (k >= 0) & (k < grid.n_basis)
+        out[ok] += beta[k[ok]] * sqrt_a * bspline3(pos[ok] - k[ok])
     return out
-
-
-def _payoff_constants(delta: float):
-    """Gauss-Legendre values of integral phi3(u) e^(u delta) du and integral phi3(u) du."""
-    u = (np.arange(4)[:, None] - 2.0) + _GL01_X[None, :]
-    w = _GL01_W[None, :] * bspline3(u)
-    return float((w * np.exp(u * delta)).sum()), float(w.sum())
 
 
 _KNOT_LO = np.arange(4, dtype=float) - 2.0    # knot interval lower edges in u units
 
 
-def _straddle(grid: ProjGrid, xk: np.ndarray, spot: float, strikes: np.ndarray):
-    """Put payoff against the elements around each strike's kink.
+def _put_leg(grid: ProjGrid, spot: float, strikes: np.ndarray):
+    """Put payoff against the basis elements, for both slice pricers.
 
-    Returns the index of the last element wholly below each kink, the four
-    elements whose support holds it, and their payoff integrals (strikes x 4):
-    each knot interval is integrated by GL quadrature, the one holding the kink
-    split there. A strike too close to the grid edge for four elements raises.
+    Returns the element centers xk, the index of the last element wholly below
+    each strike's kink, the four elements whose support holds it, their payoff
+    integrals (strikes x 4), and the GL values of integral phi3(u) e^(u delta) du
+    and integral phi3(u) du that price the elements wholly below. Each knot
+    interval is integrated by GL quadrature, the one holding the kink split
+    there. A strike too close to the grid edge for four elements raises.
     """
     n = grid.n_basis
+    xk = grid.x1 + grid.delta * np.arange(n)
     y_star = np.log(strikes / spot)
     pos = (y_star - grid.x1) * grid.a
     off_grid = np.flatnonzero(~((pos >= 2.0) & (pos <= n - 3.0)))
@@ -177,7 +165,10 @@ def _straddle(grid: ProjGrid, xk: np.ndarray, spot: float, strikes: np.ndarray):
     u = _KNOT_LO[:, None] + width * _GL01_X
     vals = bspline3(u) * (strikes[:, None, None, None]
                           - spot * np.exp(x_near[..., None] + u * grid.delta))
-    return k_full, near, (width * _GL01_W * vals).sum(axis=(2, 3))
+    whole = _KNOT_LO[:, None] + _GL01_X     # the knot intervals of an element below the kink
+    w = _GL01_W * bspline3(whole)
+    return (xk, k_full, near, (width * _GL01_W * vals).sum(axis=(2, 3)),
+            float((w * np.exp(whole * grid.delta)).sum()), float(w.sum()))
 
 
 def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
@@ -200,15 +191,13 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
     if is_calls.shape != strikes.shape:
         raise ValueError("is_calls must match strikes")
 
-    coeffs = proj_coefficients(model, ctx, t, build_grid(model, ctx, t, spec))
-    grid = coeffs.grid
-    xk = grid.x1 + grid.delta * np.arange(grid.n_basis)
-    k_full, near, per_element = _straddle(grid, xk, ctx.spot, strikes)
-    exp_const, one_const = _payoff_constants(grid.delta)
-    cum_mass = np.cumsum(coeffs.beta)
+    grid = build_grid(model, ctx, t, spec)
+    beta = proj_coefficients(model, ctx, t, grid)
+    xk, k_full, near, per_element, exp_const, one_const = _put_leg(grid, ctx.spot, strikes)
+    cum_mass = np.cumsum(beta)
     # the right tail beyond any admissible strike is never read; clip its
     # exponent so extreme trial grids cannot overflow the cumulative sum
-    cum_exp = np.cumsum(coeffs.beta * np.exp(np.minimum(xk, 700.0)))
+    cum_exp = np.cumsum(beta * np.exp(np.minimum(xk, 700.0)))
     disc = math.exp(-ctx.rate * t)
     fwd_leg = ctx.spot * math.exp(-ctx.div_yield * t) - strikes * disc
     scale = grid.delta * math.sqrt(grid.a)
@@ -217,7 +206,7 @@ def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,
                      - ctx.spot * exp_const * cum_exp[k_full])
     # a stacked matmul rounds each 4-term dot as a 1-d `@` does;
     # einsum and multiply-then-sum round differently
-    straddle = (coeffs.beta[near][:, None, :] @ per_element[:, :, None])[:, 0, 0]
+    straddle = (beta[near][:, None, :] @ per_element[:, :, None])[:, 0, 0]
     put = (below + scale * straddle) * disc
     return np.where(is_calls, put + fwd_leg, put)
 
@@ -255,10 +244,8 @@ class FrozenSlice:
         """The functional on `model`'s grid; raises as price_strike_slice does off the grid."""
         grid = build_grid(model, ctx, t, spec)
         n = grid.n_basis
-        xk = grid.x1 + grid.delta * np.arange(n)
-        k_full, near, per_element = _straddle(grid, xk, ctx.spot, strikes)
+        xk, k_full, near, per_element, exp_const, one_const = _put_leg(grid, ctx.spot, strikes)
         m = near.max() + 1      # L is 0 past the last straddling element
-        exp_const, one_const = _payoff_constants(grid.delta)
         payoff = np.where(np.arange(m) <= k_full[:, None],
                           strikes[:, None] * one_const - ctx.spot * exp_const * np.exp(xk[:m]),
                           0.0)

@@ -274,8 +274,8 @@ def test_criterion_05_proj_convergence_and_parity():
     worst_mass = 0.0
     for _, _, model in ALL_ROWS:
         grid = build_grid(model, CTX, 0.5, GridSpec(4096, 12.0))
-        coeffs = proj_coefficients(model, CTX, 0.5, grid)
-        worst_mass = max(worst_mass, abs(coeffs.beta.sum() / math.sqrt(grid.a) - 1.0))
+        beta = proj_coefficients(model, CTX, 0.5, grid)
+        worst_mass = max(worst_mass, abs(beta.sum() / math.sqrt(grid.a) - 1.0))
     checks.append(("density mass", worst_mass < 1e-6, worst_mass))
 
     worst_zeta = 0.0

@@ -73,6 +73,19 @@ def test_bs_vega_greek_matches_finite_difference():
     assert bs_vega(ctx, t, k, vol) == pytest.approx(fd * math.exp(0.013 * t), rel=1e-6)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.2, math.nan, math.inf])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_bs_price_and_vega_reject_a_vol_that_is_not_finite_and_positive(ctx, bad, as_array):
+    # an array vol is rejected if any entry is bad
+    vol = np.array([0.2, bad]) if as_array else bad
+    strike = np.array([100.0, 110.0]) if as_array else 100.0
+    for call in (lambda: bs_price(ctx, 0.5, strike, vol, True),
+                 lambda: bs_vega(ctx, 0.5, strike, vol),
+                 lambda: bs_vega_greek(ctx, 0.5, strike, vol)):
+        with pytest.raises(ValueError, match="^vol must be finite and positive$"):
+            call()
+
+
 def test_implied_vol_round_trip_frozen_case(ctx):
     price = bs_price(ctx, 1.0, 100.0, 0.2, True)
     assert implied_vol(ctx, 1.0, 100.0, price, True) == pytest.approx(0.2, abs=1e-8)

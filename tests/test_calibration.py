@@ -427,7 +427,7 @@ def test_calibrate_counts_penalties_of_a_forced_off_grid_strike(heston_surface, 
     far = synthetic_surface(truth, 100.0, 0.05, 0.0, [1.0], list(MONEYNESS) + [0.7])
     surface = QuoteSurface(100.0, heston_surface.slices[:2] + far.slices)
     raised = []
-    original = svjd.proj._straddle
+    original = svjd.proj._put_leg
 
     def counted(*args):
         try:
@@ -436,7 +436,7 @@ def test_calibrate_counts_penalties_of_a_forced_off_grid_strike(heston_surface, 
             raised.append(1)
             raise
 
-    monkeypatch.setattr(svjd.proj, "_straddle", counted)
+    monkeypatch.setattr(svjd.proj, "_put_leg", counted)
     init = HestonParams(1e-4, 1e-4, 3.0, 0.01, -0.5)
     J, penalties = _jacobian("heston", np.asarray(init.flat()), surface)
     n_head = sum(sl.strikes.size for sl in surface.slices[:2])

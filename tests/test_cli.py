@@ -116,8 +116,8 @@ def test_load_quotes_names_bad_cell(tmp_path):
     ("0,110,C,1.0,,0.05,0.0,100", "maturity must be finite and positive; got 0.0"),
     ("-0.5,110,C,,0.3,0.05,0.0,100", "maturity must be finite and positive; got -0.5"),
     ("0.5,110,C,1.0,,0.05,0.0,0", "spot must be positive"),
-    ("0.5,110,C,,-0.3,0.05,0.0,100", "vol must be positive"),
-    ("0.5,110,C,1.0,0,0.05,0.0,100", "vol must be positive"),
+    ("0.5,110,C,,-0.3,0.05,0.0,100", "vol must be finite and positive"),
+    ("0.5,110,C,1.0,0,0.05,0.0,100", "vol must be finite and positive"),
 ])
 def test_calibrate_names_the_file_and_line_of_a_bad_quote(tmp_path, capsys, row, message):
     f = tmp_path / "q.csv"
@@ -394,6 +394,18 @@ def test_cli_rejects_european_without_positive_strike(tmp_path, shop_hkde_file, 
         rc = main(cmd + ["--params", shop_hkde_file, "--contract", str(contract)])
         assert rc == 2
         assert capsys.readouterr().err.strip() == f"error: {kind} needs a positive strike"
+
+
+def test_cli_rejects_cliquet_without_notional(tmp_path, spot_heston_file, capsys):
+    # a cliquet's strike is its notional: left out, it would price to 0
+    contract = tmp_path / "c.json"
+    contract.write_text(json.dumps({"kind": "cliquet", "cap": 0.06, "floor": 0.01,
+                                    "global_cap": 1.2, "global_floor": 0.0, "maturity": 1.0,
+                                    "monitoring": 4, "spot": 100.0, "rate": 0.05}))
+    for cmd in (["price"], ["mc-compare", "--out", str(tmp_path / "x.csv")]):
+        rc = main(cmd + ["--params", spot_heston_file, "--contract", str(contract)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: cliquet needs a positive strike\n"
 
 
 @pytest.mark.parametrize("value", [True, "0.04", None])

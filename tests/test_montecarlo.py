@@ -150,7 +150,7 @@ def test_exotic_spec_numpy_flag_prices_as_the_python_one():
     assert payoff == pytest.approx([20.0, 0.0])
 
 
-@pytest.mark.parametrize("kind", ["european_call", "european_put"])
+@pytest.mark.parametrize("kind", ["european_call", "european_put", "cliquet"])
 @pytest.mark.parametrize("strike", [0.0, -100.0])
 def test_european_spec_needs_positive_strike(kind, strike):
     with pytest.raises(ValueError, match=f"{kind} needs a positive strike"):

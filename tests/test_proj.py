@@ -12,8 +12,8 @@ from svjd.models import HestonParams, HKDEParams, KouJumpParams, MarketContext, 
 from svjd.proj import (
     _GL01_W,
     _GL01_X,
+    FrozenSlice,
     GridSpec,
-    _payoff_constants,
     alpha_bar_from_cumulants,
     bspline3,
     build_grid,
@@ -137,26 +137,25 @@ def test_bspline3_shape():
 def test_gaussian_density_reconstruction(ctx):
     model = degenerate_hkde(0.2)
     grid = build_grid(model, ctx, 1.0, GridSpec(4096, 12.0))
-    coeffs = proj_coefficients(model, ctx, 1.0, grid)
+    beta = proj_coefficients(model, ctx, 1.0, grid)
     x = np.linspace(-0.9, 0.9, 3001)
     mean = (ctx.rate - 0.5 * 0.04) * 1.0
     pdf = np.exp(-((x - mean) ** 2) / (2 * 0.04)) / math.sqrt(2 * math.pi * 0.04)
-    assert np.abs(density(coeffs, x) - pdf).max() < 1e-8
+    assert np.abs(density(beta, grid, x) - pdf).max() < 1e-8
 
 
 def test_normalization_all_calibrated_rows(ctx):
     for _, _, params in ALL_ROWS:
         grid = build_grid(params, ctx, 0.5, GridSpec(4096, 12.0))
-        coeffs = proj_coefficients(params, ctx, 0.5, grid)
-        mass = coeffs.beta.sum() / math.sqrt(grid.a)
+        mass = proj_coefficients(params, ctx, 0.5, grid).sum() / math.sqrt(grid.a)
         assert mass == pytest.approx(1.0, abs=1e-6), params
 
 
 def test_amzn_density_mass_via_quadrature(ctx, amzn_hkde):
     grid = build_grid(amzn_hkde, ctx, 1.0, GridSpec(4096, 12.0))
-    coeffs = proj_coefficients(amzn_hkde, ctx, 1.0, grid)
+    beta = proj_coefficients(amzn_hkde, ctx, 1.0, grid)
     x = np.linspace(grid.x1, grid.x1 + (grid.n_basis - 1) * grid.delta, 200001)
-    mass = trapezoid(density(coeffs, x), x)
+    mass = trapezoid(density(beta, grid, x), x)
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
@@ -213,14 +212,16 @@ def test_slice_equals_individual_prices(ctx, shop_hkde):
     assert np.array_equal(sliced, looped)
 
 
-def _put_leg_by_strike(coeffs, ctx, t, strikes):
+def _put_leg_by_strike(beta, g, ctx, t, strikes):
     """Discounted put leg one strike at a time: cumulative sums below the kink,
     GL quadrature on the four straddling elements with the kink interval split."""
-    g = coeffs.grid
     xk = g.x1 + g.delta * np.arange(g.n_basis)
-    exp_const, one_const = _payoff_constants(g.delta)
-    cum_mass = np.cumsum(coeffs.beta)
-    cum_exp = np.cumsum(coeffs.beta * np.exp(np.minimum(xk, 700.0)))
+    # GL values of integral phi3(u) e^(u delta) du and integral phi3(u) du over [-2, 2]
+    u = np.arange(4.0)[:, None] - 2.0 + _GL01_X
+    w = _GL01_W * bspline3(u)
+    exp_const, one_const = float((w * np.exp(u * g.delta)).sum()), float(w.sum())
+    cum_mass = np.cumsum(beta)
+    cum_exp = np.cumsum(beta * np.exp(np.minimum(xk, 700.0)))
     scale = g.delta * math.sqrt(g.a)
     out = []
     for k, y_star in zip(strikes, np.log(strikes / ctx.spot)):
@@ -232,7 +233,7 @@ def _put_leg_by_strike(coeffs, ctx, t, strikes):
         u = lo[:, :, None] + width[:, :, None] * _GL01_X
         vals = bspline3(u) * (k - ctx.spot * np.exp(x[:, None, None] + u * g.delta))
         per_element = (width[:, :, None] * _GL01_W * vals).sum(axis=(1, 2))
-        straddle = float(coeffs.beta[k_full + 1:k_full + 5] @ per_element)
+        straddle = float(beta[k_full + 1:k_full + 5] @ per_element)
         out.append((below + scale * straddle) * math.exp(-ctx.rate * t))
     return np.array(out)
 
@@ -242,9 +243,10 @@ def test_slice_equals_per_strike_reference(ctx):
         model = PARAM_ROWS[kind]["AMZN"]
         for t in (0.1, 1.0):
             strikes = np.arange(60.0, 160.0, 0.5)
-            coeffs = proj_coefficients(model, ctx, t, build_grid(model, ctx, t))
+            grid = build_grid(model, ctx, t)
+            beta = proj_coefficients(model, ctx, t, grid)
             puts = price_strike_slice(model, ctx, t, strikes, [False] * strikes.size)
-            assert np.array_equal(puts, _put_leg_by_strike(coeffs, ctx, t, strikes)), (kind, t)
+            assert np.array_equal(puts, _put_leg_by_strike(beta, grid, ctx, t, strikes)), (kind, t)
 
 
 def test_single_strike_slice_equals_price_european(ctx, amzn_hkde):
@@ -262,6 +264,16 @@ def test_strike_outside_grid_raises(ctx):
     # a slice names its first off-grid strike
     with pytest.raises(ValueError, match=r"strike 250\.0 .*L1"):
         price_strike_slice(tiny, ctx, 0.25, [100.0, 250.0, 300.0], [True] * 3)
+
+
+def test_frozen_slice_raises_the_slice_pricers_off_grid_message(ctx):
+    tiny = degenerate_hkde(0.01)
+    strikes, flags = np.array([30.0, 100.0, 250.0]), np.array([False, True, True])
+    with pytest.raises(ValueError, match="outside the projection grid") as sliced:
+        price_strike_slice(tiny, ctx, 0.25, strikes, flags)
+    with pytest.raises(ValueError) as frozen:
+        FrozenSlice.at(tiny, ctx, 0.25, strikes, flags)
+    assert str(frozen.value) == str(sliced.value)
 
 
 def test_slice_input_validation(ctx, amzn_hkde):
