@@ -1,5 +1,7 @@
 """Black-Scholes pricing, the vega weight kernel, and implied-volatility inversion
-on scalars or broadcasting arrays (the maturity is a scalar); scalars in give a float out."""
+on scalars or broadcasting arrays; scalars in give a float out. Pricing takes one
+maturity per call, inversion one maturity per quote, so quotes of several tenors
+are inverted by one Newton iteration."""
 from __future__ import annotations
 
 import math
@@ -59,19 +61,40 @@ def ndtr(x):
     return ndtr(x)
 
 
-def _d1(log_sk, t: float, drift: float, vol):
-    """d1 from log(S/K) and r - q; every price and vega reads it from here."""
-    return (log_sk + t * (drift + 0.5 * vol * vol)) / (vol * math.sqrt(t))
+def _d1(log_sk, t, root_t, drift, vol):
+    """d1 from log(S/K), t, sqrt(t) and r - q; every price and vega reads it from here."""
+    return (log_sk + t * (drift + 0.5 * vol * vol)) / (vol * root_t)
 
 
-def _call_put(fwd: float, disc_k, sign, t: float, vol, d1):
+def _call_put(fwd, disc_k, sign, root_t, vol, d1):
     """The call formula; the put is the call with d1, d2 and the result negated (sign -1)."""
-    d2 = d1 - vol * math.sqrt(t)
+    d2 = d1 - vol * root_t
     return sign * (fwd * ndtr(sign * d1) - disc_k * ndtr(sign * d2))
 
 
-def _vega(spot: float, t: float, d1):
-    return spot * (_INV_SQRT_2PI * np.exp(-0.5 * d1 * d1)) * math.sqrt(t)
+def _vega(spot, root_t, d1):
+    return spot * (_INV_SQRT_2PI * np.exp(-0.5 * d1 * d1)) * root_t
+
+
+def _tenor(ctx: MarketContext, t: float) -> tuple:
+    """spot, t, sqrt(t), exp(-r t), exp(-q t) and r - q of one maturity."""
+    return (ctx.spot, t, math.sqrt(t), math.exp(-ctx.rate * t), math.exp(-ctx.div_yield * t),
+            ctx.rate - ctx.div_yield)
+
+
+def _price(tenor, strike, vol, is_call):
+    """bs_price on one _tenor, or on its six rows with one entry per quote."""
+    spot, t, root_t, disc_r, disc_q, drift = tenor
+    d1 = _d1(np.log(spot / strike), t, root_t, drift, vol)
+    return _call_put(spot * disc_q, strike * disc_r, np.where(is_call, 1.0, -1.0), root_t, vol, d1)
+
+
+def _bounds(tenor, strike, is_call) -> tuple:
+    """no_arbitrage_bounds on one _tenor, or on its rows."""
+    spot, _, _, disc_r, disc_q, _ = tenor
+    fwd, disc_k = spot * disc_q, strike * disc_r
+    lower = np.maximum(np.where(is_call, fwd - disc_k, disc_k - fwd), 0.0)
+    return lower, np.where(is_call, fwd, disc_k)
 
 
 def bs_price(ctx: MarketContext, t: float, strike, vol, is_call):
@@ -79,9 +102,7 @@ def bs_price(ctx: MarketContext, t: float, strike, vol, is_call):
     _require_real("t", t, positive=True)
     if not np.all((vol > 0) & (vol < math.inf)):     # a nan vol fails both
         raise ValueError("vol must be finite and positive")
-    d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
-    fwd, disc_k = ctx.spot * math.exp(-ctx.div_yield * t), strike * math.exp(-ctx.rate * t)
-    return _out(_call_put(fwd, disc_k, np.where(is_call, 1.0, -1.0), t, vol, d1))
+    return _out(_price(_tenor(ctx, t), strike, vol, is_call))
 
 
 def bs_vega(ctx: MarketContext, t: float, strike, vol):
@@ -93,8 +114,9 @@ def bs_vega(ctx: MarketContext, t: float, strike, vol):
     _require_real("t", t, positive=True)
     if not np.all((vol > 0) & (vol < math.inf)):     # a nan vol fails both
         raise ValueError("vol must be finite and positive")
-    d1 = _d1(np.log(ctx.spot / strike), t, ctx.rate - ctx.div_yield, vol)
-    return _out(_vega(ctx.spot, t, d1))
+    root_t = math.sqrt(t)
+    d1 = _d1(np.log(ctx.spot / strike), t, root_t, ctx.rate - ctx.div_yield, vol)
+    return _out(_vega(ctx.spot, root_t, d1))
 
 
 def bs_vega_greek(ctx: MarketContext, t: float, strike, vol):
@@ -105,44 +127,84 @@ def bs_vega_greek(ctx: MarketContext, t: float, strike, vol):
 
 def no_arbitrage_bounds(ctx: MarketContext, t: float, strike, is_call) -> tuple:
     """(lower, upper) static bounds for a European option price."""
-    _require_real("t", t, positive=True)   # implied_vol's too: _invert calls this first
-    fwd = ctx.spot * math.exp(-ctx.div_yield * t)
-    disc_k = strike * math.exp(-ctx.rate * t)
-    lower = np.maximum(np.where(is_call, fwd - disc_k, disc_k - fwd), 0.0)
-    return _out(lower), _out(np.where(is_call, fwd, disc_k))
+    _require_real("t", t, positive=True)
+    lower, upper = _bounds(_tenor(ctx, t), strike, is_call)
+    return _out(lower), _out(upper)
 
 
-def _invert(ctx: MarketContext, t: float, strike, price, is_call) -> tuple:
-    """Implied vols of equal-length 1-d arrays, by one safeguarded Newton iteration
-    over the unconverged elements, and per element 0 or its _FAILURES code (vol nan)."""
+def _bracket(tenor, strike, price, is_call) -> tuple:
+    """Per quote 0, _OUTSIDE (price outside the static no-arbitrage bounds) or
+    _ABOVE (price above the VOL_HI price), and whether the price is below the
+    VOL_LO price. `tenor` is one _tenor, or its six rows with one entry per quote."""
+    lower, upper = _bounds(tenor, strike, is_call)
+    failure = np.where((lower < price) & (price < upper), 0, _OUTSIDE)
+    low = (failure == 0) & (_price(tenor, strike, VOL_LO, is_call) > price)
+    failure[(failure == 0) & ~low & (_price(tenor, strike, VOL_HI, is_call) < price)] = _ABOVE
+    return failure, low
+
+
+def _bracketed(ctx: MarketContext, t: float, strike, price, is_call) -> bool:
+    """Whether every quote of one maturity passes _invert's bracket checks, so
+    only the Newton stage can still fail it."""
+    return not _bracket(_tenor(ctx, t), strike, price, is_call)[0].any()
+
+
+def _invert(ctx: MarketContext, t, strike, price, is_call) -> tuple:
+    """Implied vols of equal-length 1-d arrays with one maturity per quote (`t`
+    a scalar or such an array), and per quote 0 or its _FAILURES code (vol nan).
+
+    Each distinct maturity's sqrt(t) and discount factors are computed once, as
+    the scalar formulas compute them. After the bracket checks one safeguarded
+    Newton iteration runs over the unconverged quotes of every tenor; each
+    quote's steps are elementwise, so its vol does not depend on the others.
+    """
+    if np.ndim(t):
+        maturities, index = np.unique(t, return_inverse=True)
+        maturities = maturities.tolist()
+    else:
+        maturities, index = [t], np.zeros(strike.size, dtype=np.intp)
+    for m in maturities:
+        _require_real("t", m, positive=True)
+    return _newton([(ctx, m) for m in maturities], index, strike, price, is_call)
+
+
+def _newton(tenors, index, strike, price, is_call) -> tuple:
+    """_invert with quote j of tenor tenors[index[j]], a (ctx, t) pair: the
+    bracket checks, then the iteration."""
+    table = np.array([_tenor(ctx, t) for ctx, t in tenors]).reshape(-1, 6)
+    tenor = np.take(table.T, index, axis=1)     # six rows, one entry per quote
     sigma = np.full(strike.shape, np.nan)
-    lo_bound, hi_bound = no_arbitrage_bounds(ctx, t, strike, is_call)
-    failure = np.where((lo_bound < price) & (price < hi_bound), 0, _OUTSIDE)
-    low = (failure == 0) & (bs_price(ctx, t, strike, VOL_LO, is_call) > price)
+    failure, low = _bracket(tenor, strike, price, is_call)
     sigma[low] = VOL_LO  # price below the bracket: vanishing vol
-    failure[(failure == 0) & ~low & (bs_price(ctx, t, strike, VOL_HI, is_call) < price)] = _ABOVE
 
     i = np.flatnonzero((failure == 0) & ~low)
-    p, sign, log_sk = price[i], np.where(is_call[i], 1.0, -1.0), np.log(ctx.spot / strike[i])
-    disc_k, disc_q = strike[i] * math.exp(-ctx.rate * t), math.exp(-ctx.div_yield * t)
-    drift = ctx.rate - ctx.div_yield   # only the vol changes between iterations
-    lo, hi = np.full(i.size, VOL_LO), np.full(i.size, VOL_HI)
+    spot, t, root_t, disc_r, disc_q, drift = tenor[:, i]
+    k, log_sk = strike[i], np.log(spot / strike[i])
+    # the quotes' constants as rows of one array, so that dropping the converged
+    # quotes is one gather; only the vol and its bracket change between iterations
+    quotes = np.array([price[i], np.where(is_call[i], 1.0, -1.0), log_sk, k * disc_r,
+                       spot * disc_q, 1e-10 * spot, spot, t, root_t, drift, disc_q])
     guess = np.sqrt(2.0 * np.abs(log_sk + drift * t) / t)
-    s = np.clip(np.where(guess == 0.0, 0.2, guess), lo, hi)
+    vols = np.array([np.full(i.size, VOL_LO), np.full(i.size, VOL_HI), guess])
+    lo, hi, s = vols
+    np.clip(np.where(guess == 0.0, 0.2, guess), lo, hi, out=s)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_ITER):
             if not i.size:
                 break
-            d1 = _d1(log_sk, t, drift, s)
-            f = _call_put(ctx.spot * disc_q, disc_k, sign, t, s, d1) - p
+            p, sign, log_sk, disc_k, fwd, tol, spot, t, root_t, drift, disc_q = quotes
+            lo, hi, s = vols
+            d1 = _d1(log_sk, t, root_t, drift, s)
+            f = _call_put(fwd, disc_k, sign, root_t, s, d1) - p
             up = f > 0
-            hi, lo = np.where(up, s, hi), np.where(up, lo, s)
-            vega = disc_q * _vega(ctx.spot, t, d1)
+            np.copyto(hi, s, where=up)
+            np.copyto(lo, s, where=~up)
+            vega = disc_q * _vega(spot, root_t, d1)
             step = f / vega
             # price converged; require vol-space convergence too, unless vega or
             # the remaining bracket is too small for the price to resolve it
             vol_res = 1e-9 * np.maximum(s, 1e-2)
-            done = (np.abs(f) < 1e-10 * ctx.spot) & (
+            done = (np.abs(f) < tol) & (
                 (vega <= 1e-12) | (np.abs(step) < vol_res) | (hi - lo < vol_res))
             candidate = s - step
             s_next = np.where((vega > 1e-14) & (lo < candidate) & (candidate < hi),
@@ -150,27 +212,30 @@ def _invert(ctx: MarketContext, t: float, strike, price, is_call) -> tuple:
             if done.any():
                 sigma[i[done]] = s[done]
                 keep = ~done
-                i, log_sk, disc_k, sign, p, s_next, lo, hi = (
-                    a[keep] for a in (i, log_sk, disc_k, sign, p, s_next, lo, hi))
-            s = s_next
+                i, quotes, vols = i[keep], quotes[:, keep], vols[:, keep]
+                s_next = s_next[keep]
+            vols[2] = s_next
     failure[i] = _UNCONVERGED
     return sigma, failure
 
 
-def implied_vol(ctx: MarketContext, t: float, strike, price, is_call):
+def implied_vol(ctx: MarketContext, t, strike, price, is_call):
     """Invert bs_price: safeguarded Newton on [VOL_LO, VOL_HI] with bisection
     fallback, to |price error| < 1e-10 S0 and a vol step < 1e-9 max(vol, 1e-2).
+    The maturity broadcasts with the quotes like the other inputs, so one call
+    inverts several tenors.
 
     Raises for the first element it cannot invert, naming its strike: ValueError
     outside the static no-arbitrage bounds or above VOL_HI, RuntimeError if
     MAX_ITER iterations do not converge.
     """
-    strike, price, is_call = np.broadcast_arrays(strike, price, is_call)
-    sigma, failure = _invert(ctx, t, strike.ravel(), price.ravel(), is_call.ravel())
+    strike, price, is_call, each_t = np.broadcast_arrays(strike, price, is_call, t)
+    sigma, failure = _invert(ctx, t if np.ndim(t) == 0 else each_t.ravel(), strike.ravel(),
+                             price.ravel(), is_call.ravel())
     if failure.any():
         j = np.flatnonzero(failure)[0]
         k, p, c = float(strike.flat[j]), float(price.flat[j]), bool(is_call.flat[j])
-        lo, hi = no_arbitrage_bounds(ctx, t, k, c)
+        lo, hi = no_arbitrage_bounds(ctx, float(each_t.flat[j]), k, c)
         error, message = _FAILURES[failure[j]]
         raise error(message.format(p=p, k=k, lo=lo, hi=hi))
     return _out(sigma.reshape(strike.shape))

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from svjd.black_scholes import Quote, _invert, bs_price, bs_vega, implied_vol
+from svjd.black_scholes import Quote, _bracketed, _newton, bs_price, bs_vega, implied_vol
 from svjd.models import MODELS, MarketContext, ModelParams
 from svjd.proj import FrozenSlice, GridSpec, build_grid, price_strike_slice
 
@@ -399,14 +399,17 @@ def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def _iv_errors(surface: QuoteSurface, prices: Sequence[np.ndarray]) -> ErrorMetrics:
-    """error_metrics from each tenor's model prices."""
-    ivs, failures = zip(*(_invert(sl.ctx, sl.t, sl.strikes, p, sl.is_calls)
-                          for sl, p in zip(surface.slices, prices)))
-    ok = np.concatenate(failures) == 0
+    """error_metrics from each tenor's model prices, all inverted by one Newton iteration."""
+    slices = surface.slices
+    k, v, c = (np.concatenate(col) for col in zip(*((sl.strikes, p, sl.is_calls)
+                                                    for sl, p in zip(slices, prices))))
+    index = np.repeat(np.arange(len(slices)), [sl.strikes.size for sl in slices])
+    ivs, failures = _newton([(sl.ctx, sl.t) for sl in slices], index, k, v, c)
+    ok = failures == 0
     if not ok.any():
         raise ValueError("no quote could be inverted to an implied volatility")
-    iv_mkt = np.concatenate([sl.ivs for sl in surface.slices])[ok]
-    err = np.concatenate(ivs)[ok] - iv_mkt
+    iv_mkt = np.concatenate([sl.ivs for sl in slices])[ok]
+    err = ivs[ok] - iv_mkt
     return ErrorMetrics(mape_pct=100.0 * float(np.mean(np.abs(err) / iv_mkt)),
                         rmse=float(np.sqrt(np.mean(err ** 2))), n_excluded=int((~ok).sum()))
 
@@ -428,15 +431,22 @@ def synthetic_surface(model: ModelParams, spot: float, rate: float, div_yield: f
                       maturities: Sequence[float], log_moneyness: Sequence[float],
                       grid_spec: GridSpec = GridSpec()) -> QuoteSurface:
     """Noiseless OTM surface priced from a model: puts below the forward, calls
-    above; each tenor's IVs come from one inversion, and each quote is built once."""
+    above. The tenors are priced in turn, up to the first with a quote outside
+    the inverter's bracket; one implied_vol call then inverts every tenor priced
+    (raising for that one), and each quote is built once."""
     ctx = MarketContext(spot=spot, rate=rate, div_yield=div_yield)
-    slices = []
-    for t in sorted(float(t) for t in maturities):
+    ts, moneyness = sorted(float(t) for t in maturities), sorted(log_moneyness)
+    strikes, is_call, prices = [], [], []
+    for t in ts:
         fwd = ctx.forward(t)
-        strikes = np.array([fwd * math.exp(m) for m in sorted(log_moneyness)])
-        is_call = strikes >= fwd
-        prices = price_strike_slice(model, ctx, t, strikes, is_call, grid_spec)
-        ivs = implied_vol(ctx, t, strikes, prices, is_call)
-        quotes = zip(strikes.tolist(), is_call.tolist(), prices.tolist(), ivs.tolist())
-        slices.append(MaturitySlice(t, ctx, tuple(Quote(t, *q) for q in quotes)))
+        strikes.append(np.array([fwd * math.exp(m) for m in moneyness]))
+        is_call.append(strikes[-1] >= fwd)
+        prices.append(price_strike_slice(model, ctx, t, strikes[-1], is_call[-1], grid_spec))
+        if not _bracketed(ctx, t, strikes[-1], prices[-1], is_call[-1]):
+            break   # implied_vol raises for this tenor, as it would alone
+    ivs = implied_vol(ctx, np.array(ts[:len(prices)])[:, None], np.array(strikes),
+                      np.array(prices), np.array(is_call))
+    slices = [MaturitySlice(t, ctx, tuple(Quote(t, *q) for q in zip(
+                  k.tolist(), c.tolist(), p.tolist(), v.tolist())))
+              for t, k, c, p, v in zip(ts, strikes, is_call, prices, ivs)]
     return QuoteSurface(spot=spot, slices=slices)

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from svjd.black_scholes import Quote, bs_price, implied_vol, no_arbitrage_bounds
+from svjd.black_scholes import Quote, _bracketed, bs_price, implied_vol, no_arbitrage_bounds
 from svjd.calibration import QuoteSurface, calibrate, synthetic_surface
 from svjd.models import MODEL_NAMES, MarketContext, ModelParams, model_from_dict, model_to_dict
 from svjd.montecarlo import (
@@ -279,6 +279,8 @@ def cmd_smile(args) -> int:
     t = args.maturity
     if not t > 0:
         raise ValueError("--maturity must be positive")
+    if t == math.inf:
+        raise ValueError("--maturity must be finite; got inf")
     try:
         strikes = _ladder(args.strikes)
     except ValueError:
@@ -292,8 +294,12 @@ def cmd_smile(args) -> int:
     if args.bump:
         models.append(("iv_bumped", _bump_model(model, args.bump)))
     flags = strikes >= ctx.forward(t)
-    curves = [implied_vol(ctx, t, strikes, price_strike_slice(m, ctx, t, strikes, flags, spec),
-                          flags) for _, m in models]
+    prices = []
+    for _, m in models:
+        prices.append(price_strike_slice(m, ctx, t, strikes, flags, spec))
+        if not _bracketed(ctx, t, strikes, prices[-1], flags):
+            break   # implied_vol raises for this curve, as it would alone
+    curves = implied_vol(ctx, t, strikes, np.array(prices), flags)   # one Newton loop
 
     # libm's log per strike, as the file always had it; np.log need not round the same
     rows = zip([math.log(x) for x in (strikes / ctx.spot).tolist()], *(c.tolist() for c in curves))
@@ -335,6 +341,9 @@ def cmd_synth(args) -> int:
     except ValueError:
         raise ValueError("--grid must look like T1,T2,...xLO:HI:STEP "
                          "(maturities x log-moneyness ladder)") from None
+    for t in maturities:
+        if not 0 < t < math.inf:
+            raise ValueError(f"--grid maturities must be finite and positive; got {t:g}")
     surface = synthetic_surface(model, args.spot, args.rate, args.div_yield,
                                 maturities, moneyness, GridSpec(n=args.n, l1=args.l1))
     write_quotes(args.out, surface)
@@ -357,6 +366,15 @@ def _add_mc_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps-per-interval", type=int, default=None)
     p.add_argument("--no-antithetic", action="store_true")
+
+
+class _Once(argparse.Action):
+    """Store a flag's value, refusing a second use that would silently replace the first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "may be given only once")
+        setattr(namespace, self.dest, values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -391,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--maturity", type=float, required=True)
     p.add_argument("--strikes", required=True, help="LO:HI:STEP")
-    p.add_argument("--bump", default=None, help="name=factor or name=+NN%%")
+    p.add_argument("--bump", default=None, action=_Once, help="name=factor or name=+NN%%")
     p.add_argument("--out", required=True)
     p.add_argument("--spot", type=float, default=100.0)
     p.add_argument("--rate", type=float, default=0.05)

@@ -100,17 +100,20 @@ class HestonParams(_FlatFields):
         cancellation that otherwise pollutes cumulant finite differences.
         """
         xi = np.asarray(xi, dtype=complex)
+        ixi = 1j * xi
         sv2 = self.sigma_v * self.sigma_v
-        beta = self.kappa - 1j * xi * self.sigma_v * self.rho
-        lin = 1j * xi + xi * xi
+        beta = self.kappa - ixi * self.sigma_v * self.rho
+        lin = ixi + xi * xi
         d = np.sqrt(beta * beta + sv2 * lin)
-        bmd = -sv2 * lin / (beta + d)
-        g = bmd / (beta + d)
+        beta_d = beta + d
+        bmd = -sv2 * lin / beta_d
+        g = bmd / beta_d
         edt = np.exp(-d * t)
-        log_term = _clog1p(-g * edt) - _clog1p(-g)
+        g_edt = g * edt
+        log_term = _clog1p(-g_edt) - _clog1p(-g)
         a = self.kappa * self.theta / sv2 * (bmd * t - 2.0 * log_term)
-        b = bmd / sv2 * (1.0 - edt) / (1.0 - g * edt)
-        return 1j * xi * (math.log(ctx.spot) + (ctx.rate - ctx.div_yield) * t) + a + b * self.v0
+        b = bmd / sv2 * (1.0 - edt) / (1.0 - g_edt)
+        return ixi * (math.log(ctx.spot) + (ctx.rate - ctx.div_yield) * t) + a + b * self.v0
 
     def frequency_scale(self) -> float:
         return 1.0
@@ -331,7 +334,10 @@ def _clog1p(z: np.ndarray) -> np.ndarray:
     """log(1+z) for complex z without cancellation near z = 0."""
     z = np.asarray(z, dtype=complex)
     x, y = z.real, z.imag
-    return 0.5 * np.log1p(2.0 * x + x * x + y * y) + 1j * np.arctan2(y, 1.0 + x)
+    out = np.empty_like(z)
+    np.multiply(0.5, np.log1p(2.0 * x + x * x + y * y), out=out.real)
+    np.add(np.arctan2(y, 1.0 + x), 0.0, out=out.imag)    # -0 to +0, as a complex sum gave it
+    return out
 
 
 def char_exponent(model: ModelParams, ctx: MarketContext, xi, t: float):

@@ -76,8 +76,9 @@ def dual_zeta(xi, a: float):
     """
     xi = np.asarray(xi, dtype=float)
     w = xi / a
+    zero = xi == 0.0
     # sin(w/2)/xi -> 1/(2a) as xi -> 0
-    ratio = np.where(xi == 0.0, 1.0 / (2.0 * a), np.sin(0.5 * w) / np.where(xi == 0.0, 1.0, xi))
+    ratio = np.where(zero, 1.0 / (2.0 * a), np.sin(0.5 * w) / np.where(zero, 1.0, xi))
     denom = 1208.0 + 1191.0 * np.cos(w) + 120.0 * np.cos(2.0 * w) + np.cos(3.0 * w)
     return 2520.0 * ratio**4 / denom
 
@@ -113,8 +114,11 @@ def proj_coefficients(model: ModelParams, ctx: MarketContext, t: float, grid: Pr
     """Dual-basis projection coefficients of the log-return density on `grid` via one FFT."""
     n = grid.n_basis
     xi = grid.delta_xi * np.arange(n)
-    h = (np.exp(char_exponent(model, ctx, xi, t) - 1j * xi * math.log(ctx.spot))
-         * dual_zeta(xi, grid.a) * np.exp(-1j * xi * grid.x1))
+    psi = char_exponent(model, ctx, xi, t)
+    psi.imag -= xi * math.log(ctx.spot)
+    phase = np.zeros(n, dtype=complex)          # i xi (-x1)
+    np.multiply(xi, -grid.x1, out=phase.imag)
+    h = np.exp(psi) * dual_zeta(xi, grid.a) * np.exp(phase)
     h[0] *= 0.5  # trapezoid half-weight on the first node
     return (32.0 * grid.a**4.5 / n) * np.real(np.fft.fft(h))
 
@@ -133,6 +137,11 @@ def density(beta: np.ndarray, grid: ProjGrid, x) -> np.ndarray:
 
 
 _KNOT_LO = np.arange(4, dtype=float) - 2.0    # knot interval lower edges in u units
+# GL nodes of the whole knot intervals of an element below the kink, and their
+# spline-weighted GL weights (the payoff constants' grid-free parts)
+_WHOLE_U = _KNOT_LO[:, None] + _GL01_X
+_WHOLE_W = _GL01_W * bspline3(_WHOLE_U)
+_WHOLE_ONE = float(_WHOLE_W.sum())
 
 
 def _put_leg(grid: ProjGrid, spot: float, strikes: np.ndarray):
@@ -144,6 +153,13 @@ def _put_leg(grid: ProjGrid, spot: float, strikes: np.ndarray):
     and integral phi3(u) du that price the elements wholly below. Each knot
     interval is integrated by GL quadrature, the one holding the kink split
     there. A strike too close to the grid edge for four elements raises.
+
+    The quadrature points are laid out interval x GL node x strike x element,
+    so that each interval evaluates one spline branch and every step runs
+    over strikes x elements at once. The integrand is then copied to strike x
+    element x interval x node before each element's 28 terms are summed: how
+    that sum rounds depends on the layout, and the prices are pinned to this
+    one (tests/test_proj.py keeps a frozen copy of the all-strike-major form).
     """
     n = grid.n_basis
     xk = grid.x1 + grid.delta * np.arange(n)
@@ -157,18 +173,33 @@ def _put_leg(grid: ProjGrid, spot: float, strikes: np.ndarray):
             f"projection grid [{grid.x1:.4f}, {grid.x1 + (n - 1) * grid.delta:.4f}]; "
             "increase L1 (or N) in the grid spec")
     k_full = np.floor(pos).astype(int) - 2
-    # (strike, element, knot interval, GL node) for the four straddling elements
-    near = k_full[:, None] + np.arange(1, 5)
-    x_near = xk[near][:, :, None]
-    hi = np.minimum(_KNOT_LO + 1.0, (y_star[:, None, None] - x_near) * grid.a)
-    width = np.maximum(hi - _KNOT_LO, 0.0)[..., None]
-    u = _KNOT_LO[:, None] + width * _GL01_X
-    vals = bspline3(u) * (strikes[:, None, None, None]
-                          - spot * np.exp(x_near[..., None] + u * grid.delta))
-    whole = _KNOT_LO[:, None] + _GL01_X     # the knot intervals of an element below the kink
-    w = _GL01_W * bspline3(whole)
-    return (xk, k_full, near, (width * _GL01_W * vals).sum(axis=(2, 3)),
-            float((w * np.exp(whole * grid.delta)).sum()), float(w.sum()))
+    near = k_full[:, None] + np.arange(1, 5)     # the four straddling elements
+    x_near = xk[near]
+    lo = _KNOT_LO[:, None, None]
+    width = np.maximum(np.minimum(lo + 1.0, (y_star[:, None] - x_near) * grid.a) - lo, 0.0)
+    u = lo[..., None] + width[:, None] * _GL01_X[:, None, None]   # interval, node, strike, element
+    # bspline3(u) by the one branch each interval can take: |u| >= 1 on the
+    # outer two and |u| < 1 on the inner two, but for u = -1 exactly, which
+    # needs a width below 3e-15 (or 0), whose term no element sum can resolve
+    spline = np.empty_like(u)
+    np.add(2.0, u[0], out=spline[0])                # 2 - |u| for u <= 0
+    np.subtract(2.0, u[3], out=spline[3])
+    tails = spline[::3]
+    np.power(tails, 3, out=tails)
+    tails /= 6.0
+    core = np.abs(u[1:3])
+    spline[1:3] = 2.0 / 3.0 - core * core * (1.0 - 0.5 * core)
+    vals = u         # the integrand, built in place of the points it needs
+    vals *= grid.delta
+    vals += x_near
+    np.exp(vals, out=vals)
+    vals *= spot
+    np.subtract(strikes[:, None], vals, out=vals)
+    vals *= spline
+    vals *= width[:, None] * _GL01_W[:, None, None]
+    terms = np.ascontiguousarray(vals.transpose(2, 3, 0, 1))   # strike, element, interval, node
+    return (xk, k_full, near, terms.sum(axis=(2, 3)),
+            float((_WHOLE_W * np.exp(_WHOLE_U * grid.delta)).sum()), _WHOLE_ONE)
 
 
 def price_strike_slice(model: ModelParams, ctx: MarketContext, t: float,

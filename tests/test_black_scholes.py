@@ -1,5 +1,6 @@
 """Black-Scholes pricing, vega kernel, implied-vol inversion."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -462,3 +463,41 @@ def test_invert_equals_frozen_loop_when_steps_run_out(ctx, monkeypatch):
         monkeypatch.setattr(svjd.black_scholes, "MAX_ITER", max_iter)
         _, failure = _assert_invert_equals_frozen(ctx, 1.0, strikes, prices, flags, max_iter)
         assert 3 in failure
+
+
+
+@pytest.mark.parametrize("div_yield", [0.0, 0.03])
+def test_invert_over_tenors_equals_per_tenor_calls(div_yield):
+    # one Newton loop over every tenor: each quote's vol and failure code must be
+    # the ones its own tenor's call gives, whatever the other tenors hold
+    ctx = MarketContext(spot=100.0, rate=0.05, div_yield=div_yield)
+    grid = np.arange(40.0, 260.0, 7.5)
+    vols = np.linspace(0.05, 1.5, grid.size)
+    tenors = []
+    for t in (2.0, 0.02, 0.25, 5.0, 1.0):     # unsorted, so the tenor lookup is exercised
+        for is_call in (True, False):
+            edge_k, edge_p = _edge_cases(ctx, t, is_call)   # codes 1 and 2, and VOL_LO
+            strikes = np.concatenate([grid, edge_k])
+            prices = np.concatenate([bs_price(ctx, t, grid, vols, is_call), edge_p])
+            tenors.append((np.full(strikes.size, t), strikes, prices,
+                           np.full(strikes.size, is_call)))
+    t, strikes, prices, flags = (np.concatenate(col) for col in zip(*tenors))
+    sigma, failure = _invert(ctx, t, strikes, prices, flags)
+    alone = [_invert(ctx, float(ts[0]), k, p, c) for ts, k, p, c in tenors]
+    assert np.array_equal(sigma, np.concatenate([s for s, _ in alone]), equal_nan=True)
+    assert np.array_equal(failure, np.concatenate([f for _, f in alone]))
+    assert {1, 2} <= set(failure) and np.count_nonzero(sigma == VOL_LO) == len(tenors)
+    # implied_vol broadcasts the maturity: a column of tenors against a strike row
+    # (the strikes every tenor inverts), and names the first failing quote in that
+    # order with its own tenor's bounds
+    keep = np.all(failure.reshape(len(tenors), -1)[:, :grid.size] == 0, axis=0)
+    ts = np.array([ts[0] for ts, _, _, _ in tenors])
+    table, calls = (np.array([col[:grid.size][keep] for col in cols])
+                    for cols in ([p for _, _, p, _ in tenors], [c for _, _, _, c in tenors]))
+    rows = implied_vol(ctx, ts[:, None], grid[keep], table, calls)
+    assert np.array_equal(rows, sigma.reshape(len(tenors), -1)[:, :grid.size][:, keep])
+    table[3:, 4] = -1.0
+    lo, hi = no_arbitrage_bounds(ctx, ts[3], grid[keep][4], calls[3, 4])
+    with pytest.raises(ValueError, match=re.escape(
+            f"price -1.0 at strike {grid[keep][4]} outside no-arbitrage bounds ({lo}, {hi})")):
+        implied_vol(ctx, ts[:, None], grid[keep], table, calls)

@@ -20,6 +20,7 @@ from svjd.calibration import (
     synthetic_surface,
     PRICING_PENALTY,
 )
+import svjd.black_scholes
 import svjd.calibration
 import svjd.proj
 from svjd.models import (MODELS, MODEL_NAMES, HestonParams, HKDEParams, KouJumpParams,
@@ -187,6 +188,56 @@ def test_calibrate_reports_quotes_left_out_of_the_iv_errors():
     assert (result.n_residuals, result.n_jacobians) == (1, 1)
     assert result.n_excluded == 1
     assert result.rmse == pytest.approx(0.0, abs=1e-9)
+
+
+def test_iv_errors_invert_every_tenor_at_once_at_its_own_rates(monkeypatch):
+    # three tenors with their own rates and dividend yields; bgm/AMZN's T = 0.1
+    # calls far out of the money price below zero, so quotes are also excluded
+    market = PARAM_ROWS["heston"]["SPOT"]
+    slices = [synthetic_surface(market, 100.0, r, q, [t], np.linspace(-0.3, 0.5, 9)).slices[0]
+              for t, r, q in ((0.1, 0.05, 0.0), (0.5, 0.01, 0.02), (1.0, 0.03, -0.01))]
+    surface = QuoteSurface(100.0, slices)
+    model = PARAM_ROWS["bgm"]["AMZN"]
+    ivs, failures = zip(*(svjd.black_scholes._invert(
+        sl.ctx, sl.t, sl.strikes, price_strike_slice(model, sl.ctx, sl.t, sl.strikes, sl.is_calls),
+        sl.is_calls) for sl in slices))
+    ok = np.concatenate(failures) == 0
+    err = np.concatenate(ivs)[ok] - np.concatenate([sl.ivs for sl in slices])[ok]
+    inversions = []
+    monkeypatch.setattr(svjd.calibration, "_newton",
+                        lambda *args: inversions.append(1) or svjd.black_scholes._newton(*args))
+    metrics = error_metrics(model, surface)
+    assert inversions == [1] and 0 < metrics.n_excluded == int((~ok).sum())
+    assert metrics.rmse == float(np.sqrt(np.mean(err ** 2)))
+    assert metrics.mape_pct == 100.0 * float(np.mean(
+        np.abs(err) / np.concatenate([sl.ivs for sl in slices])[ok]))
+
+
+def test_synthetic_surface_inverts_once_and_stops_at_a_failing_tenor(monkeypatch):
+    calls = {"implied_vol": 0, "price_strike_slice": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(svjd.calibration, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(svjd.calibration, name, counted)
+    heston = synthetic_surface(PARAM_ROWS["heston"]["SPOT"], 100.0, 0.05, 0.0,
+                               [1.0, 0.25, 0.5], MONEYNESS)
+    assert calls == {"implied_vol": 1, "price_strike_slice": 3}
+    for sl in heston.slices:
+        assert sl.ivs.tolist() == implied_vol(sl.ctx, sl.t, sl.strikes, sl.prices,
+                                              sl.is_calls).tolist()
+    # bgm/AMZN's T = 0.1 slice holds negative calls: the command stops there, with
+    # the message that tenor's own inversion gives
+    calls.update(implied_vol=0, price_strike_slice=0)
+    model, ctx, moneyness = PARAM_ROWS["bgm"]["AMZN"], MarketContext(100.0, 0.05, 0.0), [0.3, 0.4, 0.5]
+    with pytest.raises(ValueError, match="outside no-arbitrage bounds") as stopped:
+        synthetic_surface(model, 100.0, 0.05, 0.0, [0.1, 0.5, 1.0], moneyness)
+    assert calls == {"implied_vol": 1, "price_strike_slice": 1}
+    strikes = np.array([ctx.forward(0.1) * math.exp(m) for m in moneyness])
+    with pytest.raises(ValueError) as alone:
+        implied_vol(ctx, 0.1, strikes, price_strike_slice(model, ctx, 0.1, strikes, [True] * 3),
+                    True)
+    assert str(stopped.value) == str(alone.value)
 
 
 def test_synthetic_surface_builds_each_quote_once(monkeypatch):

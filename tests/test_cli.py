@@ -313,7 +313,7 @@ def test_cli_rejects_bad_bump(tmp_path, shop_hkde_file, capsys):
     ("--maturity", "-1", "--maturity must be positive"),
     ("--maturity", "0", "--maturity must be positive"),
     ("--maturity", "nan", "--maturity must be positive"),
-    ("--maturity", "inf", "t must be finite and positive; got inf"),
+    ("--maturity", "inf", "--maturity must be finite; got inf"),
     ("--l1", "nan", "l1 must be finite and positive; got nan"),
     ("--l1", "inf", "l1 must be finite and positive; got inf"),
     ("--spot", "nan", "spot must be finite; got nan"),
@@ -331,6 +331,51 @@ def test_cli_smile_names_bad_flag(tmp_path, shop_hkde_file, capsys, flag, value,
                *(f"{key}={val}" for key, val in argv.items())])
     assert rc == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_cli_smile_refuses_a_repeated_bump(tmp_path, shop_hkde_file, capsys):
+    # argparse would keep the last --bump and drop the first without a word
+    out = tmp_path / "x.csv"
+    rc = main(["smile", "--params", shop_hkde_file, "--maturity", "0.25", "--strikes",
+               "90:110:5", "--bump", "theta=+10%", "--bump", "v0=+5%", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == "error: argument --bump: may be given only once\n"
+
+
+@pytest.mark.parametrize("maturities, bad", [("0.25,inf", "inf"), ("nan,1", "nan"),
+                                             ("0.25,0", "0"), ("-1", "-1")])
+def test_cli_synth_names_a_bad_grid_maturity(tmp_path, spot_heston_file, capsys, maturities, bad):
+    rc = main(["synth", "--params", spot_heston_file, f"--grid={maturities}x-0.2:0.2:0.1",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --grid maturities must be finite and positive; got {bad}\n")
+
+
+def test_cli_smile_inverts_both_curves_at_once(tmp_path, monkeypatch, capsys):
+    calls = {"implied_vol": 0, "price_strike_slice": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(svjd.cli, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(svjd.cli, name, counted)
+    argv = ["smile", "--maturity", "0.1", "--strikes", "60:160:0.5", "--bump", "sigma=+10%",
+            "--out", str(tmp_path / "x.csv")]
+    assert main(argv + ["--params", _write_params(tmp_path / "shop.json",
+                                                  PARAM_ROWS["bgm"]["SHOP"])]) == 0
+    assert calls == {"implied_vol": 1, "price_strike_slice": 2}
+    # bgm/AMZN prices T = 0.1 calls far out of the money below zero: the command
+    # stops at the base curve, with the message its own inversion gives
+    calls.update(implied_vol=0, price_strike_slice=0)
+    model, ctx = PARAM_ROWS["bgm"]["AMZN"], MarketContext(100.0, 0.05, 0.0)
+    capsys.readouterr()
+    assert main(argv + ["--params", _write_params(tmp_path / "bgm.json", model)]) == 2
+    assert calls == {"implied_vol": 1, "price_strike_slice": 1}
+    strikes = np.arange(60.0, 160.25, 0.5)
+    flags = strikes >= ctx.forward(0.1)
+    with pytest.raises(ValueError) as alone:
+        implied_vol(ctx, 0.1, strikes, price_strike_slice(model, ctx, 0.1, strikes, flags), flags)
+    assert capsys.readouterr().err == f"error: {alone.value}\n"
 
 
 def test_cli_calibrate_has_no_tol_schedule(tmp_path, capsys):

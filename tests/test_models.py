@@ -15,11 +15,14 @@ from svjd.models import (
     KouJumpParams,
     MarketContext,
     NormalJumpParams,
+    _clog1p,
     char_exponent,
     cumulants_numeric,
     model_from_dict,
     model_to_dict,
 )
+
+from svjd.proj import build_grid
 
 from conftest import ALL_ROWS, PARAM_ROWS, cumulants_kou, degenerate_hkde, pure_jump_hkde
 
@@ -256,6 +259,55 @@ def test_cf_hkde_is_product_of_legs(ctx, amzn_hkde):
     prod = (np.exp(amzn_hkde.heston.exponent(ctx, xi, t))
             * np.exp(amzn_hkde.jumps.exponent(xi, t)))
     assert np.allclose(np.exp(amzn_hkde.exponent(ctx, xi, t)), prod, rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The Heston exponent against a frozen copy of its earlier form
+# ---------------------------------------------------------------------------
+
+def _frozen_clog1p(z):
+    """_clog1p as it was: two complex temporaries added."""
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
+    return 0.5 * np.log1p(2.0 * x + x * x + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
+def _frozen_heston_exponent(p: HestonParams, ctx, xi, t):
+    """HestonParams.exponent as it was: 1j*xi, beta + d and g*edt formed twice each.
+    The exponent must return exactly its bytes."""
+    xi = np.asarray(xi, dtype=complex)
+    sv2 = p.sigma_v * p.sigma_v
+    beta = p.kappa - 1j * xi * p.sigma_v * p.rho
+    lin = 1j * xi + xi * xi
+    d = np.sqrt(beta * beta + sv2 * lin)
+    bmd = -sv2 * lin / (beta + d)
+    g = bmd / (beta + d)
+    edt = np.exp(-d * t)
+    log_term = _frozen_clog1p(-g * edt) - _frozen_clog1p(-g)
+    a = p.kappa * p.theta / sv2 * (bmd * t - 2.0 * log_term)
+    b = bmd / sv2 * (1.0 - edt) / (1.0 - g * edt)
+    return 1j * xi * (math.log(ctx.spot) + (ctx.rate - ctx.div_yield) * t) + a + b * p.v0
+
+
+def test_clog1p_equals_frozen_copy():
+    parts = [0.0, -0.0, 1e-300, -1e-17, 0.3, -0.5, -0.7, 2.5, 1e8]
+    z = np.array([complex(x, y) for x in parts for y in parts])    # -0.0 parts kept
+    assert _clog1p(z).tobytes() == _frozen_clog1p(z).tobytes()
+
+
+@pytest.mark.parametrize("kind, name, model", [r for r in ALL_ROWS if r[0] != "bgm"])
+def test_heston_exponent_equals_frozen_copy(ctx, kind, name, model):
+    heston = model if kind == "heston" else model.heston
+    for market in (ctx, MarketContext(spot=80.0, rate=0.01, div_yield=0.03)):
+        for t in (0.1, 0.25, 0.5, 1.0, 2.0):
+            nodes = build_grid(model, market, t).delta_xi * np.arange(4096)
+            # the projection nodes, the cumulant ladder's small steps, complex
+            # arguments in both half planes and the MGF strip's imaginary axis
+            z = np.concatenate([nodes, np.geomspace(1e-9, 1.0, 40), -np.geomspace(1e-9, 1.0, 40),
+                                nodes[:200] - 0.5j, -nodes[:200] + 0.25j,
+                                -1j * np.linspace(-3.0, 3.0, 61)])
+            assert (heston.exponent(market, z, t).tobytes()
+                    == _frozen_heston_exponent(heston, market, z, t).tobytes()), (market, t)
 
 
 # ---------------------------------------------------------------------------

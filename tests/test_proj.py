@@ -14,6 +14,7 @@ from svjd.proj import (
     _GL01_X,
     FrozenSlice,
     GridSpec,
+    _put_leg,
     alpha_bar_from_cumulants,
     bspline3,
     build_grid,
@@ -247,6 +248,96 @@ def test_slice_equals_per_strike_reference(ctx):
             beta = proj_coefficients(model, ctx, t, grid)
             puts = price_strike_slice(model, ctx, t, strikes, [False] * strikes.size)
             assert np.array_equal(puts, _put_leg_by_strike(beta, grid, ctx, t, strikes)), (kind, t)
+
+
+# ---------------------------------------------------------------------------
+# The put leg and the coefficient build against frozen copies of earlier forms
+# ---------------------------------------------------------------------------
+
+def _frozen_dual_zeta(xi, a):
+    """dual_zeta as it was: the xi == 0 mask built twice."""
+    xi = np.asarray(xi, dtype=float)
+    w = xi / a
+    ratio = np.where(xi == 0.0, 1.0 / (2.0 * a), np.sin(0.5 * w) / np.where(xi == 0.0, 1.0, xi))
+    denom = 1208.0 + 1191.0 * np.cos(w) + 120.0 * np.cos(2.0 * w) + np.cos(3.0 * w)
+    return 2520.0 * ratio**4 / denom
+
+
+def _frozen_proj_coefficients(model, ctx, t, grid):
+    """proj_coefficients as it was: complex spot shift and grid phase."""
+    n = grid.n_basis
+    xi = grid.delta_xi * np.arange(n)
+    h = (np.exp(svjd.models.char_exponent(model, ctx, xi, t) - 1j * xi * math.log(ctx.spot))
+         * _frozen_dual_zeta(xi, grid.a) * np.exp(-1j * xi * grid.x1))
+    h[0] *= 0.5
+    return (32.0 * grid.a**4.5 / n) * np.real(np.fft.fft(h))
+
+
+def _frozen_put_leg(grid, spot, strikes):
+    """_put_leg as it was: strike x element x interval x node throughout, bspline3
+    on every point. The slice pricers must return exactly its prices."""
+    n = grid.n_basis
+    xk = grid.x1 + grid.delta * np.arange(n)
+    y_star = np.log(strikes / spot)
+    pos = (y_star - grid.x1) * grid.a
+    off_grid = np.flatnonzero(~((pos >= 2.0) & (pos <= n - 3.0)))
+    if off_grid.size:
+        i = off_grid[0]
+        raise ValueError(
+            f"strike {strikes[i]} at log-moneyness {y_star[i]:.4f} is outside the "
+            f"projection grid [{grid.x1:.4f}, {grid.x1 + (n - 1) * grid.delta:.4f}]; "
+            "increase L1 (or N) in the grid spec")
+    k_full = np.floor(pos).astype(int) - 2
+    near = k_full[:, None] + np.arange(1, 5)
+    x_near = xk[near][:, :, None]
+    knot_lo = np.arange(4, dtype=float) - 2.0
+    hi = np.minimum(knot_lo + 1.0, (y_star[:, None, None] - x_near) * grid.a)
+    width = np.maximum(hi - knot_lo, 0.0)[..., None]
+    u = knot_lo[:, None] + width * _GL01_X
+    vals = bspline3(u) * (strikes[:, None, None, None]
+                          - spot * np.exp(x_near[..., None] + u * grid.delta))
+    whole = knot_lo[:, None] + _GL01_X
+    w = _GL01_W * bspline3(whole)
+    return (xk, k_full, near, (width * _GL01_W * vals).sum(axis=(2, 3)),
+            float((w * np.exp(whole * grid.delta)).sum()), float(w.sum()))
+
+
+def _slices_and_errors(model, ctx, t, ladders):
+    """Calls and puts of both slice pricers on each ladder, or the error text."""
+    out = []
+    for strikes in ladders:
+        for flags in (strikes >= ctx.forward(t), np.ones(strikes.size, bool),
+                      np.zeros(strikes.size, bool)):
+            try:
+                out.append(price_strike_slice(model, ctx, t, strikes, flags).tobytes()
+                           + FrozenSlice.at(model, ctx, t, strikes, flags).prices([model]).tobytes())
+            except ValueError as exc:
+                out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("kind, name, model", ALL_ROWS)
+def test_slices_equal_frozen_put_leg_and_coefficients(ctx, monkeypatch, kind, name, model):
+    for t in (0.1, 0.25, 0.5, 1.0, 2.0):
+        fwd = ctx.forward(t)
+        ladders = [np.arange(60.0, 160.25, 0.5),     # the cli-smile ladder
+                   fwd * np.exp(np.arange(-0.5, 0.5 + 0.0125, 0.025)),   # synth
+                   fwd * np.exp(np.linspace(-0.35, 0.35, 15))]           # calibration
+        grid = build_grid(model, ctx, t)
+        xi = grid.delta_xi * np.arange(grid.n_basis)
+        assert dual_zeta(xi, grid.a).tobytes() == _frozen_dual_zeta(xi, grid.a).tobytes()
+        assert (proj_coefficients(model, ctx, t, grid).tobytes()
+                == _frozen_proj_coefficients(model, ctx, t, grid).tobytes())
+        for strikes in ladders:
+            legs = [_put_leg(grid, ctx.spot, strikes), _frozen_put_leg(grid, ctx.spot, strikes)]
+            assert [np.asarray(a).tobytes() for a in legs[0]] == \
+                [np.asarray(a).tobytes() for a in legs[1]]
+        current = _slices_and_errors(model, ctx, t, ladders)
+        with monkeypatch.context() as frozen:
+            frozen.setattr(svjd.proj, "_put_leg", _frozen_put_leg)
+            frozen.setattr(svjd.proj, "proj_coefficients", _frozen_proj_coefficients)
+            frozen.setattr(svjd.proj, "dual_zeta", _frozen_dual_zeta)
+            assert current == _slices_and_errors(model, ctx, t, ladders), t
 
 
 def test_single_strike_slice_equals_price_european(ctx, amzn_hkde):
