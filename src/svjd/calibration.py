@@ -5,8 +5,9 @@ w = 1/(S0 pdf(d1) sqrt(T)) evaluated at each quote's market implied volatility,
 which makes price residuals behave like implied-volatility residuals. One
 trust-region-reflective solver pass fits it, stopping on the relative change of
 the cost (ftol = 1e-8). Trial points and the forward-difference Jacobian are
-priced on one grid per tenor held across the fit (`FrozenSlice`), and only the
-start and the result by full pricings. SciPy's optimizer is imported inside
+priced on one grid per tenor held across the fit (`FrozenSlice`), all tenors
+with one exponent call per model (`price_frozen`), and only the start and the
+result by full pricings. SciPy's optimizer is imported inside
 `calibrate`, so importing this module (or `svjd`) to price does not load it.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from svjd.black_scholes import Quote, _bracketed, _newton, bs_price, bs_vega, implied_vol
 from svjd.models import MODELS, MarketContext, ModelParams
-from svjd.proj import FrozenSlice, GridSpec, build_grid, price_strike_slice
+from svjd.proj import FrozenSlice, GridSpec, build_grid, price_frozen, price_strike_slice
 
 __all__ = ["MaturitySlice", "QuoteSurface", "CalibrationResult", "ErrorMetrics",
            "objective", "residuals", "calibrate", "error_metrics", "synthetic_surface",
@@ -320,7 +321,8 @@ class _HeldSlices:
     half-width moves from the held one by more than GRID_MOVE_RTOL relative, or
     its left edge x1 by more than GRID_MOVE_RTOL held half-widths; every model
     is checked, because the width, which goes as sqrt(c4), has a kink where a
-    Kou side loses its weight (p = 1)."""
+    Kou side loses its weight (p = 1). The held tenors are priced together by
+    `price_frozen`: one exponent call per model on their live nodes."""
 
     def __init__(self, surface: QuoteSurface, grid_spec: GridSpec):
         self.surface, self.grid_spec = surface, grid_spec
@@ -346,9 +348,10 @@ class _HeldSlices:
         return self.slices[i]
 
     def residuals(self, model: ModelParams) -> np.ndarray:
-        """`residuals` of model priced on the held slices."""
-        return _weighted(self.surface, [self.at(i, model).prices([model])[0]
-                                        for i in range(len(self.slices))])
+        """`residuals` of model priced on the held slices, anchored in tenor order."""
+        frozen = [self.at(i, model) for i in range(len(self.slices))]
+        prices = price_frozen(frozen, [[model]] * len(frozen))
+        return _weighted(self.surface, [p[0] for p in prices])
 
 
 def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -357,11 +360,12 @@ def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
     Steps follow SciPy's 2-point rule, FD_STEP sign(x) max(1, |x|), flipped
     where they would leave the bounds. Each tenor prices the base and every
-    bumped model on its held slice, re-anchored at x if x's grid moved, with
-    one exponent call per model and one matmul for all of them. A bumped model
-    whose grid moves past the held one is differenced through full slice
-    pricings instead. A tenor whose base cannot be priced gets zero rows, and
-    non-finite entries are zeroed; each counts as a penalty.
+    bumped model on its held slice, re-anchored at x if x's grid moved; one
+    `price_frozen` call prices all tenors, with one exponent call per model on
+    their live nodes and one matmul per tenor. A bumped model whose grid moves
+    past the held one is differenced through full slice pricings instead. A
+    tenor whose base cannot be priced gets zero rows and stays out of that
+    call, and non-finite entries are zeroed; each counts as a penalty.
     """
     step = FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     step = np.where((x + step < lo) | (x + step > hi), -step, step)
@@ -369,21 +373,25 @@ def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     dx = np.diag(x_bumped) - x          # the steps as represented
     base = cls.from_flat(x)
     bumped = [cls.from_flat(row) for row in x_bumped]
-    blocks, penalties = [], 0
-    for i, sl in enumerate(held.surface.slices):
-        diffs = np.zeros((x.size, sl.strikes.size))
+    slices, penalties = held.surface.slices, 0
+    blocks = [np.zeros((sl.strikes.size, x.size)) for sl in slices]
+    priced = []     # (tenor, held slice, models priced on it, moved mask, base's full prices)
+    for i, sl in enumerate(slices):
         try:
             frozen = held.at(i, base)
             moved = np.array([held.moved(i, m) for m in bumped])
-            prices = frozen.prices([base] + [m for m, mv in zip(bumped, moved) if not mv])
-            diffs[~moved] = prices[1:] - prices[0]
-            if moved.any():
-                p0 = sl.model_prices(base, held.grid_spec)
+            p0 = sl.model_prices(base, held.grid_spec) if moved.any() else None
         except PRICING_ERRORS as exc:
             penalties += 1
             _log.debug("jacobian: tenor %g cannot be priced, rows zeroed: %s", sl.t, exc)
-            blocks.append(np.zeros((sl.strikes.size, x.size)))
             continue
+        priced.append((i, frozen, [base] + [m for m, mv in zip(bumped, moved) if not mv],
+                       moved, p0))
+    held_prices = price_frozen([p[1] for p in priced], [p[2] for p in priced])
+    for (i, _, _, moved, p0), prices in zip(priced, held_prices):
+        sl = slices[i]
+        diffs = np.zeros((x.size, sl.strikes.size))
+        diffs[~moved] = prices[1:] - prices[0]
         for j in np.flatnonzero(moved):
             try:
                 diffs[j] = sl.model_prices(bumped[j], held.grid_spec) - p0
@@ -393,7 +401,7 @@ def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         bad = ~np.isfinite(block)
         penalties += int(bad.any(axis=0).sum())
         block[bad] = 0.0
-        blocks.append(block)
+        blocks[i] = block
     # Fortran order even with zeroed tenors: SciPy's steps depend on J's layout
     return np.asfortranarray(np.concatenate(blocks)), penalties
 

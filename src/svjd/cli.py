@@ -344,6 +344,8 @@ def cmd_synth(args) -> int:
     for t in maturities:
         if not 0 < t < math.inf:
             raise ValueError(f"--grid maturities must be finite and positive; got {t:g}")
+        if maturities.count(t) > 1:     # both copies would be priced before the surface refuses
+            raise ValueError(f"--grid maturities must be distinct; got {t:g} more than once")
     surface = synthetic_surface(model, args.spot, args.rate, args.div_yield,
                                 maturities, moneyness, GridSpec(n=args.n, l1=args.l1))
     write_quotes(args.out, surface)

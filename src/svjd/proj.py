@@ -6,7 +6,8 @@ transform evaluated with one FFT, and claims are priced by integrating the
 payoff against each basis element with fixed-order Gauss-Legendre quadrature.
 On a grid held fixed, prices are linear in the characteristic function
 (`FrozenSlice`), which is how calibration prices its trial points and Jacobian
-columns on grids it holds across a fit.
+columns on grids it holds across a fit: `price_frozen` prices all held tenors
+of one market with one exponent call per model on their live nodes.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ import numpy as np
 from svjd.models import MarketContext, ModelParams, _require_real, char_exponent, cumulants_numeric
 
 __all__ = ["GridSpec", "ProjGrid", "FrozenSlice", "alpha_bar_from_cumulants", "build_grid",
-           "proj_coefficients", "density", "price_european", "price_strike_slice", "bspline3",
-           "dual_zeta"]
+           "proj_coefficients", "density", "price_european", "price_strike_slice", "price_frozen",
+           "bspline3", "dual_zeta"]
 
 # Gauss-Legendre rule used on every knot interval of the basis support
 _GL_ORDER = 7
@@ -259,7 +260,7 @@ class FrozenSlice:
     A dropped node j moves a price by at most |h_j| max_s sum_i |L_is|.
     Each build evaluates the base model's exponent on all N nodes once; any
     model of the tenor whose grid stays near this one can then be priced on
-    the live nodes alone.
+    the live nodes alone, by `price_frozen` together with the other held tenors.
     """
     ctx: MarketContext
     t: float
@@ -297,16 +298,36 @@ class FrozenSlice:
                    np.where(is_calls, ctx.spot * math.exp(-ctx.div_yield * t) - strikes * disc,
                             0.0))
 
-    def prices(self, models: Sequence[ModelParams]) -> np.ndarray:
-        """Prices (models x strikes) of each model's density projected on the frozen grid.
 
-        Each model's exponent is evaluated once on the live nodes, giving one row
-        of h = phi D; the rows are priced together by one matmul.
-        """
-        shift = 1j * self.xi * math.log(self.ctx.spot)
-        h = np.array([np.exp(char_exponent(m, self.ctx, self.xi, self.t) - shift)
-                      for m in models]) * self.weight
-        return np.real(h @ self.gain) + self.offset
+def price_frozen(slices: Sequence[FrozenSlice],
+                 models: Sequence[Sequence[ModelParams]]) -> list:
+    """One price array (models x strikes) per slice: its models on its frozen grid.
+
+    Consecutive slices that share one market context are priced as a group
+    whose live nodes total at most one grid's N, so no call holds more than a
+    full-grid build does. Each distinct model of a group gets one exponent call
+    on the group's concatenated live nodes, each node at its slice's maturity,
+    which gives its h = phi D on every slice of the group; each slice then
+    prices its own models' rows of h by one matmul, as it would alone.
+    """
+    out, lo = [], 0
+    while lo < len(slices):
+        ctx, hi = slices[lo].ctx, lo + 1
+        while (hi < len(slices) and slices[hi].ctx == ctx
+               and sum(s.xi.size for s in slices[lo:hi + 1]) <= slices[lo].grid.n_basis):
+            hi += 1
+        group = slices[lo:hi]
+        xi = np.concatenate([s.xi for s in group])
+        t = np.concatenate([np.full(s.xi.size, s.t) for s in group])
+        weight = np.concatenate([s.weight for s in group])
+        shift = 1j * xi * math.log(ctx.spot)
+        h = {id(m): np.exp(char_exponent(m, ctx, xi, t) - shift) * weight   # once per model
+             for m in {id(m): m for row in models[lo:hi] for m in row}.values()}
+        ends = np.cumsum([0] + [s.xi.size for s in group])
+        out += [np.real(np.array([h[id(m)][a:b] for m in row]) @ s.gain) + s.offset
+                for s, row, a, b in zip(group, models[lo:hi], ends, ends[1:])]
+        lo = hi
+    return out
 
 
 def price_european(model: ModelParams, ctx: MarketContext, t: float, strike: float,

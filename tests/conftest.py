@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import svjd.proj
 from svjd.models import (
     BGMParams,
     BatesParams,
@@ -76,6 +77,19 @@ def shop_hkde():
 @pytest.fixture
 def spot_hkde():
     return PARAM_ROWS["hkde"]["SPOT"]
+
+
+def count_exponent_nodes(monkeypatch) -> list:
+    """Node counts of each char_exponent call made through svjd.proj, from now on."""
+    nodes = []
+    original = svjd.proj.char_exponent
+
+    def counted(model, ctx, xi, t):
+        nodes.append(np.size(xi))
+        return original(model, ctx, xi, t)
+
+    monkeypatch.setattr(svjd.proj, "char_exponent", counted)
+    return nodes
 
 
 def degenerate_hkde(vol: float = 0.2) -> HKDEParams:

@@ -25,9 +25,9 @@ import svjd.calibration
 import svjd.proj
 from svjd.models import (MODELS, MODEL_NAMES, HestonParams, HKDEParams, KouJumpParams,
                          MarketContext, model_to_dict)
-from svjd.proj import FrozenSlice, GridSpec, price_strike_slice
+from svjd.proj import FrozenSlice, GridSpec, price_frozen, price_strike_slice
 
-from conftest import PARAM_ROWS, degenerate_hkde
+from conftest import PARAM_ROWS, count_exponent_nodes, degenerate_hkde
 
 MONEYNESS = np.linspace(-0.25, 0.25, 7)
 
@@ -402,7 +402,7 @@ def test_jacobian_columns_match_forward_differences(kind, heston_surface):
     assert np.all(np.abs(J - reference).max(axis=0) <= 1e-5 * scale), kind
 
 
-def test_frozen_slice_keeps_every_node_without_decay():
+def test_frozen_slice_keeps_every_node_without_decay(monkeypatch):
     # frequent tiny down-jumps (eta2 at its lower bound) widen the grid so far at
     # T = 0.1 that its nodes end near xi = 5, where phi has barely decayed: the
     # jumps floor |phi| near exp(-lam (1 - p) T)
@@ -412,6 +412,16 @@ def test_frozen_slice_keeps_every_node_without_decay():
     strikes = np.array([80.0, 100.0, 120.0])
     frozen = FrozenSlice.at(model, ctx, 0.1, strikes, strikes >= ctx.forward(0.1))
     assert frozen.xi.size == frozen.grid.n_basis == GridSpec().n
+    # between two decaying tenors of its market, the all-N slice is priced
+    # alone: no exponent call spans more than one grid's nodes
+    smooth = PARAM_ROWS["heston"]["SPOT"]
+    held = [FrozenSlice.at(smooth, ctx, t, strikes, strikes >= ctx.forward(t)) for t in (0.5, 1.0)]
+    slices = [held[0], frozen, held[1]]
+    nodes = count_exponent_nodes(monkeypatch)
+    prices = price_frozen(slices, [[model, smooth]] * 3)
+    assert nodes == [held[0].xi.size] * 2 + [GridSpec().n] * 2 + [held[1].xi.size] * 2
+    assert [p.tobytes() for p in prices] == [p.tobytes() for s in slices
+                                             for p in price_frozen([s], [[model, smooth]])]
 
 
 def test_frozen_slice_matches_slice_pricing_and_drops_a_bounded_tail(heston_surface,
@@ -427,7 +437,7 @@ def test_frozen_slice_matches_slice_pricing_and_drops_a_bounded_tail(heston_surf
         k = frozen.xi.size
         assert 0 < k < full.xi.size
         # the frozen functional reprices the base within 1e-12 of the spot
-        base = frozen.prices([model])[0]
+        base = price_frozen([frozen], [[model]])[0][0]
         assert np.abs(base - sl.model_prices(model, GridSpec())).max() <= 1e-12 * sl.ctx.spot
         for m in [model] + bumped:
             h = np.exp(svjd.proj.char_exponent(m, sl.ctx, full.xi, sl.t)
@@ -435,7 +445,8 @@ def test_frozen_slice_matches_slice_pricing_and_drops_a_bounded_tail(heston_surf
             terms = np.abs(h)[:, None] * np.abs(full.gain)
             bound = terms[k:].sum(axis=0)
             rounding = 64 * np.finfo(float).eps * terms.sum(axis=0)
-            dropped = np.abs(frozen.prices([m])[0] - full.prices([m])[0])
+            dropped = np.abs(price_frozen([frozen], [[m]])[0][0]
+                             - price_frozen([full], [[m]])[0][0])
             assert np.all(dropped <= bound + rounding)
             assert bound.max() <= 1e-13 * sl.ctx.spot
 
@@ -579,39 +590,27 @@ def test_jacobian_equals_the_per_model_reference(kind, heston_surface):
         assert np.array_equal(J, J_ref) and penalties == penalties_ref, (kind, model)
 
 
-def _count_nodes(monkeypatch) -> list:
-    """Node counts of each char_exponent call made through svjd.proj."""
-    nodes = []
-    original = svjd.proj.char_exponent
-
-    def counted(model, ctx, xi, t):
-        nodes.append(np.size(xi))
-        return original(model, ctx, xi, t)
-
-    monkeypatch.setattr(svjd.proj, "char_exponent", counted)
-    return nodes
-
-
 def test_jacobian_after_residuals_prices_only_live_nodes(heston_surface, monkeypatch):
     model = default_init("hkde", heston_surface)
     live = [FrozenSlice.at(model, sl.ctx, sl.t, sl.strikes, sl.is_calls).xi.size
             for sl in heston_surface.slices]
-    nodes = _count_nodes(monkeypatch)
+    nodes = count_exponent_nodes(monkeypatch)
     held = svjd.calibration._HeldSlices(heston_surface, GridSpec())
     held.residuals(model)
-    # each tenor anchors (all N nodes) and prices the model on the live prefix
-    assert nodes == [n for k in live for n in (GridSpec().n, k)]
+    # each tenor anchors (all N nodes), then one call prices the model on the
+    # live prefixes of all tenors at once
+    assert nodes == [GridSpec().n] * len(live) + [sum(live)]
     nodes.clear()
     _jacobian("hkde", np.asarray(model.flat(), dtype=float), heston_surface, held)
-    # per tenor, one call on the live prefix for the base and each of the nine bumped models
-    assert nodes == [k for k in live for _ in range(10)] and all(k < GridSpec().n for k in live)
+    # one call on the summed live prefixes for the base and each of the nine bumped models
+    assert nodes == [sum(live)] * 10 and sum(live) <= GridSpec().n
 
 
 def test_slice_pricing_does_not_reuse_the_spectrum(monkeypatch):
     model = PARAM_ROWS["heston"]["SPOT"]
     ctx = MarketContext(100.0, 0.05, 0.0)
     strikes = np.array([90.0, 100.0, 110.0])
-    nodes = _count_nodes(monkeypatch)
+    nodes = count_exponent_nodes(monkeypatch)
     first = price_strike_slice(model, ctx, 0.5, strikes, strikes >= 100.0)
     second = price_strike_slice(model, ctx, 0.5, strikes, strikes >= 100.0)
     assert nodes == [GridSpec().n] * 2 and np.array_equal(first, second)
@@ -726,8 +725,12 @@ def test_the_hkde_round_trip_runs_one_solver_pass(spot_hkde_surface, monkeypatch
     x = np.clip(np.asarray(truth.flat()) * np.random.default_rng(2024).uniform(0.5, 2.0, 9),
                 lo, hi)
     events = _pass_events(monkeypatch)
+    nodes = count_exponent_nodes(monkeypatch)
     result = calibrate("hkde", spot_hkde_surface, init=HKDEParams.from_flat(x))
     assert events.count("pass") == 1 and events[-1] == "pass"
+    # held tenors are priced together, but no exponent call spans more nodes
+    # than one grid has (the fit anchors some tenors on all of them)
+    assert max(nodes) == GridSpec().n
     assert len(result.trace) == 2 and result.trace[1] <= 1e-18 * max(1.0, result.trace[0])
     assert result.n_residuals == 1 + events.count("r")
     assert result.n_jacobians == events.count("j")

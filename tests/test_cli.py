@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import svjd.calibration
 import svjd.cli
 from svjd.black_scholes import implied_vol
 from svjd.cli import build_parser, load_quotes, main, write_quotes
@@ -350,6 +351,20 @@ def test_cli_synth_names_a_bad_grid_maturity(tmp_path, spot_heston_file, capsys,
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: --grid maturities must be finite and positive; got {bad}\n")
+
+
+@pytest.mark.parametrize("maturities, repeated", [("0.5,0.5", "0.5"), ("1,0.25,1.0,1", "1")])
+def test_cli_synth_refuses_a_repeated_maturity_before_pricing(tmp_path, spot_heston_file, capsys,
+                                                              monkeypatch, maturities, repeated):
+    priced = []
+    monkeypatch.setattr(svjd.calibration, "price_strike_slice",
+                        lambda *args: priced.append(args))
+    out = tmp_path / "x.csv"
+    rc = main(["synth", "--params", spot_heston_file, f"--grid={maturities}x-0.2:0.2:0.1",
+               "--out", str(out)])
+    assert rc == 2 and not out.exists() and priced == []
+    assert capsys.readouterr().err == (
+        f"error: --grid maturities must be distinct; got {repeated} more than once\n")
 
 
 def test_cli_smile_inverts_both_curves_at_once(tmp_path, monkeypatch, capsys):

@@ -21,11 +21,12 @@ from svjd.proj import (
     density,
     dual_zeta,
     price_european,
+    price_frozen,
     price_strike_slice,
     proj_coefficients,
 )
 
-from conftest import ALL_ROWS, PARAM_ROWS, degenerate_hkde
+from conftest import ALL_ROWS, PARAM_ROWS, count_exponent_nodes, degenerate_hkde
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,8 @@ def _slices_and_errors(model, ctx, t, ladders):
                       np.zeros(strikes.size, bool)):
             try:
                 out.append(price_strike_slice(model, ctx, t, strikes, flags).tobytes()
-                           + FrozenSlice.at(model, ctx, t, strikes, flags).prices([model]).tobytes())
+                           + price_frozen([FrozenSlice.at(model, ctx, t, strikes, flags)],
+                                          [[model]])[0].tobytes())
             except ValueError as exc:
                 out.append(str(exc))
     return out
@@ -338,6 +340,77 @@ def test_slices_equal_frozen_put_leg_and_coefficients(ctx, monkeypatch, kind, na
             frozen.setattr(svjd.proj, "proj_coefficients", _frozen_proj_coefficients)
             frozen.setattr(svjd.proj, "dual_zeta", _frozen_dual_zeta)
             assert current == _slices_and_errors(model, ctx, t, ladders), t
+
+
+def _frozen_slice_prices(frozen, models):
+    """A frozen copy of the per-slice pricer that price_frozen replaced."""
+    shift = 1j * frozen.xi * math.log(frozen.ctx.spot)
+    h = np.array([np.exp(svjd.proj.char_exponent(m, frozen.ctx, frozen.xi, frozen.t) - shift)
+                  for m in models]) * frozen.weight
+    return np.real(h @ frozen.gain) + frozen.offset
+
+
+def _held_slices(model, ctxs):
+    """The calibration ladder's slices at five tenors, held at model, tenor i in ctxs[i]."""
+    slices = []
+    for c, t in zip(ctxs, (0.1, 0.25, 0.5, 1.0, 2.0)):
+        strikes = c.forward(t) * np.exp(np.linspace(-0.35, 0.35, 15))
+        slices.append(FrozenSlice.at(model, c, t, strikes, strikes >= c.forward(t)))
+    return slices
+
+
+def _groups(sizes: list, nodes: list, per_group: int) -> list:
+    """The tenors of each exponent call group, read off the calls' node counts."""
+    totals = nodes[::per_group]
+    assert nodes == [n for n in totals for _ in range(per_group)]
+    groups, lo = [], 0
+    for total in totals:
+        hi = lo + 1
+        while sum(sizes[lo:hi]) < total:
+            hi += 1
+        assert sum(sizes[lo:hi]) == total
+        groups.append(list(range(lo, hi)))
+        lo = hi
+    assert lo == len(sizes)
+    return groups
+
+
+@pytest.mark.parametrize("kind, name, model", ALL_ROWS)
+def test_price_frozen_equals_per_slice_pricing(ctx, monkeypatch, kind, name, model):
+    x = np.asarray(model.flat(), dtype=float)
+    bumped = [type(model).from_flat(x - 1e-6 * max(1.0, abs(v)) * e)
+              for v, e in zip(x, np.eye(x.size))]
+    slices = _held_slices(model, [ctx] * 5)
+    # tenor 2 prices a subset of the models, as a Jacobian does when some
+    # bumped grids moved, and tenor 4 the base alone
+    rows = [[model] + bumped] * 5
+    rows[2], rows[4] = [model] + bumped[1::2], [model]
+    prices = price_frozen(slices, rows)
+    assert ([p.tobytes() for p in prices]
+            == [_frozen_slice_prices(s, r).tobytes() for s, r in zip(slices, rows)])
+    # one call per model and group; a group is as many consecutive tenors as
+    # fit in one grid's N nodes
+    nodes = count_exponent_nodes(monkeypatch)
+    price_frozen(slices, [[model] + bumped] * 5)
+    sizes, n = [s.xi.size for s in slices], GridSpec().n
+    groups = _groups(sizes, nodes, 1 + x.size)
+    assert all(sum(sizes[i] for i in g) <= n for g in groups)
+    assert all(sum(sizes[g[0]:g[-1] + 2]) > n for g in groups[:-1])
+    assert len(groups) == 1 or kind == "bates", sizes
+
+
+def test_price_frozen_splits_tenors_by_market(monkeypatch):
+    # tenors 0, 1 and 4 in one market and 2, 3 in another: three groups, each
+    # context equal by value, not by object
+    model = PARAM_ROWS["hkde"]["AMZN"]
+    rates = (0.05, 0.05, 0.02, 0.02, 0.05)
+    slices = _held_slices(model, [MarketContext(100.0, r, 0.0) for r in rates])
+    rows = [[model, PARAM_ROWS["hkde"]["SHOP"]]] * 5
+    nodes = count_exponent_nodes(monkeypatch)
+    prices = price_frozen(slices, rows)
+    assert _groups([s.xi.size for s in slices], nodes, 2) == [[0, 1], [2, 3], [4]]
+    assert ([p.tobytes() for p in prices]
+            == [_frozen_slice_prices(s, r).tobytes() for s, r in zip(slices, rows)])
 
 
 def test_single_strike_slice_equals_price_european(ctx, amzn_hkde):
