@@ -20,7 +20,7 @@ from svjd.models import (
     model_to_dict,
 )
 from svjd.proj import GridSpec, ProjGrid, price_european, price_strike_slice, proj_coefficients
-from svjd.black_scholes import Quote, bs_price, bs_vega, bs_vega_greek, implied_vol
+from svjd.black_scholes import Quote, bs_price, bs_vega, implied_vol
 from svjd.calibration import CalibrationResult, QuoteSurface, calibrate, error_metrics, objective
 from svjd.montecarlo import (
     ExoticSpec,

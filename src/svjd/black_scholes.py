@@ -12,8 +12,7 @@ import numpy as np
 
 from svjd.models import MarketContext, _require_finite, _require_real
 
-__all__ = ["Quote", "bs_price", "bs_vega", "bs_vega_greek", "implied_vol",
-           "no_arbitrage_bounds"]
+__all__ = ["Quote", "bs_price", "bs_vega", "implied_vol", "no_arbitrage_bounds"]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -108,7 +107,7 @@ def bs_price(ctx: MarketContext, t: float, strike, vol, is_call):
 def bs_vega(ctx: MarketContext, t: float, strike, vol):
     """Weight kernel S0 * pdf(d1) * sqrt(t) used for vega-weighted calibration.
 
-    Deliberately carries no dividend discounting; see bs_vega_greek for the
+    Deliberately carries no dividend discounting, so it is exp(q t) times the
     derivative of bs_price with respect to vol.
     """
     _require_real("t", t, positive=True)
@@ -117,12 +116,6 @@ def bs_vega(ctx: MarketContext, t: float, strike, vol):
     root_t = math.sqrt(t)
     d1 = _d1(np.log(ctx.spot / strike), t, root_t, ctx.rate - ctx.div_yield, vol)
     return _out(_vega(ctx.spot, root_t, d1))
-
-
-def bs_vega_greek(ctx: MarketContext, t: float, strike, vol):
-    """dPrice/dVol, including the exp(-q t) factor."""
-    _require_real("t", t, positive=True)   # before exp(-q t): it overflows for q < 0, t = inf
-    return math.exp(-ctx.div_yield * t) * bs_vega(ctx, t, strike, vol)
 
 
 def no_arbitrage_bounds(ctx: MarketContext, t: float, strike, is_call) -> tuple:

@@ -359,13 +359,19 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_grid_flags(p):
-    p.add_argument("--n", type=int, default=4096, help="projection basis size (power of two)")
-    p.add_argument("--l1", type=float, default=12.0, help="grid width multiplier")
+    p.add_argument("--n", type=int, default=GridSpec.n, help="projection basis size (power of two)")
+    p.add_argument("--l1", type=float, default=GridSpec.l1, help="grid width multiplier")
+
+
+def _add_market_flags(p):
+    p.add_argument("--spot", type=float, default=100.0)
+    p.add_argument("--rate", type=float, default=0.05)
+    p.add_argument("--div-yield", type=float, default=0.0)
 
 
 def _add_mc_flags(p):
-    p.add_argument("--paths", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--paths", type=int, default=SimConfig.n_paths)
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
     p.add_argument("--steps-per-interval", type=int, default=None)
     p.add_argument("--no-antithetic", action="store_true")
 
@@ -413,9 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strikes", required=True, help="LO:HI:STEP")
     p.add_argument("--bump", default=None, action=_Once, help="name=factor or name=+NN%%")
     p.add_argument("--out", required=True)
-    p.add_argument("--spot", type=float, default=100.0)
-    p.add_argument("--rate", type=float, default=0.05)
-    p.add_argument("--div-yield", type=float, default=0.0)
+    _add_market_flags(p)
     _add_grid_flags(p)
     p.set_defaults(func=cmd_smile)
 
@@ -431,9 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--grid", required=True, help="T1,T2,...xLO:HI:STEP")
     p.add_argument("--out", required=True)
-    p.add_argument("--spot", type=float, default=100.0)
-    p.add_argument("--rate", type=float, default=0.05)
-    p.add_argument("--div-yield", type=float, default=0.0)
+    _add_market_flags(p)
     _add_grid_flags(p)
     p.set_defaults(func=cmd_synth)
     return parser

@@ -15,7 +15,6 @@ from svjd.black_scholes import (
     _invert,
     bs_price,
     bs_vega,
-    bs_vega_greek,
     implied_vol,
     no_arbitrage_bounds,
 )
@@ -65,11 +64,10 @@ def test_bs_vega_positive_and_atm_forward_maximal(ctx):
     assert bs_vega(ctx, t, fwd_strike, vol) >= max(vegas)
 
 
-def test_bs_vega_greek_matches_finite_difference():
+def test_bs_vega_omits_the_dividend_discount():
     ctx = MarketContext(spot=100.0, rate=0.05, div_yield=0.013)
     t, k, vol, h = 0.5, 110.0, 0.3, 1e-5
     fd = (bs_price(ctx, t, k, vol + h, True) - bs_price(ctx, t, k, vol - h, True)) / (2 * h)
-    assert bs_vega_greek(ctx, t, k, vol) == pytest.approx(fd, rel=1e-6)
     # the weighting kernel intentionally omits exp(-q t)
     assert bs_vega(ctx, t, k, vol) == pytest.approx(fd * math.exp(0.013 * t), rel=1e-6)
 
@@ -81,8 +79,7 @@ def test_bs_price_and_vega_reject_a_vol_that_is_not_finite_and_positive(ctx, bad
     vol = np.array([0.2, bad]) if as_array else bad
     strike = np.array([100.0, 110.0]) if as_array else 100.0
     for call in (lambda: bs_price(ctx, 0.5, strike, vol, True),
-                 lambda: bs_vega(ctx, 0.5, strike, vol),
-                 lambda: bs_vega_greek(ctx, 0.5, strike, vol)):
+                 lambda: bs_vega(ctx, 0.5, strike, vol)):
         with pytest.raises(ValueError, match="^vol must be finite and positive$"):
             call()
 
@@ -162,7 +159,6 @@ def test_maturity_rejected_by_name(bad, rate):
     message = f"^t must be finite and positive; got {bad}$"
     for call in (lambda: bs_price(ctx, bad, 100.0, 0.2, True),
                  lambda: bs_vega(ctx, bad, 100.0, 0.2),
-                 lambda: bs_vega_greek(ctx, bad, 100.0, 0.2),
                  lambda: no_arbitrage_bounds(ctx, bad, 100.0, True),
                  lambda: implied_vol(ctx, bad, 100.0, 5.0, True),
                  lambda: implied_vol(ctx, bad, np.array([90.0, 110.0]), np.array([5.0, 4.0]),
@@ -295,8 +291,8 @@ def test_implied_vol_criterion_09_smiles_match_scalar_reference():
 def test_scalars_in_give_floats_out(ctx):
     price = bs_price(ctx, 0.5, 110.0, 0.3, True)
     lo, hi = no_arbitrage_bounds(ctx, 0.5, 110.0, False)
-    for value in (price, bs_vega(ctx, 0.5, 110.0, 0.3), bs_vega_greek(ctx, 0.5, 110.0, 0.3),
-                  implied_vol(ctx, 0.5, 110.0, price, True), lo, hi):
+    for value in (price, bs_vega(ctx, 0.5, 110.0, 0.3), implied_vol(ctx, 0.5, 110.0, price, True),
+                  lo, hi):
         assert type(value) is float
 
 
@@ -310,7 +306,6 @@ def test_array_calls_equal_scalar_calls(ctx):
     for i, (k, vol, c) in enumerate(zip(strikes, vols, flags)):
         assert prices[i] == bs_price(ctx, 0.5, k, vol, c)
         assert bs_vega(ctx, 0.5, strikes, vols)[i] == bs_vega(ctx, 0.5, k, vol)
-        assert bs_vega_greek(ctx, 0.5, strikes, vols)[i] == bs_vega_greek(ctx, 0.5, k, vol)
         assert (lo[i], hi[i]) == no_arbitrage_bounds(ctx, 0.5, k, c)
         assert ivs[i] == implied_vol(ctx, 0.5, k, prices[i], c)
     # a scalar price broadcasts against a strike array, keeping its shape

@@ -84,6 +84,13 @@ def test_surface_rejects_sparse_maturity():
         QuoteSurface.build(100.0, rows)
 
 
+def test_surface_needs_ascending_maturities(heston_surface):
+    for slices in ([], heston_surface.slices[::-1], heston_surface.slices[:1] * 2):
+        with pytest.raises(ValueError) as info:
+            QuoteSurface(100.0, slices)
+        assert str(info.value) == "maturities must be strictly ascending and nonempty"
+
+
 def test_surface_rejects_inconsistent_tenor_rates():
     rows = [(0.05, 0.0, Quote(maturity=1.0, strike=k, is_call=True, iv=0.3))
             for k in (110.0, 120.0, 130.0)]
@@ -146,6 +153,22 @@ def test_error_metrics_zero_for_generating_model(heston_surface):
     assert metrics.n_excluded == 0
 
 
+def test_objective_penalty_on_a_non_finite_value(heston_surface, monkeypatch, caplog):
+    # a nan price raises nowhere, so only the sum shows it
+    original = svjd.calibration.price_strike_slice
+
+    def one_nan(*args):
+        prices = original(*args)
+        prices[2] = math.nan
+        return prices
+
+    monkeypatch.setattr(svjd.calibration, "price_strike_slice", one_nan)
+    with caplog.at_level(logging.DEBUG, logger="svjd.calibration"):
+        assert objective(PARAM_ROWS["heston"]["SPOT"], heston_surface) == PRICING_PENALTY
+    assert [r.getMessage() for r in caplog.records] == [
+        "objective: non-finite value nan, penalty substituted"]
+
+
 def test_error_metrics_uniform_iv_shift():
     market = synthetic_surface(degenerate_hkde(0.20), 100.0, 0.05, 0.0, [0.5, 1.0], MONEYNESS)
     metrics = error_metrics(degenerate_hkde(0.22), market)
@@ -169,6 +192,12 @@ def test_error_metrics_counts_forced_out_of_bounds_price(heston_surface, monkeyp
     metrics = error_metrics(model, heston_surface)
     assert metrics.n_excluded == 1
     assert metrics.rmse == pytest.approx(0.0, abs=1e-6)
+    # with every price out of bounds no error is left to average
+    monkeypatch.setattr(svjd.calibration, "price_strike_slice",
+                        lambda model, ctx, t, strikes, *rest: np.full(strikes.size, -1e-3))
+    with pytest.raises(ValueError) as info:
+        error_metrics(model, heston_surface)
+    assert str(info.value) == "no quote could be inverted to an implied volatility"
 
 
 def test_calibrate_reports_quotes_left_out_of_the_iv_errors():
@@ -402,6 +431,31 @@ def test_jacobian_columns_match_forward_differences(kind, heston_surface):
     assert np.all(np.abs(J - reference).max(axis=0) <= 1e-5 * scale), kind
 
 
+def test_jacobian_zeroes_the_column_of_a_moved_model_that_cannot_be_priced(heston_surface,
+                                                                          monkeypatch):
+    # every bumped grid moves, so each bumped model is priced in full; the one
+    # with kappa bumped cannot be: its column is zeroed and counted in each tenor,
+    # and the other columns are the full-pricing forward differences
+    x = np.asarray(PARAM_ROWS["heston"]["SPOT"].flat(), dtype=float)
+    kappa = HestonParams.FIELDS.index("kappa")
+    model_prices = MaturitySlice.model_prices
+
+    def unpriceable_kappa(self, model, grid_spec):
+        if model.kappa != x[kappa]:
+            raise ValueError("cannot price")
+        return model_prices(self, model, grid_spec)
+
+    monkeypatch.setattr(svjd.calibration._HeldSlices, "moved", lambda self, i, model: True)
+    monkeypatch.setattr(MaturitySlice, "model_prices", unpriceable_kappa)
+    J, penalties = _jacobian("heston", x, heston_surface)
+    monkeypatch.undo()
+    assert penalties == len(heston_surface.slices)
+    assert np.all(J[:, kappa] == 0.0)
+    reference = np.delete(_forward_difference("heston", x, heston_surface), kappa, axis=1)
+    scale = np.abs(reference).max(axis=0)
+    assert np.all(np.abs(np.delete(J, kappa, axis=1) - reference).max(axis=0) <= 1e-6 * scale)
+
+
 def test_frozen_slice_keeps_every_node_without_decay(monkeypatch):
     # frequent tiny down-jumps (eta2 at its lower bound) widen the grid so far at
     # T = 0.1 that its nodes end near xi = 5, where phi has barely decayed: the
@@ -515,6 +569,40 @@ def test_calibrate_counts_penalties_of_a_forced_off_grid_strike(heston_surface, 
     assert all("outside the projection grid" in m for m in messages)
     assert result.trace[0] == pytest.approx(PRICING_PENALTY, rel=1e-12)
     assert result.rmse < 1e-6
+
+
+def test_calibrate_penalises_only_the_non_finite_residuals(heston_surface, monkeypatch,
+                                                          caplog):
+    # a trial point whose held pricing leaves two residuals nan: those two take
+    # the penalty, the others stay, and the vector counts one penalty, logged once
+    truth = PARAM_ROWS["heston"]["SPOT"]
+    trial = np.asarray(truth.flat(), dtype=float) * (1.0 + 1e-3)
+    held_residuals = svjd.calibration._HeldSlices.residuals
+
+    def two_nan(self, model):
+        r = held_residuals(self, model)
+        r[[1, 4]] = math.nan
+        return r
+
+    seen = []
+
+    def one_trial_point(fun, x0, jac, **kwargs):
+        seen.append(fun(trial))
+        return scipy.optimize.OptimizeResult(x=x0, cost=0.0, status=1)
+
+    monkeypatch.setattr(svjd.calibration._HeldSlices, "residuals", two_nan)
+    monkeypatch.setattr(scipy.optimize, "least_squares", one_trial_point)
+    with caplog.at_level(logging.DEBUG, logger="svjd.calibration"):
+        result = calibrate("heston", heston_surface, init=truth)
+    (r,) = seen
+    expected = held_residuals(svjd.calibration._HeldSlices(heston_surface, GridSpec()),
+                              HestonParams.from_flat(trial))
+    penalty = math.sqrt(PRICING_PENALTY / heston_surface.n_quotes)
+    assert np.all(r[[1, 4]] == penalty)
+    assert np.array_equal(np.delete(r, [1, 4]), np.delete(expected, [1, 4]))
+    assert (result.n_residuals, result.n_penalties) == (2, 1)
+    assert [rec.levelno for rec in caplog.records] == [logging.DEBUG]
+    assert caplog.records[0].getMessage().startswith("calibrate: 2 non-finite residuals at ")
 
 
 def test_calibrate_counts_residuals_and_jacobians(heston_surface, monkeypatch):

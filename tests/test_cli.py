@@ -6,6 +6,7 @@ import math
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from svjd.calibration import synthetic_surface
 from svjd.models import MODEL_NAMES, HestonParams, HKDEParams, model_to_dict
 from svjd.proj import GridSpec, price_european, price_strike_slice
 from svjd.models import MarketContext
+from svjd.montecarlo import SimConfig
 
 from conftest import PARAM_ROWS
 
@@ -60,6 +62,24 @@ def test_load_quotes_rejects_bad_header(tmp_path):
     f.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         load_quotes(str(f))
+    f.write_text("")
+    with pytest.raises(ValueError) as info:
+        load_quotes(str(f))
+    assert str(info.value) == f"{f}: empty file"
+
+
+def test_load_quotes_skips_blank_rows(tmp_path):
+    header = "maturity_yrs,strike,option_type,mid_price,iv,rate,div_yield,spot\n"
+    rows = [f"0.5,{k},C,,0.3,0.05,0.0,100\n" for k in (110, 115, 120)]
+    plain, gappy = tmp_path / "plain.csv", tmp_path / "gappy.csv"
+    plain.write_text(header + "".join(rows))
+    gappy.write_text(header + "\n" + rows[0] + " , ,\n" + "".join(rows[1:]) + ",,,,,,,\n")
+    assert load_quotes(str(gappy)).slices[0].quotes == load_quotes(str(plain)).slices[0].quotes
+    # a bad row is still named by its line in the file, blank lines counted
+    gappy.write_text(header + "\n\n0.5,110,X,1.0,,0.05,0.0,100\n")
+    with pytest.raises(ValueError) as info:
+        load_quotes(str(gappy))
+    assert str(info.value) == f"{gappy}:4: option_type must be C or P"
 
 
 def test_load_quotes_skips_arbitrage_rows_with_line_numbers(tmp_path, capsys):
@@ -119,6 +139,8 @@ def test_load_quotes_names_bad_cell(tmp_path):
     ("0.5,110,C,1.0,,0.05,0.0,0", "spot must be positive"),
     ("0.5,110,C,,-0.3,0.05,0.0,100", "vol must be finite and positive"),
     ("0.5,110,C,1.0,0,0.05,0.0,100", "vol must be finite and positive"),
+    ("0.5,110,C,1.0", "expected 8 fields"),
+    ("0.5,110,X,1.0,,0.05,0.0,100", "option_type must be C or P"),
 ])
 def test_calibrate_names_the_file_and_line_of_a_bad_quote(tmp_path, capsys, row, message):
     f = tmp_path / "q.csv"
@@ -138,6 +160,9 @@ def test_calibrate_names_the_file_and_line_of_a_bad_quote(tmp_path, capsys, row,
       "0.5,120,C,,0.3,0.05,0.0,100"], ": maturity 0.5: strikes must be strictly ascending"),
     (["0.5,110,C,,0.3,0.05,0.0,100", "0.5,120,C,,0.3,0.05,0.0,100"],
      ": maturity 0.5: needs at least 3 quotes"),
+    (["0.5,110,C,,0.3,0.05,0.0,100", "0.5,115,C,,0.3,0.05,0.0,90"],
+     ":3: spot differs from earlier rows"),
+    (["", " , "], ": no usable quotes"),   # blank rows only
 ])
 def test_calibrate_names_the_file_of_a_bad_surface(tmp_path, capsys, rows, message):
     f = tmp_path / "q.csv"
@@ -193,6 +218,19 @@ def test_cmd_calibrate_smoke(tmp_path, spot_heston_file, capsys):
     assert doc["metrics"]["n_anchors"] == 3
     calibrate_parser = build_parser()._subparsers._group_actions[0].choices["calibrate"]
     assert tuple(calibrate_parser._option_string_actions["--model"].choices) == MODEL_NAMES
+    # price reads the output file as a parameter file: its "params" entry, priced
+    # as the bare file of that entry is
+    contract = tmp_path / "c.json"
+    contract.write_text(json.dumps({"kind": "european_put", "strike": 90.0, "maturity": 0.5,
+                                    "spot": 100.0, "rate": 0.05}))
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc["params"]))
+    capsys.readouterr()
+    prices = []
+    for params in (out, bare):
+        assert main(["price", "--params", str(params), "--contract", str(contract)]) == 0
+        prices.append(json.loads(capsys.readouterr().out)["price"])
+    assert prices[0] == prices[1]
 
 
 def test_cmd_price_european_matches_library(tmp_path, shop_hkde_file, capsys):
@@ -443,6 +481,20 @@ def test_cli_rejects_bad_contract_field(tmp_path, shop_hkde_file, capsys, field,
         assert "\n" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "contract file must hold a JSON object"),
+    *[(json.dumps({k: v for k, v in _BARRIER.items() if k != key}),
+       f"contract file needs '{key}'") for key in ("kind", "maturity", "spot", "rate")],
+])
+def test_cli_rejects_a_contract_file_without_its_entries(tmp_path, shop_hkde_file, capsys, text,
+                                                         message):
+    contract = tmp_path / "c.json"
+    contract.write_text(text)
+    for cmd in (["price"], ["mc-compare", "--out", str(tmp_path / "x.csv")]):
+        assert main(cmd + ["--params", shop_hkde_file, "--contract", str(contract)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("kind", ["european_call", "european_put"])
 @pytest.mark.parametrize("strike", [None, -100.0])   # None: the field is left out
 def test_cli_rejects_european_without_positive_strike(tmp_path, shop_hkde_file, capsys, kind,
@@ -522,6 +574,18 @@ def test_cli_help_still_exits_zero(capsys):
     assert "--strikes" in capsys.readouterr().out
 
 
+def test_parser_defaults_are_the_library_defaults():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for name, p in commands.items():
+        assert (p.get_default("n"), p.get_default("l1")) == (GridSpec().n, GridSpec().l1), name
+    for name in ("price", "mc-compare"):
+        assert (commands[name].get_default("paths"), commands[name].get_default("seed")) \
+            == (SimConfig().n_paths, SimConfig().seed), name
+    for name in ("smile", "synth"):
+        assert [commands[name].get_default(k) for k in ("spot", "rate", "div_yield")] \
+            == [100.0, 0.05, 0.0], name
+
+
 # ---------------------------------------------------------------------------
 # Output bytes and per-process state
 # ---------------------------------------------------------------------------
@@ -572,6 +636,8 @@ def test_csv_files_equal_csv_writer_rendering(tmp_path, shop_hkde_file, capsys):
     with open(table, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 2 and table.read_bytes() == _csv_writer_text(rows)
+    assert table.read_bytes().startswith(
+        b"kind,strike,maturity,proj,mc,mc_ci95_half_width,time_proj_s,time_mc_s\r\n")
 
 
 def test_main_keeps_no_parsed_state_between_calls(tmp_path, shop_hkde_file, capsys):
@@ -684,3 +750,24 @@ def test_only_calibrate_loads_the_optimizer(tmp_path, spot_heston_file):
     subprocess.run([sys.executable, "-c", _PRICING_COMMANDS_LOAD_NO_OPTIMIZER, spot_heston_file,
                     str(contract), str(barrier), str(tmp_path)], check=True, timeout=120,
                    stdout=subprocess.DEVNULL)
+
+
+def test_the_module_entry_point_exits_0_or_2_with_one_error_line(tmp_path, spot_heston_file):
+    # pip's svjd script is sys.exit(main()), as python -m svjd.cli runs it, from this entry
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert 'svjd = "svjd.cli:main"' in scripts.splitlines()
+    contract = tmp_path / "euro.json"
+    contract.write_text(json.dumps({"kind": "european_call", "strike": 110, "maturity": 0.5,
+                                    "spot": 100, "rate": 0.05}))
+    module = [sys.executable, "-m", "svjd.cli"]
+    run = subprocess.run(module + ["price", "--params", spot_heston_file, "--contract",
+                                   str(contract)], capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["method"] == "proj"
+    # a usage error: one line, not argparse's usage block
+    run = subprocess.run(module + ["smile", "--params", spot_heston_file, "--maturity", "0.5",
+                                   "--strikes", "-10:100:5", "--out", str(tmp_path / "x.csv")],
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: ")

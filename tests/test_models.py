@@ -111,6 +111,24 @@ def test_params_reject_nonfinite_field(cls, values):
                 cls.from_flat(values[:i] + [bad] + values[i + 1:])
 
 
+@pytest.mark.parametrize("cls, values, message", [
+    (HestonParams, [0.04, 0.04, 0.0, 0.5, -0.5], "v0, theta, kappa, sigma_v must be positive"),
+    (HestonParams, [0.04, 0.04, 1.0, 0.5, -1.5], "rho must lie in [-1, 1]"),
+    (KouJumpParams, [-1.0, 0.5, 10.0, 5.0], "lam must be nonnegative"),
+    (KouJumpParams, [1.0, 1.5, 10.0, 5.0], "p must lie in [0, 1]"),
+    (KouJumpParams, [1.0, 0.5, 10.0, 0.0], "eta2 must be positive"),
+    (NormalJumpParams, [-1.0, -0.1, 0.2], "lam must be nonnegative"),
+    (NormalJumpParams, [1.0, -0.1, 0.0], "sigma_j must be positive"),
+    (BGMParams, [1.0, 15.0, 0.0, 15.0, 0.2], "all BGM parameters must be positive"),
+    (BGMParams, [1.0, 1.0, 1.0, 15.0, 0.2], "lam_p must exceed 1"),
+], ids=["heston-kappa", "heston-rho", "kou-lam", "kou-p", "kou-eta2", "normal-lam",
+        "normal-sigma_j", "bgm-alpha_m", "bgm-lam_p"])
+def test_params_reject_a_field_out_of_range(cls, values, message):
+    with pytest.raises(ValueError) as info:
+        cls.from_flat(values)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("name", ["spot", "rate", "div_yield"])
 @pytest.mark.parametrize("bad", NOT_FINITE_SCALARS)
 def test_market_context_rejects_nonfinite_field(name, bad):
@@ -442,3 +460,6 @@ def test_model_from_dict_rejects_extra_and_missing():
         model_from_dict({"model": "hkde", "params": {"v0": 0.04}})
     with pytest.raises(ValueError):
         model_from_dict({"model": "sabr", "params": {}})
+    for doc in ({"params": {}}, {"model": "heston"}, {"model": "heston", "params": 3}):
+        with pytest.raises(ValueError, match="^parameter document needs 'model' and 'params'"):
+            model_from_dict(doc)

@@ -16,6 +16,7 @@ from svjd.montecarlo import (
     _chunk_rng,
     _chunk_sizes,
     _simulate_chunk,
+    _substeps,
     _thread_count,
     evaluate_payoff,
     mc_run,
@@ -56,6 +57,8 @@ def test_schedule_validation():
         MonitoringSchedule(maturity=1.0, dates=(0.0, 1.5))
     with pytest.raises(ValueError, match="^maturity must be finite and positive; got nan$"):
         MonitoringSchedule.uniform(math.nan, 4)
+    with pytest.raises(ValueError, match="^spacing must be 'span' or 'm_plus_1'$"):
+        MonitoringSchedule.uniform(1.0, 4, spacing="weekly")
 
 
 @pytest.mark.parametrize("bad", [True, 4.5, "4", 0, -1, None])
@@ -130,6 +133,9 @@ def test_exotic_spec_validation():
      "global_cap must be finite; got inf"),
     ("cliquet", dict(strike=1.0, cap=0.06, floor=0.0, global_cap=1.0, global_floor=False),
      "global_floor must be finite; got False"),
+    ("cliquet", dict(strike=1.0, cap=0.06, floor=0.0, global_cap=1.0),
+     "cliquet needs global cap and floor"),
+    ("barrier_double", dict(strike=100.0, barrier_up=140.0), "barrier_double needs barrier_down"),
     *[("barrier_uo", dict(strike=100.0, barrier_up=140.0, is_call=bad),
        f"is_call must be a bool; got {bad!r}") for bad in ("no", 0, 1, None, np.float64(1.0))],
 ])
@@ -576,6 +582,24 @@ def test_barrier_level_validation(ctx, amzn_hkde):
         price_exotic(amzn_hkde, ctx,
                      ExoticSpec(kind="barrier_do", schedule=sched, strike=100.0,
                                 barrier_down=110.0), cfg)
+
+
+def test_batch_needs_contracts_on_one_schedule(ctx, amzn_hkde):
+    config = SimConfig(n_paths=100)
+    with pytest.raises(ValueError, match="^no contracts given$"):
+        price_exotic_batch(amzn_hkde, ctx, [], config)
+    specs = [_european(1.0, 100.0), _european(0.5, 100.0)]
+    with pytest.raises(ValueError, match="^all contracts in a batch must share the schedule$"):
+        price_exotic_batch(amzn_hkde, ctx, specs, config)
+
+
+def test_substeps_default_to_one_per_interval_only_for_levy_increments():
+    schedule = MonitoringSchedule.uniform(1.0, 4)
+    assert _substeps(schedule, SimConfig(), PARAM_ROWS["bgm"]["NFLX"]) == [1] * 4
+    # a discretized model takes steps of at most 1/250: ceil(0.25 * 250)
+    assert _substeps(schedule, SimConfig(), PARAM_ROWS["heston"]["SPOT"]) == [63] * 4
+    for model in (PARAM_ROWS["bgm"]["NFLX"], PARAM_ROWS["heston"]["SPOT"]):
+        assert _substeps(schedule, SimConfig(steps_per_interval=3), model) == [3] * 4
 
 
 def test_ci_field(ctx, amzn_hkde):

@@ -443,6 +443,9 @@ def test_frozen_slice_raises_the_slice_pricers_off_grid_message(ctx):
 def test_slice_input_validation(ctx, amzn_hkde):
     with pytest.raises(ValueError):
         price_strike_slice(amzn_hkde, ctx, 0.5, [100.0, 90.0], [True, True])
+    for strikes in ([90.0, 0.0], [[90.0, 100.0]]):
+        with pytest.raises(ValueError, match="^strikes must be a 1-d array of positive values$"):
+            price_strike_slice(amzn_hkde, ctx, 0.5, strikes, [True, True])
     with pytest.raises(ValueError):
         price_strike_slice(amzn_hkde, ctx, 0.5, [90.0, 100.0], [True])
     with pytest.raises(ValueError):
