@@ -133,11 +133,11 @@ def test_exotic_spec_validation():
      "global_cap must be finite; got inf"),
     ("cliquet", dict(strike=1.0, cap=0.06, floor=0.0, global_cap=1.0, global_floor=False),
      "global_floor must be finite; got False"),
+    *[("barrier_uo", dict(strike=100.0, barrier_up=140.0, is_call=bad),
+       f"is_call must be a bool; got {bad!r}") for bad in ("no", 0, 1, None, np.float64(1.0))],
     ("cliquet", dict(strike=1.0, cap=0.06, floor=0.0, global_cap=1.0),
      "cliquet needs global cap and floor"),
     ("barrier_double", dict(strike=100.0, barrier_up=140.0), "barrier_double needs barrier_down"),
-    *[("barrier_uo", dict(strike=100.0, barrier_up=140.0, is_call=bad),
-       f"is_call must be a bool; got {bad!r}") for bad in ("no", 0, 1, None, np.float64(1.0))],
 ])
 def test_exotic_spec_rejects_bad_terms_by_name(kind, terms, message):
     # unchecked, these priced as nan, as 0, failed with a bare math domain error,
