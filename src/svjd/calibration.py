@@ -395,8 +395,9 @@ def _jacobian(cls, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         for j in np.flatnonzero(moved):
             try:
                 diffs[j] = sl.model_prices(bumped[j], held.grid_spec) - p0
-            except PRICING_ERRORS:
+            except PRICING_ERRORS as exc:
                 diffs[j] = np.nan
+                _log.debug("jacobian: tenor %g column %d cannot be priced, zeroed: %s", sl.t, j, exc)
         block = np.sqrt(sl.weights)[:, None] * diffs.T / dx
         bad = ~np.isfinite(block)
         penalties += int(bad.any(axis=0).sum())

@@ -172,12 +172,16 @@ class KouJumpParams(_FlatFields):
         return self.p / (self.eta1 - 1.0) - (1.0 - self.p) / (self.eta2 + 1.0)
 
     def sample_sizes(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """Inverse-CDF draw: with probability p an Exp(eta1) up-jump, else -Exp(eta2)."""
+        """Inverse-CDF draw: with probability p an Exp(eta1) up-jump, else -Exp(eta2).
+        Each branch works in place on its own draws, so p = 0 or 1 divides by nothing."""
         u = np.maximum(rng.uniform(size=k), 2.0 ** -53)
-        with np.errstate(divide="ignore"):   # p = 0 or 1: the branch never taken divides by 0
-            up = -np.log((1.0 - u) / self.p) / self.eta1
-            down = np.log(u / (1.0 - self.p)) / self.eta2
-        return np.where(u >= 1.0 - self.p, up, down)
+        up = u >= 1.0 - self.p
+        w = u[up]                                             # -log((1 - u)/p)/eta1
+        np.log(np.divide(np.subtract(1.0, w, out=w), self.p, out=w), out=w)
+        u[up] = np.divide(np.negative(w, out=w), self.eta1, out=w)
+        w = u[~up]                                            # log(u/(1 - p))/eta2
+        u[~up] = np.divide(np.log(np.divide(w, 1.0 - self.p, out=w), out=w), self.eta2, out=w)
+        return u
 
     def interval_total(self, rng: np.random.Generator, n: int, tau: float) -> np.ndarray:
         """Sum of a Poisson(lam tau) number of iid jump sizes for each of n paths."""
@@ -187,7 +191,12 @@ class KouJumpParams(_FlatFields):
             return np.zeros(n)
         # j-major order: the j-th jumps of every path that has one, for j = 0, 1, ...;
         # bincount then adds each path's jumps in that order, starting from 0.0
-        paths = np.concatenate([np.flatnonzero(counts > j) for j in range(top)])
+        paths, start = np.empty(int(counts.sum()), dtype=np.intp), 0
+        for j in range(top):
+            has_jth = np.flatnonzero(counts > j)
+            paths[start:start + has_jth.size] = has_jth
+            start += has_jth.size
+        del counts                               # the draws below need only the index
         return np.bincount(paths, weights=self.sample_sizes(rng, paths.size), minlength=n)
 
 
@@ -221,7 +230,10 @@ class NormalJumpParams(_FlatFields):
     def interval_total(self, rng: np.random.Generator, n: int, tau: float) -> np.ndarray:
         """Sum of a Poisson(lam tau) number of jumps per path: one normal given the count."""
         counts = rng.poisson(self.lam * tau, size=n)
-        return self.mu_j * counts + self.sigma_j * np.sqrt(counts) * rng.standard_normal(n)
+        total = np.sqrt(counts) * self.sigma_j     # (sigma_j*sqrt(counts))*z + mu_j*counts,
+        total *= rng.standard_normal(n)            # in place; the normals follow the counts
+        total += self.mu_j * counts
+        return total
 
 
 @dataclass(frozen=True)

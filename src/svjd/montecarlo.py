@@ -14,7 +14,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -226,15 +226,15 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
     kappa, theta, sigma_v, rho = heston.kappa, heston.theta, heston.sigma_v, heston.rho
     rho_c = math.sqrt(1.0 - rho * rho)
     v = np.full(n, heston.v0)
-    # per-chunk work buffers: the substep below is the full-truncation Euler step
+    # the full-truncation Euler substep, in place with this operand grouping (bit-identical):
     #   x += (drift_dt - (0.5*dt)*v+) + sqrt(v+ dt)*z_s
     #   v += (kappa*(theta - v+))*dt + sigma_v*(sqrt(v+ dt)*z_v)
-    # evaluated in place with the same operand grouping, so paths stay bit-identical;
-    # the normals are drawn for the whole chunk, the arithmetic runs block by block
-    # so that each block's seven arrays stay in cache
-    z_v, z_s, v_plus, sq_v, tmp = (np.empty(n) for _ in range(5))
-    blocks = [tuple(a[i:i + _BLOCK] for a in (x, v, z_v, z_s, v_plus, sq_v, tmp))
-              for i in range(0, n, _BLOCK)]
+    # the normals fill the whole chunk; the arithmetic runs block by block, with v+, sqrt(v+ dt)
+    # and a scratch term in block-sized buffers of this call, so each block stays in cache
+    z_v, z_s = np.empty(n), np.empty(n)
+    scratch = [np.empty(min(n, _BLOCK)) for _ in range(3)]
+    blocks = [tuple(a[i:i + _BLOCK] for a in (x, v, z_v, z_s))
+              + tuple(b[:min(_BLOCK, n - i)] for b in scratch) for i in range(0, n, _BLOCK)]
     for m, tau in enumerate(taus):
         dt = tau / sub[m]
         drift_dt = drift * dt
@@ -282,9 +282,11 @@ def _thread_count() -> int:
 
 
 def mc_run(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
-           config: SimConfig, payoff_fn: Callable[[PathBatch], np.ndarray]) -> list[McEstimate]:
-    """Chunked estimator: payoff_fn maps a PathBatch to discounted per-path payoffs
-    of shape (n_outputs, n_chunk_paths); returns one estimate per output row.
+           config: SimConfig, payoff_fn: Callable[[PathBatch], Iterable]) -> list[McEstimate]:
+    """Chunked estimator: payoff_fn maps a PathBatch to discounted per-path payoffs,
+    an array of shape (n_outputs, n_chunk_paths) or (n_chunk_paths,), or an iterable
+    of per-path rows; returns one estimate per output row. Each row is reduced to its
+    sum and sum of squares before the next is taken, so yielded rows live one at a time.
 
     With antithetic sampling the estimator and its standard error are computed
     over pair averages (path i pairs with path i + n/2 within a chunk).
@@ -296,11 +298,14 @@ def mc_run(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
         i, size = item
         batch = _simulate_chunk(model, ctx, schedule, sub, size,
                                 _chunk_rng(config.seed, i), config.antithetic)
-        pay = np.atleast_2d(payoff_fn(batch))
-        if config.antithetic:
-            h = size // 2
-            pay = 0.5 * (pay[:, :h] + pay[:, h:])
-        return pay.sum(axis=1), (pay * pay).sum(axis=1), pay.shape[1]
+        rows, h = payoff_fn(batch), size // 2
+        sums, sumsq = [], []
+        for pay in np.atleast_2d(rows) if isinstance(rows, np.ndarray) else rows:
+            if config.antithetic:
+                pay = 0.5 * (pay[:h] + pay[h:])
+            sums.append(pay.sum())
+            sumsq.append((pay * pay).sum())
+        return np.array(sums), np.array(sumsq), h if config.antithetic else size
 
     n_threads = _thread_count()
     items = list(enumerate(sizes))
@@ -397,13 +402,8 @@ def price_exotic_batch(model: ModelParams, ctx: MarketContext, specs: Sequence[E
         _check_barriers(spec, ctx)
     disc = math.exp(-ctx.rate * schedule.maturity)
 
-    def payoff(batch: PathBatch) -> np.ndarray:
-        out = np.empty((len(specs), batch.log_prices.shape[0]))
-        for row, spec in zip(out, specs):
-            np.multiply(disc, evaluate_payoff(spec, batch), out=row)
-        return out
-
-    return mc_run(model, ctx, schedule, config, payoff)
+    return mc_run(model, ctx, schedule, config,
+                  lambda batch: (disc * evaluate_payoff(spec, batch) for spec in specs))
 
 
 def price_exotic(model: ModelParams, ctx: MarketContext, spec: ExoticSpec,

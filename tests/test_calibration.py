@@ -456,6 +456,32 @@ def test_jacobian_zeroes_the_column_of_a_moved_model_that_cannot_be_priced(hesto
     assert np.all(np.abs(np.delete(J, kappa, axis=1) - reference).max(axis=0) <= 1e-6 * scale)
 
 
+def test_jacobian_logs_the_error_of_a_moved_model_that_cannot_be_priced(heston_surface,
+                                                                        monkeypatch, caplog):
+    # the setting above on two tenors: each zeroed kappa column is a penalty
+    # whose DEBUG record carries the pricing error's text
+    x = np.asarray(PARAM_ROWS["heston"]["SPOT"].flat(), dtype=float)
+    kappa = HestonParams.FIELDS.index("kappa")
+    model_prices = MaturitySlice.model_prices
+
+    def unpriceable_kappa(self, model, grid_spec):
+        if model.kappa != x[kappa]:
+            raise ValueError("cannot price this kappa")
+        return model_prices(self, model, grid_spec)
+
+    monkeypatch.setattr(svjd.calibration._HeldSlices, "moved", lambda self, i, model: True)
+    monkeypatch.setattr(MaturitySlice, "model_prices", unpriceable_kappa)
+    surface = QuoteSurface(100.0, heston_surface.slices[:2])
+    with caplog.at_level(logging.DEBUG, logger="svjd.calibration"):
+        J, penalties = _jacobian("heston", x, surface)
+    assert penalties == 2 and np.all(J[:, kappa] == 0.0)
+    assert [(r.name, r.levelno) for r in caplog.records] == [("svjd.calibration",
+                                                               logging.DEBUG)] * 2
+    assert [r.getMessage() for r in caplog.records] == [
+        f"jacobian: tenor {sl.t:g} column {kappa} cannot be priced, zeroed: cannot price this kappa"
+        for sl in surface.slices]
+
+
 def test_frozen_slice_keeps_every_node_without_decay(monkeypatch):
     # frequent tiny down-jumps (eta2 at its lower bound) widen the grid so far at
     # T = 0.1 that its nodes end near xi = 5, where phi has barely decayed: the

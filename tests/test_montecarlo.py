@@ -477,8 +477,8 @@ _M40_SPECS = ([ExoticSpec(kind="barrier_uo", schedule=_M40, strike=k, barrier_up
 
 
 def test_batch_estimates_equal_stacked_payoff_reference(ctx, amzn_hkde, monkeypatch):
-    # the batch writes each discounted payoff into one preallocated matrix; the
-    # reference stacks the list of them; three chunks, on one and two threads
+    # the batch hands mc_run one discounted payoff row at a time; the reference
+    # stacks them into one array; three chunks, on one and two threads
     monkeypatch.setattr(montecarlo, "_CHUNK", 4096)
     cfg = SimConfig(n_paths=10_001, seed=202, steps_per_interval=2)
     disc = math.exp(-ctx.rate * _M40.maturity)
@@ -490,6 +490,43 @@ def test_batch_estimates_equal_stacked_payoff_reference(ctx, amzn_hkde, monkeypa
         batch = price_exotic_batch(amzn_hkde, ctx, _M40_SPECS, cfg)
         assert [(e.price, e.std_err, e.n_paths) for e in batch] == \
             [(r.price, r.std_err, r.n_paths) for r in reference]
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_mc_run_reduces_yielded_rows_as_the_stacked_array(ctx, amzn_hkde, monkeypatch,
+                                                          antithetic):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 4096)
+    cfg = SimConfig(n_paths=10_001, seed=7, steps_per_interval=2, antithetic=antithetic)
+
+    def rows(batch):
+        yield np.exp(batch.log_prices[:, -1])
+        yield batch.log_prices[:, 1:].max(axis=1)
+
+    stacked = mc_run(amzn_hkde, ctx, _M40, cfg, lambda batch: np.stack(list(rows(batch))))
+    one_row = mc_run(amzn_hkde, ctx, _M40, cfg, lambda batch: next(rows(batch)))
+    yielded = mc_run(amzn_hkde, ctx, _M40, cfg, rows)
+    assert [(e.price, e.std_err, e.n_paths) for e in yielded] == \
+        [(r.price, r.std_err, r.n_paths) for r in stacked]
+    assert one_row == stacked[:1]
+
+
+def test_exotic_batch_chunk_holds_little_beside_its_path_matrix(ctx, monkeypatch):
+    # one 2^16-path chunk of the eight M = 40 contracts: the estimator reduces
+    # each contract's row before the next is built, the Euler scratch is
+    # block-sized and the jump legs work in place. A contracts x paths payoff
+    # matrix and its pair average put the peak at 1.39-1.42x the path matrix;
+    # the bound is a ratio, so allocator differences across platforms cancel
+    monkeypatch.setenv("SVJD_THREADS", "1")
+    cfg = SimConfig(n_paths=1 << 16, seed=202, steps_per_interval=1)
+    matrix_bytes = cfg.n_paths * len(_M40.dates) * 8
+    for kind in ("heston", "hkde", "bates", "bgm"):
+        tracemalloc.start()
+        try:
+            price_exotic_batch(PARAM_ROWS[kind]["AMZN"], ctx, _M40_SPECS, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * matrix_bytes, (kind, peak / matrix_bytes)
 
 
 def test_seed_changes_results(ctx, amzn_hkde):
