@@ -5,7 +5,8 @@ go negative; only its positive part enters drift and diffusion). Jumps are
 aggregated per monitoring interval as exact compound-Poisson totals. Paths are
 partitioned into fixed-size chunks, each driven by a counter-based Philox
 stream keyed on (seed, chunk index), so results are bit-reproducible for a
-given seed and path count regardless of thread count.
+given seed and path count regardless of thread count. A chunk keeps no paths: each
+monitoring date's log prices are folded into the per-path statistics payoffs read.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,11 +27,13 @@ __all__ = ["SimConfig", "MonitoringSchedule", "PathBatch", "ExoticSpec", "McEsti
 _CHUNK = 1 << 18          # paths per worker chunk; part of the reproducibility key
 _MAX_DT = 1.0 / 250.0     # default substep cap for discretized models
 _BLOCK = 1 << 15          # paths per cache block of the Euler substep arithmetic
-_ROWS = 1 << 12           # paths per row block of the payoff statistics (~1.3 MB at M = 40)
 
 EXOTIC_KINDS = ("european_call", "european_put", "asian_call", "asian_put", "variance_swap",
                 "variance_call", "cliquet", "barrier_uo", "barrier_do", "barrier_double")
-_TERMS = ("cap", "floor", "global_cap", "global_floor", "barrier_up", "barrier_down")
+# each contract term beyond the strike, and the kinds that read it
+_TERMS = {"cap": ("cliquet",), "floor": ("cliquet",), "global_cap": ("cliquet",),
+          "global_floor": ("cliquet",), "barrier_up": ("barrier_uo", "barrier_double"),
+          "barrier_down": ("barrier_do", "barrier_double")}
 
 
 @dataclass(frozen=True)
@@ -91,29 +94,55 @@ class MonitoringSchedule:
         return len(self.dates) - 1
 
 
-@dataclass
 class PathBatch:
-    """Log prices at monitoring dates. The payoff statistics memo has no lock:
-    a batch belongs to one chunk, priced on one thread."""
-    log_prices: np.ndarray
-    schedule: MonitoringSchedule
-    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # not a field: no batch holds variance paths, but perfbench/tracer.py still
-    # reads this name when it sizes the arrays a payoff is handed
+    """One chunk's paths as its payoffs read them: record(x) takes every path's log
+    price at t_0, t_1, ..., t_M in turn. With reads None, log_prices keeps every
+    date (paths x dates). Otherwise log_prices keeps the last date only, as an
+    (n, 1) array, and stats holds one per-path vector per key in reads, folded in
+    date order: "max" and "min" over t_1..t_M, "sum" of S over t_0..t_M, "log_sq"
+    and "simple_sq" of the returns, ("clipped", floor, cap) of the simple returns,
+    and "last", S at t_M. A batch belongs to one chunk, priced on one thread."""
+    # no batch holds variance paths, but perfbench/tracer.py still reads this
+    # name when it sizes the arrays a payoff is handed
     variance = None
 
-    def statistic(self, key, row_fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Per-path vector row_fn(log_prices), computed once per key and row block
-        by row block, so no temporary spans the whole batch. row_fn must reduce
-        along axis 1: each path's value then depends on its own row alone, and
-        the blocks equal the whole-array expression bit for bit."""
-        if key not in self._stats:
-            logs = self.log_prices
-            out = np.empty(logs.shape[0])
-            for i in range(0, logs.shape[0], _ROWS):
-                out[i:i + _ROWS] = row_fn(logs[i:i + _ROWS])
-            self._stats[key] = out
-        return self._stats[key]
+    def __init__(self, schedule: MonitoringSchedule, n: int, reads: Optional[Iterable] = None):
+        self.schedule = schedule
+        self._date, self._n_dates, self._reads = 0, len(schedule.dates), reads
+        self.log_prices = np.empty((n, self._n_dates if reads is None else 1))
+        self.stats = {key: np.full(n, {"max": -np.inf, "min": np.inf}.get(key, 0.0))
+                      for key in reads or () if key != "last"}
+        self._clipped = [key for key in self.stats if isinstance(key, tuple)]
+        self._simple = bool(self._clipped) or "simple_sq" in self.stats
+        self._ret, self._tmp = (np.empty(n), np.empty(n)) if reads is not None else (None, None)
+
+    def record(self, x: np.ndarray) -> None:
+        """Fold the next monitoring date's log prices into the batch."""
+        date, stats = self._date, self.stats
+        self._date += 1
+        if self._reads is None:
+            self.log_prices[:, date] = x
+            return
+        prev = self.log_prices[:, 0]
+        if "sum" in stats:
+            stats["sum"] += np.exp(x, out=self._tmp)
+        if date > 0:
+            for key, fold in (("max", np.maximum), ("min", np.minimum)):
+                if key in stats:
+                    fold(stats[key], x, out=stats[key])
+            if self._simple or "log_sq" in stats:
+                ret = np.subtract(x, prev, out=self._ret)
+                if "log_sq" in stats:
+                    stats["log_sq"] += np.square(ret, out=self._tmp)
+                if self._simple:
+                    np.expm1(ret, out=ret)     # once, for every statistic that reads it
+                    if "simple_sq" in stats:
+                        stats["simple_sq"] += np.square(ret, out=self._tmp)
+                    for key in self._clipped:
+                        stats[key] += np.clip(ret, key[1], key[2], out=self._tmp)
+        if date == self._n_dates - 1 and "last" in self._reads:
+            stats["last"] = np.exp(x, out=self._tmp)    # the scratch is free from here on
+        prev[:] = x
 
 
 @dataclass(frozen=True)
@@ -134,6 +163,9 @@ class ExoticSpec:
     def __post_init__(self):
         if self.kind not in EXOTIC_KINDS:
             raise ValueError(f"unknown payoff kind '{self.kind}'")
+        for name, kinds in _TERMS.items():   # a term the kind never reads would be dropped
+            if getattr(self, name) is not None and self.kind not in kinds:
+                raise ValueError(f"{self.kind} does not read {name}")
         # the payoff tests its truth, so "no" would price the call
         if not isinstance(self.is_call, (bool, np.bool_)):
             raise ValueError(f"is_call must be a bool; got {self.is_call!r}")
@@ -153,10 +185,9 @@ class ExoticSpec:
                 raise ValueError("cliquet needs local cap > local floor")
             if self.global_cap is None or self.global_floor is None:
                 raise ValueError("cliquet needs global cap and floor")
-        if self.kind in ("barrier_uo", "barrier_double") and self.barrier_up is None:
-            raise ValueError(f"{self.kind} needs barrier_up")
-        if self.kind in ("barrier_do", "barrier_double") and self.barrier_down is None:
-            raise ValueError(f"{self.kind} needs barrier_down")
+        for name in ("barrier_up", "barrier_down"):
+            if self.kind in _TERMS[name] and getattr(self, name) is None:
+                raise ValueError(f"{self.kind} needs {name}")
 
 
 @dataclass(frozen=True)
@@ -196,7 +227,7 @@ def _chunk_sizes(n_paths: int, antithetic: bool) -> list[int]:
 
 def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
                     sub: list[int], n: int, rng: np.random.Generator,
-                    antithetic: bool) -> PathBatch:
+                    antithetic: bool, reads: Optional[Iterable] = None) -> PathBatch:
     half = n // 2
 
     def gauss(out: np.ndarray) -> np.ndarray:
@@ -209,8 +240,8 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
         return out
 
     x = np.full(n, math.log(ctx.spot))
-    xs = np.empty((n, len(schedule.dates)))
-    xs[:, 0] = x
+    batch = PathBatch(schedule, n, reads)
+    batch.record(x)
     drift = ctx.rate - ctx.div_yield + model.omega()
     taus = np.diff(np.asarray(schedule.dates))
 
@@ -219,8 +250,8 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
         for m, tau in enumerate(taus):
             for _ in range(sub[m]):
                 x = model.increment(rng, x, drift, tau / sub[m], gauss(z))
-            xs[:, m + 1] = x
-        return PathBatch(log_prices=xs, schedule=schedule)
+            batch.record(x)
+        return batch
 
     heston = getattr(model, "heston", model)   # a bare Heston model is its own variance leg
     kappa, theta, sigma_v, rho = heston.kappa, heston.theta, heston.sigma_v, heston.rho
@@ -266,8 +297,8 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
         # for values observed at monitoring dates)
         if model.jumps is not None:
             x += model.jumps.interval_total(rng, n, tau)
-        xs[:, m + 1] = x
-    return PathBatch(log_prices=xs, schedule=schedule)
+        batch.record(x)
+    return batch
 
 
 def _thread_count() -> int:
@@ -282,11 +313,15 @@ def _thread_count() -> int:
 
 
 def mc_run(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
-           config: SimConfig, payoff_fn: Callable[[PathBatch], Iterable]) -> list[McEstimate]:
+           config: SimConfig, payoff_fn: Callable[[PathBatch], Iterable],
+           reads: Optional[Iterable] = None) -> list[McEstimate]:
     """Chunked estimator: payoff_fn maps a PathBatch to discounted per-path payoffs,
     an array of shape (n_outputs, n_chunk_paths) or (n_chunk_paths,), or an iterable
     of per-path rows; returns one estimate per output row. Each row is reduced to its
     sum and sum of squares before the next is taken, so yielded rows live one at a time.
+
+    reads, a collection of the PathBatch statistic keys payoff_fn reads, makes each
+    batch keep those and the last date's log prices only; None keeps every date's.
 
     With antithetic sampling the estimator and its standard error are computed
     over pair averages (path i pairs with path i + n/2 within a chunk).
@@ -297,7 +332,7 @@ def mc_run(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
     def run_chunk(item):
         i, size = item
         batch = _simulate_chunk(model, ctx, schedule, sub, size,
-                                _chunk_rng(config.seed, i), config.antithetic)
+                                _chunk_rng(config.seed, i), config.antithetic, reads)
         rows, h = payoff_fn(batch), size // 2
         sums, sumsq = [], []
         for pay in np.atleast_2d(rows) if isinstance(rows, np.ndarray) else rows:
@@ -315,14 +350,8 @@ def mc_run(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
     else:
         results = [run_chunk(it) for it in items]
 
-    n_out = results[0][0].size
-    sums = np.zeros(n_out)
-    sumsq = np.zeros(n_out)
-    count = 0
-    for s, s2, c in results:   # fixed reduction order keeps results bit-identical
-        sums += s
-        sumsq += s2
-        count += c
+    # a fixed reduction order keeps results bit-identical
+    sums, sumsq, count = (sum(column) for column in zip(*results))
     mean = sums / count
     var = np.maximum(sumsq / count - mean * mean, 0.0) * count / (count - 1)
     se = np.sqrt(var / count)
@@ -338,56 +367,39 @@ def _vanilla(s: np.ndarray, strike: float, is_call: bool) -> np.ndarray:
     return np.maximum(s - strike, 0.0) if is_call else np.maximum(strike - s, 0.0)
 
 
-def _simple_returns(logs: np.ndarray) -> np.ndarray:
-    return np.expm1(np.diff(logs, axis=1))
+def _statistic_keys(spec: ExoticSpec) -> tuple:
+    """The PathBatch statistics evaluate_payoff reads for spec."""
+    if spec.kind == "cliquet":
+        return (("clipped", spec.floor, spec.cap),)
+    return {"asian_call": ("sum",), "asian_put": ("sum",), "variance_swap": ("log_sq",),
+            "variance_call": ("simple_sq",), "barrier_uo": ("last", "max"),
+            "barrier_do": ("last", "min"), "barrier_double": ("last", "max", "min")
+            }.get(spec.kind, ("last",))
 
 
 def evaluate_payoff(spec: ExoticSpec, batch: PathBatch) -> np.ndarray:
-    """Undiscounted payoff per path, evaluated at the monitoring dates only.
-
-    Statistics that do not depend on the contract (running extremes, the
-    average, realized-variance and clipped-return sums) are computed once per
-    batch and shared by every contract priced on it.
-    """
-    logs = batch.log_prices
-    kind = spec.kind
-    if kind in ("european_call", "european_put"):
-        return _vanilla(np.exp(logs[:, -1]), spec.strike, kind == "european_call")
-    if kind in ("asian_call", "asian_put"):
-        # equal-weight average including t_0
-        avg = batch.statistic("average", lambda b: np.exp(b).mean(axis=1))
-        return _vanilla(avg, spec.strike, kind == "asian_call")
-
-    t = batch.schedule.maturity
+    """Undiscounted payoff per path, evaluated at the monitoring dates only, from
+    the statistics the batch recorded (_statistic_keys(spec) names them); every
+    contract priced on a batch shares them."""
+    stats, kind, strike, t = batch.stats, spec.kind, spec.strike, batch.schedule.maturity
     if kind == "variance_swap":
-        sq = batch.statistic("log_sq", lambda b: (np.diff(b, axis=1) ** 2).sum(axis=1))
-        return sq / t - spec.strike
+        return stats["log_sq"] / t - strike
     if kind == "variance_call":
-        sq = batch.statistic("simple_sq", lambda b: (_simple_returns(b) ** 2).sum(axis=1))
-        return np.maximum(sq / t - spec.strike, 0.0)
+        return np.maximum(stats["simple_sq"] / t - strike, 0.0)
     if kind == "cliquet":
-        total = batch.statistic(
-            ("clipped", spec.floor, spec.cap),
-            lambda b: np.clip(_simple_returns(b), spec.floor, spec.cap).sum(axis=1))
-        return spec.strike * np.clip(total, spec.global_floor, spec.global_cap)
-
-    # knock-out barriers: monitored at t_1..t_M, payoff on S at the last date
-    vanilla = _vanilla(np.exp(logs[:, -1]), spec.strike, spec.is_call)
-    alive = np.ones(logs.shape[0], dtype=bool)
-    if kind in ("barrier_uo", "barrier_double"):
-        high = batch.statistic("max", lambda b: b[:, 1:].max(axis=1))
-        alive &= high <= math.log(spec.barrier_up)
-    if kind in ("barrier_do", "barrier_double"):
-        low = batch.statistic("min", lambda b: b[:, 1:].min(axis=1))
-        alive &= low >= math.log(spec.barrier_down)
-    return vanilla * alive
-
-
-def _check_barriers(spec: ExoticSpec, ctx: MarketContext) -> None:
-    if spec.kind in ("barrier_uo", "barrier_double") and spec.barrier_up <= ctx.spot:
-        raise ValueError("up barrier must exceed the spot")
-    if spec.kind in ("barrier_do", "barrier_double") and spec.barrier_down >= ctx.spot:
-        raise ValueError("down barrier must lie below the spot")
+        total = stats[("clipped", spec.floor, spec.cap)]
+        return strike * np.clip(total, spec.global_floor, spec.global_cap)
+    if kind in ("asian_call", "asian_put"):   # equal-weight average including t_0
+        return _vanilla(stats["sum"] / len(batch.schedule.dates), strike, kind == "asian_call")
+    # Europeans and knock-out barriers pay on S at the last date; barriers are
+    # monitored at t_1..t_M
+    pay = _vanilla(stats["last"], strike,
+                   spec.is_call if kind.startswith("barrier") else kind == "european_call")
+    if spec.barrier_up is not None:
+        pay = pay * (stats["max"] <= math.log(spec.barrier_up))
+    if spec.barrier_down is not None:
+        pay = pay * (stats["min"] >= math.log(spec.barrier_down))
+    return pay
 
 
 def price_exotic_batch(model: ModelParams, ctx: MarketContext, specs: Sequence[ExoticSpec],
@@ -399,11 +411,15 @@ def price_exotic_batch(model: ModelParams, ctx: MarketContext, specs: Sequence[E
     for spec in specs:
         if spec.schedule != schedule:
             raise ValueError("all contracts in a batch must share the schedule")
-        _check_barriers(spec, ctx)
+        if spec.barrier_up is not None and spec.barrier_up <= ctx.spot:
+            raise ValueError("up barrier must exceed the spot")
+        if spec.barrier_down is not None and spec.barrier_down >= ctx.spot:
+            raise ValueError("down barrier must lie below the spot")
     disc = math.exp(-ctx.rate * schedule.maturity)
 
+    reads = dict.fromkeys(key for spec in specs for key in _statistic_keys(spec))
     return mc_run(model, ctx, schedule, config,
-                  lambda batch: (disc * evaluate_payoff(spec, batch) for spec in specs))
+                  lambda batch: (disc * evaluate_payoff(spec, batch) for spec in specs), reads)
 
 
 def price_exotic(model: ModelParams, ctx: MarketContext, spec: ExoticSpec,

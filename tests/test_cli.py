@@ -508,6 +508,19 @@ def test_cli_rejects_european_without_positive_strike(tmp_path, shop_hkde_file, 
         assert capsys.readouterr().err.strip() == f"error: {kind} needs a positive strike"
 
 
+@pytest.mark.parametrize("kind, term", [("european_call", "barrier_up"),
+                                        ("barrier_uo", "barrier_down"), ("asian_put", "cap")])
+def test_cli_rejects_a_term_the_kind_does_not_read(tmp_path, shop_hkde_file, capsys, kind, term):
+    # a European with a barrier used to price as the plain European, exit 0
+    contract = tmp_path / "c.json"
+    contract.write_text(json.dumps({**_BARRIER, "kind": kind, term: 130.0}))
+    for cmd in (["price"], ["mc-compare", "--out", str(tmp_path / "x.csv")]):
+        rc = main(cmd + ["--params", shop_hkde_file, "--contract", str(contract),
+                         "--paths", "100"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {kind} does not read {term}\n"
+
+
 def test_cli_rejects_cliquet_without_notional(tmp_path, spot_heston_file, capsys):
     # a cliquet's strike is its notional: left out, it would price to 0
     contract = tmp_path / "c.json"

@@ -1,4 +1,5 @@
 """Path engine, payoff evaluators, estimator statistics."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -147,10 +148,25 @@ def test_exotic_spec_rejects_bad_terms_by_name(kind, terms, message):
     assert str(info.value) == message
 
 
+def test_exotic_spec_rejects_terms_its_kind_does_not_read():
+    # unchecked, a European with barrier_up priced as the plain European
+    readers = {"cap": ("cliquet",), "floor": ("cliquet",), "global_cap": ("cliquet",),
+               "global_floor": ("cliquet",), "barrier_up": ("barrier_uo", "barrier_double"),
+               "barrier_down": ("barrier_do", "barrier_double")}
+    sched = MonitoringSchedule.uniform(1.0, 4)
+    for kind in EXOTIC_KINDS:
+        for name, kinds in readers.items():
+            if kind not in kinds:
+                with pytest.raises(ValueError) as info:
+                    ExoticSpec(kind=kind, schedule=sched, strike=100.0, **{name: 0.5})
+                assert str(info.value) == f"{kind} does not read {name}"
+
+
 def test_exotic_spec_numpy_flag_prices_as_the_python_one():
-    batch = _batch([[np.log(100.0), np.log(80.0)], [np.log(100.0), np.log(120.0)]], 1.0)
-    spec, np_spec = (ExoticSpec(kind="european_put", schedule=batch.schedule, strike=100.0,
+    logs = [[np.log(100.0), np.log(80.0)], [np.log(100.0), np.log(120.0)]]
+    spec, np_spec = (ExoticSpec(kind="european_put", schedule=_schedule(logs, 1.0), strike=100.0,
                                 is_call=flag) for flag in (False, np.False_))
+    batch = _batch(logs, [spec])
     payoff = evaluate_payoff(spec, batch)
     assert np.array_equal(payoff, evaluate_payoff(np_spec, batch))
     assert payoff == pytest.approx([20.0, 0.0])
@@ -183,60 +199,72 @@ def test_european_spec_must_pay_at_maturity(kind):
 # Payoff evaluators on hand-built paths
 # ---------------------------------------------------------------------------
 
-def _batch(log_prices, maturity):
-    arr = np.asarray(log_prices, dtype=float)
-    sched = MonitoringSchedule.uniform(maturity, arr.shape[1] - 1)
-    return PathBatch(log_prices=arr, schedule=sched)
+def _schedule(log_prices, maturity):
+    return MonitoringSchedule.uniform(maturity, np.shape(log_prices)[1] - 1)
+
+
+def _reads(specs):
+    return dict.fromkeys(key for spec in specs for key in montecarlo._statistic_keys(spec))
+
+
+def _batch(log_prices, specs):
+    """The engine's recorder fed a paths x dates array one date at a time,
+    keeping the statistics that specs read."""
+    logs = np.asarray(log_prices, dtype=float)
+    batch = PathBatch(specs[0].schedule, logs.shape[0], _reads(specs))
+    for column in logs.T:
+        batch.record(np.ascontiguousarray(column))   # the engine hands over a whole vector
+    return batch
 
 
 def test_asian_payoff_includes_initial_date():
     s = np.log([[100.0, 110.0, 120.0], [100.0, 90.0, 80.0]])
-    batch = _batch(s, 1.0)
-    pay = evaluate_payoff(ExoticSpec(kind="asian_call", schedule=batch.schedule, strike=100.0), batch)
-    assert pay == pytest.approx([10.0, 0.0])
-    pay_put = evaluate_payoff(ExoticSpec(kind="asian_put", schedule=batch.schedule, strike=100.0), batch)
-    assert pay_put == pytest.approx([0.0, 10.0])
+    call, put = (ExoticSpec(kind=kind, schedule=_schedule(s, 1.0), strike=100.0)
+                 for kind in ("asian_call", "asian_put"))
+    batch = _batch(s, [call, put])
+    assert evaluate_payoff(call, batch) == pytest.approx([10.0, 0.0])
+    assert evaluate_payoff(put, batch) == pytest.approx([0.0, 10.0])
 
 
 def test_variance_payoffs_by_hand():
     r1, r2 = 0.03, -0.02
     s = [[0.0, r1, r1 + r2]]
-    batch = _batch(s, 0.5)
-    swap = evaluate_payoff(ExoticSpec(kind="variance_swap", schedule=batch.schedule, strike=0.001), batch)
-    assert swap == pytest.approx([(r1 ** 2 + r2 ** 2) / 0.5 - 0.001])
-    call = evaluate_payoff(ExoticSpec(kind="variance_call", schedule=batch.schedule, strike=0.001), batch)
+    swap, call, deep = (ExoticSpec(kind=kind, schedule=_schedule(s, 0.5), strike=strike)
+                        for kind, strike in (("variance_swap", 0.001), ("variance_call", 0.001),
+                                             ("variance_swap", 1.0)))
+    batch = _batch(s, [swap, call, deep])
+    assert evaluate_payoff(swap, batch) == pytest.approx([(r1 ** 2 + r2 ** 2) / 0.5 - 0.001])
     expected = (math.expm1(r1) ** 2 + math.expm1(r2) ** 2) / 0.5 - 0.001
-    assert call == pytest.approx([max(expected, 0.0)])
-    deep = evaluate_payoff(ExoticSpec(kind="variance_swap", schedule=batch.schedule, strike=1.0), batch)
-    assert deep[0] < 0.0   # swap payoff may go negative
+    assert evaluate_payoff(call, batch) == pytest.approx([max(expected, 0.0)])
+    assert evaluate_payoff(deep, batch)[0] < 0.0   # swap payoff may go negative
 
 
 def test_cliquet_payoff_by_hand():
     r = [0.10, -0.50, 0.01]
     logs = np.concatenate([[0.0], np.cumsum(r)])
-    batch = _batch([logs], 1.0)
-    spec = ExoticSpec(kind="cliquet", schedule=batch.schedule, strike=2.0, cap=0.06,
+    spec = ExoticSpec(kind="cliquet", schedule=_schedule([logs], 1.0), strike=2.0, cap=0.06,
                       floor=-0.03, global_cap=0.05, global_floor=-0.01)
     # per-period clamped returns: 0.06, -0.03, expm1(0.01); sum then global clamp
     total = 0.06 - 0.03 + math.expm1(0.01)
     expected = 2.0 * min(0.05, max(-0.01, total))
-    assert evaluate_payoff(spec, batch) == pytest.approx([expected])
+    assert evaluate_payoff(spec, _batch([logs], [spec])) == pytest.approx([expected])
 
 
 def test_barrier_payoffs_by_hand():
     s = np.log([[100.0, 120.0, 115.0],    # survives U=130
                 [100.0, 135.0, 115.0],    # knocked at t_1
                 [100.0, 120.0, 131.0]])   # knocked at maturity observation
-    batch = _batch(s, 1.0)
-    uo = ExoticSpec(kind="barrier_uo", schedule=batch.schedule, strike=100.0, barrier_up=130.0)
-    assert evaluate_payoff(uo, batch) == pytest.approx([15.0, 0.0, 0.0])
-    do = ExoticSpec(kind="barrier_do", schedule=batch.schedule, strike=100.0, barrier_down=90.0)
-    assert evaluate_payoff(do, batch) == pytest.approx([15.0, 15.0, 31.0])
-    dbl = ExoticSpec(kind="barrier_double", schedule=batch.schedule, strike=100.0,
+    sched = _schedule(s, 1.0)
+    uo = ExoticSpec(kind="barrier_uo", schedule=sched, strike=100.0, barrier_up=130.0)
+    do = ExoticSpec(kind="barrier_do", schedule=sched, strike=100.0, barrier_down=90.0)
+    dbl = ExoticSpec(kind="barrier_double", schedule=sched, strike=100.0,
                      barrier_up=130.0, barrier_down=117.0)
-    assert evaluate_payoff(dbl, batch) == pytest.approx([0.0, 0.0, 0.0])
-    put = ExoticSpec(kind="barrier_uo", schedule=batch.schedule, strike=120.0,
+    put = ExoticSpec(kind="barrier_uo", schedule=sched, strike=120.0,
                      barrier_up=130.0, is_call=False)
+    batch = _batch(s, [uo, do, dbl, put])
+    assert evaluate_payoff(uo, batch) == pytest.approx([15.0, 0.0, 0.0])
+    assert evaluate_payoff(do, batch) == pytest.approx([15.0, 15.0, 31.0])
+    assert evaluate_payoff(dbl, batch) == pytest.approx([0.0, 0.0, 0.0])
     assert evaluate_payoff(put, batch) == pytest.approx([5.0, 0.0, 0.0])
 
 
@@ -284,45 +312,88 @@ def _whole_array_payoff(spec, logs):
     return vanilla(np.exp(logs[:, -1]), spec.is_call) * alive
 
 
-@pytest.mark.parametrize("rows", [1, montecarlo._ROWS, 2 * montecarlo._ROWS + 3])
+def _in_date_order(terms):
+    """Row sums of a paths x dates array taken date by date from 0, as the recorder
+    folds them; NumPy sums a row of 8 or more terms pairwise, in 8 lanes."""
+    total = np.zeros(terms.shape[0])
+    for column in terms.T:
+        total += column
+    return total
+
+
+def _sum_terms(spec, logs):
+    """The per-date terms a sum kind adds up, and its payoff's largest slope in their sum."""
+    returns = np.diff(logs, axis=1)
+    if spec.kind in ("asian_call", "asian_put"):
+        return np.exp(logs), 1.0 / logs.shape[1]
+    if spec.kind == "variance_swap":
+        return returns ** 2, 1.0 / spec.schedule.maturity
+    if spec.kind == "variance_call":
+        return np.expm1(returns) ** 2, 1.0 / spec.schedule.maturity
+    return np.clip(np.expm1(returns), spec.floor, spec.cap), spec.strike
+
+
+def _date_ordered_stats(logs, clipped=((0.01, 0.06),)):
+    """Every statistic the recorder keeps, from a paths x dates array, with date-ordered sums."""
+    returns = np.diff(logs, axis=1)
+    simple = np.expm1(returns)
+    stats = {"last": np.exp(logs[:, -1]), "max": logs[:, 1:].max(axis=1),
+             "min": logs[:, 1:].min(axis=1), "sum": _in_date_order(np.exp(logs)),
+             "log_sq": _in_date_order(returns ** 2), "simple_sq": _in_date_order(simple ** 2)}
+    stats.update({("clipped", floor, cap): _in_date_order(np.clip(simple, floor, cap))
+                  for floor, cap in clipped})
+    return stats
+
+
+_SUM_KINDS = ("asian_call", "asian_put", "variance_swap", "variance_call", "cliquet")
+
+
+@pytest.mark.parametrize("n", [1, 4096, 8195])
 @pytest.mark.parametrize("kind", EXOTIC_KINDS)
-def test_payoffs_equal_whole_array_formulas(kind, rows):
-    # every other kind fills the batch's statistics first, so a shared entry
-    # read under the wrong key shows too
-    logs = _random_walk(rows)
-    batch = _batch(logs, 1.0)
-    specs = _one_of_each_kind(batch.schedule)
-    (spec,) = (s for s in specs if s.kind == kind)
-    for other in specs:
-        if other is not spec:
-            assert np.array_equal(evaluate_payoff(other, batch),
-                                  _whole_array_payoff(other, logs)), other.kind
-    pay = evaluate_payoff(spec, batch)
-    assert pay.shape == (rows,)
-    assert np.array_equal(pay, _whole_array_payoff(spec, logs))
+def test_payoffs_equal_whole_array_formulas(kind, n):
+    # every kind is recorded on one batch with all the others, so a statistic
+    # read under the wrong key, or folded into another, shows too
+    for m in (1, 4, 6, 7, 40, 252):
+        logs = _random_walk(n, m)
+        specs = _one_of_each_kind(_schedule(logs, 1.0))
+        (spec,) = (s for s in specs if s.kind == kind)
+        batch = _batch(logs, specs)
+        pay, frozen = evaluate_payoff(spec, batch), _whole_array_payoff(spec, logs)
+        assert pay.shape == (n,)
+        if kind not in _SUM_KINDS or m <= 6:
+            # max, min and the last date are exact, and NumPy sums up to 7 terms in order
+            assert np.array_equal(pay, frozen), m
+            continue
+        (key,) = montecarlo._statistic_keys(spec)
+        terms, slope = _sum_terms(spec, logs)
+        assert np.array_equal(batch.stats[key], _in_date_order(terms)), m
+        bound = slope * (m + 1) * 2.0 ** -52 * np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(pay - frozen) <= bound), m
 
 
 def test_cliquets_with_different_local_terms_read_different_sums():
-    logs = _random_walk(2 * montecarlo._ROWS + 3)
-    batch = _batch(logs, 1.0)
-    specs = [ExoticSpec(kind="cliquet", schedule=batch.schedule, strike=1.0, floor=floor, cap=cap,
-                        global_cap=100.0, global_floor=-100.0)
+    logs = _random_walk(8195)
+    specs = [ExoticSpec(kind="cliquet", schedule=_schedule(logs, 1.0), strike=1.0, floor=floor,
+                        cap=cap, global_cap=100.0, global_floor=-100.0)
              for floor, cap in ((0.01, 0.06), (-0.01, 0.06), (0.01, 0.02))]
+    batch = _batch(logs, specs)
+    reference = _date_ordered_stats(logs, [(spec.floor, spec.cap) for spec in specs])
     pays = [evaluate_payoff(spec, batch) for spec in specs]
     for spec, pay in zip(specs, pays):
-        assert np.array_equal(pay, _whole_array_payoff(spec, logs))
+        assert np.array_equal(pay, reference[("clipped", spec.floor, spec.cap)])
         assert np.array_equal(evaluate_payoff(spec, batch), pay)     # read again
     assert not any(np.array_equal(a, b) for a, b in [pays[:2], pays[::2], pays[1:]])
 
 
 def test_payoff_statistics_need_no_batch_sized_temporary():
     # the whole-array form, one n x M temporary per statistic, peaks near 3x
-    # the path matrix here
+    # the path matrix here; recording every statistic and evaluating every
+    # kind holds a few per-path vectors
     logs = _random_walk(1 << 16)
-    batch = _batch(logs, 1.0)
-    specs = _one_of_each_kind(batch.schedule)
+    specs = _one_of_each_kind(_schedule(logs, 1.0))
     tracemalloc.start()
     try:
+        batch = _batch(logs, specs)
         for spec in specs:
             evaluate_payoff(spec, batch)
         _, peak = tracemalloc.get_traced_memory()
@@ -484,7 +555,7 @@ def test_batch_estimates_equal_stacked_payoff_reference(ctx, amzn_hkde, monkeypa
     disc = math.exp(-ctx.rate * _M40.maturity)
     reference = mc_run(amzn_hkde, ctx, _M40, cfg,
                        lambda batch: np.stack([disc * evaluate_payoff(spec, batch)
-                                               for spec in _M40_SPECS]))
+                                               for spec in _M40_SPECS]), _reads(_M40_SPECS))
     for threads in ("1", "2"):
         monkeypatch.setenv("SVJD_THREADS", threads)
         batch = price_exotic_batch(amzn_hkde, ctx, _M40_SPECS, cfg)
@@ -511,22 +582,26 @@ def test_mc_run_reduces_yielded_rows_as_the_stacked_array(ctx, amzn_hkde, monkey
 
 
 def test_exotic_batch_chunk_holds_little_beside_its_path_matrix(ctx, monkeypatch):
-    # one 2^16-path chunk of the eight M = 40 contracts: the estimator reduces
-    # each contract's row before the next is built, the Euler scratch is
-    # block-sized and the jump legs work in place. A contracts x paths payoff
-    # matrix and its pair average put the peak at 1.39-1.42x the path matrix;
-    # the bound is a ratio, so allocator differences across platforms cancel
+    # one 2^16-path chunk of the eight contracts: no path matrix exists, only the
+    # recorder's per-path vectors, the Euler state and block-sized scratch, so
+    # the peak stays a fraction of the M = 40 matrix bytes (1.21-1.24x while a
+    # chunk held its matrix) and does not grow with M; ratios, so allocator
+    # differences across platforms cancel
     monkeypatch.setenv("SVJD_THREADS", "1")
     cfg = SimConfig(n_paths=1 << 16, seed=202, steps_per_interval=1)
     matrix_bytes = cfg.n_paths * len(_M40.dates) * 8
+    m250 = MonitoringSchedule.uniform(1.0, 250)
     for kind in ("heston", "hkde", "bates", "bgm"):
-        tracemalloc.start()
-        try:
-            price_exotic_batch(PARAM_ROWS[kind]["AMZN"], ctx, _M40_SPECS, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.3 * matrix_bytes, (kind, peak / matrix_bytes)
+        peaks = []
+        for specs in (_M40_SPECS, [dataclasses.replace(s, schedule=m250) for s in _M40_SPECS]):
+            tracemalloc.start()
+            try:
+                price_exotic_batch(PARAM_ROWS[kind]["AMZN"], ctx, specs, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.45 * matrix_bytes, (kind, peaks[0] / matrix_bytes)
+        assert peaks[1] <= 1.1 * peaks[0], (kind, peaks[1] / peaks[0])
 
 
 def test_seed_changes_results(ctx, amzn_hkde):
@@ -790,6 +865,18 @@ def test_chunk_kernel_equals_allocating_reference(ctx, monkeypatch, kind, name, 
     # every substep's positive-part variance feeds x, so equal log prices pin the
     # kernel's variance state to the reference's too
     assert np.array_equal(batch.log_prices, xs)
+    _assert_folds_dates(model, ctx, sched, sub, n, antithetic, xs)
+
+
+def _assert_folds_dates(model, ctx, schedule, sub, n, antithetic, xs):
+    """A chunk that keeps statistics folds the very dates xs holds, in date order."""
+    reference = _date_ordered_stats(xs)
+    folded = _simulate_chunk(model, ctx, schedule, sub, n, _chunk_rng(5, 0), antithetic, reference)
+    assert folded.log_prices.shape == (n, 1)
+    assert np.array_equal(folded.log_prices[:, 0], xs[:, -1])
+    assert folded.stats.keys() == reference.keys()
+    for key, value in reference.items():
+        assert np.array_equal(folded.stats[key], value), key
 
 
 def test_cir_long_run_mean(ctx):
@@ -813,6 +900,7 @@ def test_bgm_chunk_equals_written_out_step(ctx, antithetic, n):
     batch = _simulate_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic)
     rng = _chunk_rng(5, 0)
     x = np.full(n, math.log(ctx.spot))
+    xs = [x]
     drift = ctx.rate - ctx.div_yield + model.omega()
     for m, tau in enumerate(np.diff(np.asarray(sched.dates))):
         dt = tau / sub[m]
@@ -823,6 +911,8 @@ def test_bgm_chunk_equals_written_out_step(ctx, antithetic, n):
                  + rng.gamma(model.alpha_p * dt, 1.0 / model.lam_p, size=n)
                  - rng.gamma(model.alpha_m * dt, 1.0 / model.lam_m, size=n))
         assert np.array_equal(batch.log_prices[:, m + 1], x)
+        xs.append(x)
+    _assert_folds_dates(model, ctx, sched, sub, n, antithetic, np.stack(xs, axis=1))
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-11, 0.1])
@@ -850,29 +940,26 @@ def test_payoffs_do_not_depend_on_evaluation_order(ctx, amzn_hkde):
              ExoticSpec(kind="asian_call", schedule=sched, strike=100.0),
              ExoticSpec(kind="barrier_uo", schedule=sched, strike=100.0, barrier_up=130.0)]
 
-    def fresh():   # one antithetic chunk of 2,000 paths, 2 substeps per interval
-        return _simulate_chunk(amzn_hkde, ctx, sched, [2] * 12, 2_000, _chunk_rng(4, 0), True)
+    def fresh(reads):   # one antithetic chunk of 2,000 paths, 2 substeps per interval
+        return _simulate_chunk(amzn_hkde, ctx, sched, [2] * 12, 2_000, _chunk_rng(4, 0), True,
+                               reads)
 
-    forward_batch, reverse_batch = fresh(), fresh()
+    forward_batch, reverse_batch = fresh(_reads(specs)), fresh(_reads(specs[::-1]))
+    recorded = {key: value.copy() for key, value in forward_batch.stats.items()}
+    assert recorded.keys() == reverse_batch.stats.keys()
     forward = [evaluate_payoff(s, forward_batch) for s in specs]
     reverse = [evaluate_payoff(s, reverse_batch) for s in reversed(specs)][::-1]
     for a, b in zip(forward, reverse):
         assert np.array_equal(a, b)
-    logs = forward_batch.log_prices
-    simple = np.expm1(np.diff(logs, axis=1))
-    whole = {"log_sq": (np.diff(logs, axis=1) ** 2).sum(axis=1),
-             "simple_sq": (simple ** 2).sum(axis=1),
-             ("clipped", 0.01, 0.06): np.clip(simple, 0.01, 0.06).sum(axis=1),
-             "average": np.exp(logs).mean(axis=1),
-             "max": logs[:, 1:].max(axis=1)}
-
-    def recompute(rows):
-        raise AssertionError("a batch statistic was computed twice")
-
-    for batch in (forward_batch, reverse_batch):
-        assert batch._stats.keys() == whole.keys()
-        for key, value in whole.items():
-            assert np.array_equal(batch.statistic(key, recompute), value), key
+    # the batch keeps what the five contracts read and nothing else, folded in
+    # date order from the same paths, and reading it changes none of it
+    whole = _date_ordered_stats(fresh(None).log_prices)
+    del whole["min"]
+    assert recorded.keys() == whole.keys()
+    for key, value in whole.items():
+        assert np.array_equal(recorded[key], value), key
+        for batch in (forward_batch, reverse_batch):
+            assert np.array_equal(batch.stats[key], value), key
 
 
 @pytest.mark.parametrize("raw", ["two", "0", "-3"])
