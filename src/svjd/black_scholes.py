@@ -46,6 +46,8 @@ class Quote:
         _require_finite(self, ("maturity", "strike"), positive=True)
         if self.price is None and self.iv is None:
             raise ValueError("quote needs a price or an implied volatility")
+        # signs are left to the slice and the CLI's arbitrage bounds
+        _require_finite(self, [name for name in ("price", "iv") if getattr(self, name) is not None])
 
 
 def ndtr(x):

@@ -173,6 +173,8 @@ def _load_contract(path: str) -> tuple[dict, MarketContext, ExoticSpec]:
     if not isinstance(doc.get("is_call", True), bool):
         raise ValueError(f"contract field 'is_call' must be a JSON boolean "
                          f"(true or false); got {doc['is_call']!r}")
+    if "is_call" in doc and not doc["kind"].startswith("barrier"):   # the kind names the side
+        raise ValueError(f"{doc['kind']} does not read is_call")
     ctx = MarketContext(spot=float(doc["spot"]), rate=float(doc["rate"]),
                         div_yield=float(doc.get("div_yield", 0.0)))
     european = doc["kind"].startswith("european")

@@ -96,9 +96,8 @@ class MonitoringSchedule:
 
 class PathBatch:
     """One chunk's paths as its payoffs read them: record(x) takes every path's log
-    price at t_0, t_1, ..., t_M in turn. With reads None, log_prices keeps every
-    date (paths x dates). Otherwise log_prices keeps the last date only, as an
-    (n, 1) array, and stats holds one per-path vector per key in reads, folded in
+    price at t_0, t_1, ..., t_M in turn. log_prices keeps the latest date only, as
+    an (n, 1) array, and stats holds one per-path vector per key in reads, folded in
     date order: "max" and "min" over t_1..t_M, "sum" of S over t_0..t_M, "log_sq"
     and "simple_sq" of the returns, ("clipped", floor, cap) of the simple returns,
     and "last", S at t_M. A batch belongs to one chunk, priced on one thread."""
@@ -106,23 +105,20 @@ class PathBatch:
     # name when it sizes the arrays a payoff is handed
     variance = None
 
-    def __init__(self, schedule: MonitoringSchedule, n: int, reads: Optional[Iterable] = None):
+    def __init__(self, schedule: MonitoringSchedule, n: int, reads: Iterable = ()):
         self.schedule = schedule
         self._date, self._n_dates, self._reads = 0, len(schedule.dates), reads
-        self.log_prices = np.empty((n, self._n_dates if reads is None else 1))
+        self.log_prices = np.empty((n, 1))
         self.stats = {key: np.full(n, {"max": -np.inf, "min": np.inf}.get(key, 0.0))
-                      for key in reads or () if key != "last"}
+                      for key in reads if key != "last"}
         self._clipped = [key for key in self.stats if isinstance(key, tuple)]
         self._simple = bool(self._clipped) or "simple_sq" in self.stats
-        self._ret, self._tmp = (np.empty(n), np.empty(n)) if reads is not None else (None, None)
+        self._ret, self._tmp = np.empty(n), np.empty(n)
 
     def record(self, x: np.ndarray) -> None:
         """Fold the next monitoring date's log prices into the batch."""
         date, stats = self._date, self.stats
         self._date += 1
-        if self._reads is None:
-            self.log_prices[:, date] = x
-            return
         prev = self.log_prices[:, 0]
         if "sum" in stats:
             stats["sum"] += np.exp(x, out=self._tmp)
@@ -169,6 +165,8 @@ class ExoticSpec:
         # the payoff tests its truth, so "no" would price the call
         if not isinstance(self.is_call, (bool, np.bool_)):
             raise ValueError(f"is_call must be a bool; got {self.is_call!r}")
+        if not self.is_call and not self.kind.startswith("barrier"):   # the kind names the side
+            raise ValueError(f"{self.kind} does not read is_call")
         # nan terms would price as nan or 0 and a negative barrier fail in log
         _require_finite(self, ["strike"] + [f for f in _TERMS if getattr(self, f) is not None])
         for name in ("barrier_up", "barrier_down"):
@@ -227,7 +225,7 @@ def _chunk_sizes(n_paths: int, antithetic: bool) -> list[int]:
 
 def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
                     sub: list[int], n: int, rng: np.random.Generator,
-                    antithetic: bool, reads: Optional[Iterable] = None) -> PathBatch:
+                    antithetic: bool, reads: Iterable = ()) -> PathBatch:
     half = n // 2
 
     def gauss(out: np.ndarray) -> np.ndarray:
@@ -314,14 +312,14 @@ def _thread_count() -> int:
 
 def mc_run(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
            config: SimConfig, payoff_fn: Callable[[PathBatch], Iterable],
-           reads: Optional[Iterable] = None) -> list[McEstimate]:
+           reads: Iterable = ()) -> list[McEstimate]:
     """Chunked estimator: payoff_fn maps a PathBatch to discounted per-path payoffs,
     an array of shape (n_outputs, n_chunk_paths) or (n_chunk_paths,), or an iterable
     of per-path rows; returns one estimate per output row. Each row is reduced to its
     sum and sum of squares before the next is taken, so yielded rows live one at a time.
 
-    reads, a collection of the PathBatch statistic keys payoff_fn reads, makes each
-    batch keep those and the last date's log prices only; None keeps every date's.
+    reads is the collection of PathBatch statistic keys payoff_fn reads; every batch
+    also holds the last date's log prices.
 
     With antithetic sampling the estimator and its standard error are computed
     over pair averages (path i pairs with path i + n/2 within a chunk).
@@ -336,6 +334,9 @@ def mc_run(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
         rows, h = payoff_fn(batch), size // 2
         sums, sumsq = [], []
         for pay in np.atleast_2d(rows) if isinstance(rows, np.ndarray) else rows:
+            if np.shape(pay) != (size,):
+                raise ValueError(f"payoff row has shape {np.shape(pay)}; a chunk of {size} "
+                                 f"paths needs one value per path, shape ({size},)")
             if config.antithetic:
                 pay = 0.5 * (pay[:h] + pay[h:])
             sums.append(pay.sum())
@@ -382,6 +383,10 @@ def evaluate_payoff(spec: ExoticSpec, batch: PathBatch) -> np.ndarray:
     the statistics the batch recorded (_statistic_keys(spec) names them); every
     contract priced on a batch shares them."""
     stats, kind, strike, t = batch.stats, spec.kind, spec.strike, batch.schedule.maturity
+    for key in _statistic_keys(spec):
+        if key not in stats:
+            raise ValueError(f"{kind} reads the batch statistic {key!r}, which was not "
+                             f"recorded; pass it in mc_run's reads")
     if kind == "variance_swap":
         return stats["log_sq"] / t - strike
     if kind == "variance_call":

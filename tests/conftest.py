@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import svjd.montecarlo
 import svjd.proj
 from svjd.models import (
     BGMParams,
@@ -90,6 +91,20 @@ def count_exponent_nodes(monkeypatch) -> list:
 
     monkeypatch.setattr(svjd.proj, "char_exponent", counted)
     return nodes
+
+
+class EveryDateBatch(svjd.montecarlo.PathBatch):
+    """A PathBatch that also keeps a copy of every date it records, as a paths x
+    dates array in `paths`. Installed over svjd.montecarlo.PathBatch, it gives a
+    test every monitoring date's log prices; the engine keeps only the last."""
+
+    def __init__(self, schedule, n, reads=()):
+        super().__init__(schedule, n, reads)
+        self.paths = np.empty((n, len(schedule.dates)))
+
+    def record(self, x):
+        self.paths[:, self._date] = x
+        super().record(x)
 
 
 def degenerate_hkde(vol: float = 0.2) -> HKDEParams:

@@ -38,7 +38,7 @@ from svjd.montecarlo import (
 )
 from svjd.proj import GridSpec, build_grid, dual_zeta, price_european, price_strike_slice, proj_coefficients
 
-from conftest import ALL_ROWS, PARAM_ROWS, cumulants_kou, pure_jump_hkde
+from conftest import ALL_ROWS, PARAM_ROWS, EveryDateBatch, cumulants_kou, pure_jump_hkde
 
 CTX = MarketContext(spot=100.0, rate=0.05, div_yield=0.0)
 N_PATHS = 1_000_000
@@ -178,7 +178,9 @@ def _euro_cells(model, seed):
     one (proj, mc) pair per (t, strike) cell.
 
     SimConfig gives every interval one substep count, so the per-interval
-    counts below are patched into the engine's substep rule for this run.
+    counts below are patched into the engine's substep rule for this run, and
+    the engine keeps only the last date, so a batch that keeps every date is
+    patched in too.
     """
     sched = MonitoringSchedule(maturity=1.0, dates=(0.0,) + EURO_TS)
     if isinstance(model, BGMParams):
@@ -192,12 +194,13 @@ def _euro_cells(model, seed):
     def payoff(batch):
         out = []
         for j, t in enumerate(EURO_TS):
-            s_t = np.exp(batch.log_prices[:, j + 1])
+            s_t = np.exp(batch.paths[:, j + 1])
             disc = math.exp(-CTX.rate * t)
             out.extend(disc * np.maximum(s_t - k, 0.0) for k in EURO_KS)
         return np.stack(out)
 
-    with mock.patch.object(svjd.montecarlo, "_substeps", lambda *_: sub):
+    with mock.patch.object(svjd.montecarlo, "_substeps", lambda *_: sub), \
+            mock.patch.object(svjd.montecarlo, "PathBatch", EveryDateBatch):
         ests = mc_run(model, CTX, sched, config, payoff)
     cells = []
     for j, t in enumerate(EURO_TS):

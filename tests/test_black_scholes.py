@@ -151,6 +151,17 @@ def test_quote_rejects_bad_maturity_or_strike_by_name(name, bad):
         Quote(**fields)
 
 
+@pytest.mark.parametrize("name", ["price", "iv"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1"])
+def test_quote_rejects_a_price_or_iv_that_is_not_a_finite_number(name, bad):
+    # an inf price used to be kept as the quote's market price, and True as 1.0
+    fields = {"maturity": 1.0, "strike": 110.0, "is_call": True, "price": 5.0, "iv": 0.2}
+    with pytest.raises(ValueError, match=f"^{name} must be finite; got {bad}$"):
+        Quote(**{**fields, name: bad})
+    # signs are checked later: by the slice's IV check and the CLI's arbitrage bounds
+    assert getattr(Quote(**{**fields, name: -1.0}), name) == -1.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1", None])
 @pytest.mark.parametrize("rate", [0.05, -0.01])   # r < 0 and t = inf used to overflow in exp
 def test_maturity_rejected_by_name(bad, rate):

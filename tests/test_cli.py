@@ -521,6 +521,21 @@ def test_cli_rejects_a_term_the_kind_does_not_read(tmp_path, shop_hkde_file, cap
         assert capsys.readouterr().err == f"error: {kind} does not read {term}\n"
 
 
+@pytest.mark.parametrize("kind, is_call", [("asian_put", True), ("european_call", False)])
+def test_cli_rejects_is_call_on_a_kind_that_does_not_read_it(tmp_path, shop_hkde_file, capsys,
+                                                             kind, is_call):
+    # an asian_put with is_call true used to price the put, exit 0
+    contract = tmp_path / "c.json"
+    contract.write_text(json.dumps({"kind": kind, "strike": 100.0, "maturity": 0.5,
+                                    "monitoring": 2, "spot": 100.0, "rate": 0.05,
+                                    "is_call": is_call}))
+    for cmd in (["price"], ["mc-compare", "--out", str(tmp_path / "x.csv")]):
+        rc = main(cmd + ["--params", shop_hkde_file, "--contract", str(contract),
+                         "--paths", "100"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {kind} does not read is_call\n"
+
+
 def test_cli_rejects_cliquet_without_notional(tmp_path, spot_heston_file, capsys):
     # a cliquet's strike is its notional: left out, it would price to 0
     contract = tmp_path / "c.json"

@@ -25,7 +25,7 @@ from svjd.montecarlo import (
     price_exotic_batch,
 )
 
-from conftest import PARAM_ROWS, degenerate_hkde
+from conftest import PARAM_ROWS, EveryDateBatch, degenerate_hkde
 
 
 def _european(t, strike, is_call=True):
@@ -139,10 +139,11 @@ def test_exotic_spec_validation():
     ("cliquet", dict(strike=1.0, cap=0.06, floor=0.0, global_cap=1.0),
      "cliquet needs global cap and floor"),
     ("barrier_double", dict(strike=100.0, barrier_up=140.0), "barrier_double needs barrier_down"),
+    ("asian_call", dict(strike=100.0, is_call=False), "asian_call does not read is_call"),
 ])
 def test_exotic_spec_rejects_bad_terms_by_name(kind, terms, message):
     # unchecked, these priced as nan, as 0, failed with a bare math domain error,
-    # or (is_call "no") priced the call
+    # or (is_call "no", or False on an Asian) priced the call
     with pytest.raises(ValueError) as info:
         ExoticSpec(kind=kind, schedule=MonitoringSchedule.uniform(1.0, 4), **terms)
     assert str(info.value) == message
@@ -164,8 +165,8 @@ def test_exotic_spec_rejects_terms_its_kind_does_not_read():
 
 def test_exotic_spec_numpy_flag_prices_as_the_python_one():
     logs = [[np.log(100.0), np.log(80.0)], [np.log(100.0), np.log(120.0)]]
-    spec, np_spec = (ExoticSpec(kind="european_put", schedule=_schedule(logs, 1.0), strike=100.0,
-                                is_call=flag) for flag in (False, np.False_))
+    spec, np_spec = (ExoticSpec(kind="barrier_uo", schedule=_schedule(logs, 1.0), strike=100.0,
+                                barrier_up=200.0, is_call=flag) for flag in (False, np.False_))
     batch = _batch(logs, [spec])
     payoff = evaluate_payoff(spec, batch)
     assert np.array_equal(payoff, evaluate_payoff(np_spec, batch))
@@ -571,14 +572,43 @@ def test_mc_run_reduces_yielded_rows_as_the_stacked_array(ctx, amzn_hkde, monkey
 
     def rows(batch):
         yield np.exp(batch.log_prices[:, -1])
-        yield batch.log_prices[:, 1:].max(axis=1)
+        yield batch.stats["max"]
 
-    stacked = mc_run(amzn_hkde, ctx, _M40, cfg, lambda batch: np.stack(list(rows(batch))))
-    one_row = mc_run(amzn_hkde, ctx, _M40, cfg, lambda batch: next(rows(batch)))
-    yielded = mc_run(amzn_hkde, ctx, _M40, cfg, rows)
+    stacked = mc_run(amzn_hkde, ctx, _M40, cfg, lambda batch: np.stack(list(rows(batch))),
+                     ("max",))
+    one_row = mc_run(amzn_hkde, ctx, _M40, cfg, lambda batch: next(rows(batch)), ("max",))
+    yielded = mc_run(amzn_hkde, ctx, _M40, cfg, rows, ("max",))
     assert [(e.price, e.std_err, e.n_paths) for e in yielded] == \
         [(r.price, r.std_err, r.n_paths) for r in stacked]
     assert one_row == stacked[:1]
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_mc_run_rejects_a_payoff_row_that_is_not_one_value_per_path(ctx, amzn_hkde, antithetic):
+    # a paths x 2 array used to price 1,000 "estimates", or fail in the pair average
+    cfg = SimConfig(n_paths=1_000, seed=3, steps_per_interval=2, antithetic=antithetic)
+
+    def two_columns(batch):
+        s_t = np.exp(batch.log_prices[:, -1])
+        return np.stack([s_t, s_t * s_t], axis=1)
+
+    with pytest.raises(ValueError) as info:
+        mc_run(amzn_hkde, ctx, MonitoringSchedule.uniform(0.5, 1), cfg, two_columns)
+    assert str(info.value) == ("payoff row has shape (2,); a chunk of 1000 paths needs one "
+                               "value per path, shape (1000,)")
+
+
+@pytest.mark.parametrize("spec, key", [(_european(0.5, 100.0), "'last'"),
+                                       (ExoticSpec(kind="asian_call", schedule=_M40,
+                                                   strike=100.0), "'sum'"),
+                                       (_M40_SPECS[-1], "('clipped', 0.01, 0.06)")])
+def test_evaluate_payoff_names_a_statistic_the_batch_did_not_record(ctx, amzn_hkde, spec, key):
+    # without reads the batch records no statistic; this used to be a bare KeyError
+    cfg = SimConfig(n_paths=1_000, seed=3, steps_per_interval=1)
+    with pytest.raises(ValueError) as info:
+        mc_run(amzn_hkde, ctx, spec.schedule, cfg, lambda b: evaluate_payoff(spec, b))
+    assert str(info.value) == (f"{spec.kind} reads the batch statistic {key}, which was not "
+                               f"recorded; pass it in mc_run's reads")
 
 
 def test_exotic_batch_chunk_holds_little_beside_its_path_matrix(ctx, monkeypatch):
@@ -793,6 +823,22 @@ def test_cf_and_second_cumulant_vs_million_path_sample(ctx, amzn_hkde):
     assert abs(var.price - k2) < 3 * var.std_err
 
 
+@pytest.mark.parametrize("name", ["AMZN", "NFLX", "SHOP", "SPOT"])
+def test_bgm_variance_swap_equals_transform_value(ctx, name):
+    # BGM log returns are i.i.d., so the strike-0 swap pays on average
+    # M (k2 tau + (k1 tau)^2) / T, with k1 (less ln S0) and k2 the t = 1 cumulants
+    from svjd.models import cumulants_numeric
+
+    model, m = PARAM_ROWS["bgm"][name], 40
+    sched = MonitoringSchedule.uniform(1.0, m)
+    k1, k2 = cumulants_numeric(model, ctx, 1.0)[:2]
+    k1, tau = k1 - math.log(ctx.spot), sched.maturity / m
+    value = math.exp(-ctx.rate * sched.maturity) * m * (k2 * tau + (k1 * tau) ** 2) / sched.maturity
+    est = price_exotic(model, ctx, ExoticSpec(kind="variance_swap", schedule=sched, strike=0.0),
+                       SimConfig(n_paths=1 << 17, seed=11))
+    assert abs(est.price - value) <= 3 * est.std_err
+
+
 # ---------------------------------------------------------------------------
 # Chunk kernel against the allocating reference form
 # ---------------------------------------------------------------------------
@@ -857,6 +903,7 @@ def test_chunk_kernel_equals_allocating_reference(ctx, monkeypatch, kind, name, 
                                                   block):
     if block is not None:
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    monkeypatch.setattr(montecarlo, "PathBatch", EveryDateBatch)
     model = PARAM_ROWS[kind][name]
     sched = MonitoringSchedule.uniform(1.0, 4)
     sub = [3, 1, 5, 2]
@@ -864,7 +911,7 @@ def test_chunk_kernel_equals_allocating_reference(ctx, monkeypatch, kind, name, 
     xs, _ = _reference_chunk(model, ctx, sched, sub, n, _chunk_rng(5, 0), antithetic)
     # every substep's positive-part variance feeds x, so equal log prices pin the
     # kernel's variance state to the reference's too
-    assert np.array_equal(batch.log_prices, xs)
+    assert np.array_equal(batch.paths, xs)
     _assert_folds_dates(model, ctx, sched, sub, n, antithetic, xs)
 
 
@@ -893,7 +940,8 @@ def test_cir_long_run_mean(ctx):
 
 
 @pytest.mark.parametrize("antithetic,n", [(True, 1_000), (False, 1_001)])
-def test_bgm_chunk_equals_written_out_step(ctx, antithetic, n):
+def test_bgm_chunk_equals_written_out_step(ctx, monkeypatch, antithetic, n):
+    monkeypatch.setattr(montecarlo, "PathBatch", EveryDateBatch)
     model = PARAM_ROWS["bgm"]["NFLX"]
     sched = MonitoringSchedule.uniform(1.0, 3)
     sub = [2, 1, 3]
@@ -910,7 +958,7 @@ def test_bgm_chunk_equals_written_out_step(ctx, antithetic, n):
             x = (x + drift * dt + model.sigma * math.sqrt(dt) * z
                  + rng.gamma(model.alpha_p * dt, 1.0 / model.lam_p, size=n)
                  - rng.gamma(model.alpha_m * dt, 1.0 / model.lam_m, size=n))
-        assert np.array_equal(batch.log_prices[:, m + 1], x)
+        assert np.array_equal(batch.paths[:, m + 1], x)
         xs.append(x)
     _assert_folds_dates(model, ctx, sched, sub, n, antithetic, np.stack(xs, axis=1))
 
@@ -931,7 +979,7 @@ def test_jump_total_equals_per_count_loop(tau):
         assert (total != 0.0).mean() > 0.99
 
 
-def test_payoffs_do_not_depend_on_evaluation_order(ctx, amzn_hkde):
+def test_payoffs_do_not_depend_on_evaluation_order(ctx, amzn_hkde, monkeypatch):
     sched = MonitoringSchedule.uniform(1.0, 12)
     specs = [ExoticSpec(kind="variance_swap", schedule=sched, strike=0.02),
              ExoticSpec(kind="variance_call", schedule=sched, strike=0.03),
@@ -953,7 +1001,8 @@ def test_payoffs_do_not_depend_on_evaluation_order(ctx, amzn_hkde):
         assert np.array_equal(a, b)
     # the batch keeps what the five contracts read and nothing else, folded in
     # date order from the same paths, and reading it changes none of it
-    whole = _date_ordered_stats(fresh(None).log_prices)
+    monkeypatch.setattr(montecarlo, "PathBatch", EveryDateBatch)
+    whole = _date_ordered_stats(fresh(()).paths)
     del whole["min"]
     assert recorded.keys() == whole.keys()
     for key, value in whole.items():
