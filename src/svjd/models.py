@@ -32,6 +32,8 @@ from typing import Union
 
 import numpy as np
 
+_BLOCK = 1 << 15    # paths per cache block of the Monte Carlo arithmetic, jump legs included
+
 __all__ = [
     "HestonParams", "KouJumpParams", "NormalJumpParams", "HKDEParams", "BatesParams", "BGMParams",
     "MarketContext", "ModelParams", "char_exponent", "cumulants_numeric",
@@ -173,31 +175,37 @@ class KouJumpParams(_FlatFields):
 
     def sample_sizes(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """Inverse-CDF draw: with probability p an Exp(eta1) up-jump, else -Exp(eta2).
-        Each branch works in place on its own draws, so p = 0 or 1 divides by nothing."""
+        Each branch transforms its own draws in place under a where= mask, so p = 0 or 1
+        divides by nothing."""
         u = np.maximum(rng.uniform(size=k), 2.0 ** -53)
         up = u >= 1.0 - self.p
-        w = u[up]                                             # -log((1 - u)/p)/eta1
-        np.log(np.divide(np.subtract(1.0, w, out=w), self.p, out=w), out=w)
-        u[up] = np.divide(np.negative(w, out=w), self.eta1, out=w)
-        w = u[~up]                                            # log(u/(1 - p))/eta2
-        u[~up] = np.divide(np.log(np.divide(w, 1.0 - self.p, out=w), out=w), self.eta2, out=w)
+        np.subtract(1.0, u, out=u, where=up)                  # -log((1 - u)/p)/eta1
+        np.divide(u, self.p, out=u, where=up)
+        np.log(u, out=u, where=up)
+        np.negative(u, out=u, where=up)
+        np.divide(u, self.eta1, out=u, where=up)
+        down = np.logical_not(up, out=up)                     # log(u/(1 - p))/eta2
+        np.divide(u, 1.0 - self.p, out=u, where=down)
+        np.log(u, out=u, where=down)
+        np.divide(u, self.eta2, out=u, where=down)
         return u
 
     def interval_total(self, rng: np.random.Generator, n: int, tau: float) -> np.ndarray:
-        """Sum of a Poisson(lam tau) number of iid jump sizes for each of n paths."""
+        """Sum of a Poisson(lam tau) number of iid jump sizes for each of n paths.
+
+        The sizes are drawn in j-major order: the j-th jumps of every path that has
+        one, for j = 0, 1, ..., each rank block by block in path order. Each path adds
+        its jumps to 0.0 in that order."""
         counts = rng.poisson(self.lam * tau, size=n)   # lam = 0 draws nothing
         top = int(counts.max())
-        if top == 0:
-            return np.zeros(n)
-        # j-major order: the j-th jumps of every path that has one, for j = 0, 1, ...;
-        # bincount then adds each path's jumps in that order, starting from 0.0
-        paths, start = np.empty(int(counts.sum()), dtype=np.intp), 0
+        total = np.zeros(n)
+        counts = counts.astype(np.min_scalar_type(top))
         for j in range(top):
-            has_jth = np.flatnonzero(counts > j)
-            paths[start:start + has_jth.size] = has_jth
-            start += has_jth.size
-        del counts                               # the draws below need only the index
-        return np.bincount(paths, weights=self.sample_sizes(rng, paths.size), minlength=n)
+            for i in range(0, n, _BLOCK):
+                has_jth = np.flatnonzero(counts[i:i + _BLOCK] > j)
+                block = total[i:i + _BLOCK]
+                block[has_jth] += self.sample_sizes(rng, has_jth.size)
+        return total
 
 
 @dataclass(frozen=True)
@@ -228,11 +236,14 @@ class NormalJumpParams(_FlatFields):
         return -self.lam * math.expm1(self.mu_j + 0.5 * self.sigma_j * self.sigma_j)
 
     def interval_total(self, rng: np.random.Generator, n: int, tau: float) -> np.ndarray:
-        """Sum of a Poisson(lam tau) number of jumps per path: one normal given the count."""
+        """Sum of a Poisson(lam tau) number of jumps per path: one normal given the count.
+        All counts are drawn first, then the normals block by block in path order."""
         counts = rng.poisson(self.lam * tau, size=n)
         total = np.sqrt(counts) * self.sigma_j     # (sigma_j*sqrt(counts))*z + mu_j*counts,
-        total *= rng.standard_normal(n)            # in place; the normals follow the counts
-        total += self.mu_j * counts
+        for i in range(0, n, _BLOCK):              # in place
+            block = total[i:i + _BLOCK]
+            block *= rng.standard_normal(block.size)
+            block += self.mu_j * counts[i:i + _BLOCK]
         return total
 
 

@@ -19,14 +19,14 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from svjd.models import MarketContext, ModelParams, _require_count, _require_finite, _require_real
+from svjd.models import (_BLOCK, MarketContext, ModelParams, _require_count, _require_finite,
+                         _require_real)
 
 __all__ = ["SimConfig", "MonitoringSchedule", "PathBatch", "ExoticSpec", "McEstimate",
            "price_exotic", "price_exotic_batch", "evaluate_payoff", "mc_run"]
 
 _CHUNK = 1 << 18          # paths per worker chunk; part of the reproducibility key
 _MAX_DT = 1.0 / 250.0     # default substep cap for discretized models
-_BLOCK = 1 << 15          # paths per cache block of the Euler substep arithmetic
 
 EXOTIC_KINDS = ("european_call", "european_put", "asian_call", "asian_put", "variance_swap",
                 "variance_call", "cliquet", "barrier_uo", "barrier_do", "barrier_double")
@@ -100,7 +100,9 @@ class PathBatch:
     an (n, 1) array, and stats holds one per-path vector per key in reads, folded in
     date order: "max" and "min" over t_1..t_M, "sum" of S over t_0..t_M, "log_sq"
     and "simple_sq" of the returns, ("clipped", floor, cap) of the simple returns,
-    and "last", S at t_M. A batch belongs to one chunk, priced on one thread."""
+    and "last", S at t_M. The folds run block by block with block-sized scratch;
+    "last" gets its own vector at t_M. A batch belongs to one chunk, priced on one
+    thread."""
     # no batch holds variance paths, but perfbench/tracer.py still reads this
     # name when it sizes the arrays a payoff is handed
     variance = None
@@ -113,31 +115,38 @@ class PathBatch:
                       for key in reads if key != "last"}
         self._clipped = [key for key in self.stats if isinstance(key, tuple)]
         self._simple = bool(self._clipped) or "simple_sq" in self.stats
-        self._ret, self._tmp = np.empty(n), np.empty(n)
+        self._ret, self._tmp = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
 
     def record(self, x: np.ndarray) -> None:
         """Fold the next monitoring date's log prices into the batch."""
-        date, stats = self._date, self.stats
+        date = self._date
         self._date += 1
-        prev = self.log_prices[:, 0]
+        for i in range(0, x.size, _BLOCK):
+            b = slice(i, i + _BLOCK)
+            self._fold(date, x[b], self.log_prices[b, 0],
+                       {key: vec[b] for key, vec in self.stats.items()})
+        if date == self._n_dates - 1 and "last" in self._reads:
+            self.stats["last"] = np.exp(x)
+
+    def _fold(self, date: int, x: np.ndarray, prev: np.ndarray, stats: dict) -> None:
+        """record on one block: x, the previous date prev and stats are its views."""
+        tmp = self._tmp[:x.size]
         if "sum" in stats:
-            stats["sum"] += np.exp(x, out=self._tmp)
+            stats["sum"] += np.exp(x, out=tmp)
         if date > 0:
             for key, fold in (("max", np.maximum), ("min", np.minimum)):
                 if key in stats:
                     fold(stats[key], x, out=stats[key])
             if self._simple or "log_sq" in stats:
-                ret = np.subtract(x, prev, out=self._ret)
+                ret = np.subtract(x, prev, out=self._ret[:x.size])
                 if "log_sq" in stats:
-                    stats["log_sq"] += np.square(ret, out=self._tmp)
+                    stats["log_sq"] += np.square(ret, out=tmp)
                 if self._simple:
                     np.expm1(ret, out=ret)     # once, for every statistic that reads it
                     if "simple_sq" in stats:
-                        stats["simple_sq"] += np.square(ret, out=self._tmp)
+                        stats["simple_sq"] += np.square(ret, out=tmp)
                     for key in self._clipped:
-                        stats[key] += np.clip(ret, key[1], key[2], out=self._tmp)
-        if date == self._n_dates - 1 and "last" in self._reads:
-            stats["last"] = np.exp(x, out=self._tmp)    # the scratch is free from here on
+                        stats[key] += np.clip(ret, key[1], key[2], out=tmp)
         prev[:] = x
 
 
@@ -226,17 +235,10 @@ def _chunk_sizes(n_paths: int, antithetic: bool) -> list[int]:
 def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: MonitoringSchedule,
                     sub: list[int], n: int, rng: np.random.Generator,
                     antithetic: bool, reads: Iterable = ()) -> PathBatch:
+    """Simulate one chunk of n paths from rng and return its PathBatch, which has folded
+    every monitoring date. Besides x, v and the batch, a chunk holds its normals (one
+    per antithetic pair) and block-sized scratch; a jump leg's draws live one interval."""
     half = n // 2
-
-    def gauss(out: np.ndarray) -> np.ndarray:
-        """Fill out with standard normals; antithetic: the second half negates the first."""
-        if antithetic:
-            rng.standard_normal(out=out[:half])
-            np.negative(out[:half], out=out[half:])
-        else:
-            rng.standard_normal(out=out)
-        return out
-
     x = np.full(n, math.log(ctx.spot))
     batch = PathBatch(schedule, n, reads)
     batch.record(x)
@@ -247,7 +249,11 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
         z = np.empty(n)
         for m, tau in enumerate(taus):
             for _ in range(sub[m]):
-                x = model.increment(rng, x, drift, tau / sub[m], gauss(z))
+                if antithetic:    # the second half negates the first
+                    np.negative(rng.standard_normal(out=z[:half]), out=z[half:])
+                else:
+                    rng.standard_normal(out=z)
+                x = model.increment(rng, x, drift, tau / sub[m], z)
             batch.record(x)
         return batch
 
@@ -258,37 +264,52 @@ def _simulate_chunk(model: ModelParams, ctx: MarketContext, schedule: Monitoring
     # the full-truncation Euler substep, in place with this operand grouping (bit-identical):
     #   x += (drift_dt - (0.5*dt)*v+) + sqrt(v+ dt)*z_s
     #   v += (kappa*(theta - v+))*dt + sigma_v*(sqrt(v+ dt)*z_v)
-    # the normals fill the whole chunk; the arithmetic runs block by block, with v+, sqrt(v+ dt)
-    # and a scratch term in block-sized buffers of this call, so each block stays in cache
-    z_v, z_s = np.empty(n), np.empty(n)
-    scratch = [np.empty(min(n, _BLOCK)) for _ in range(3)]
-    blocks = [tuple(a[i:i + _BLOCK] for a in (x, v, z_v, z_s))
-              + tuple(b[:min(_BLOCK, n - i)] for b in scratch) for i in range(0, n, _BLOCK)]
+    # the normals fill z_v and z_s, one per path, or one per antithetic pair; the arithmetic
+    # runs block by block, with v+, sqrt(v+ dt) and a scratch term in block-sized buffers of
+    # this call, so each block stays in cache. Path half + i mirrors path i: its block is
+    # stepped first, from the pair's normals with rho_c, rho and sigma_v negated, which rounds
+    # to the bits that negated normals give (IEEE rounding is symmetric in sign), and writes
+    # its correlated normal and sqrt(v+ dt)*z_v to two more block buffers; then block i
+    # steps in place over its normals
+    drawn = half if antithetic else n
+    z_v, z_s = np.empty(drawn), np.empty(drawn)
+    scratch = [np.empty(min(drawn, _BLOCK)) for _ in range(5 if antithetic else 3)]
+    blocks = []
+    for i in range(0, drawn, _BLOCK):
+        size = min(_BLOCK, drawn - i)
+        b = slice(i, i + size)
+        vp_b, sq_b, tmp_b, *mirror = (a[:size] for a in scratch)
+        if antithetic:
+            m_b = slice(half + i, half + i + size)
+            blocks.append((x[m_b], v[m_b], z_v[b], z_s[b], *mirror, vp_b, sq_b, tmp_b,
+                           -rho_c, -rho, -sigma_v))
+        blocks.append((x[b], v[b], z_v[b], z_s[b], z_s[b], z_v[b], vp_b, sq_b, tmp_b,
+                       rho_c, rho, sigma_v))
     for m, tau in enumerate(taus):
         dt = tau / sub[m]
         drift_dt = drift * dt
         half_dt = 0.5 * dt
         for _ in range(sub[m]):
-            gauss(z_v)
-            gauss(z_s)
-            for x_b, v_b, zv_b, zs_b, vp_b, sq_b, tmp_b in blocks:
-                np.multiply(zs_b, rho_c, out=zs_b)
-                np.multiply(zv_b, rho, out=tmp_b)
-                np.add(tmp_b, zs_b, out=zs_b)             # z_s = rho*z_v + rho_c*z_2
+            rng.standard_normal(out=z_v)
+            rng.standard_normal(out=z_s)
+            for x_b, v_b, zv_b, zs_b, zc_b, w_b, vp_b, sq_b, tmp_b, r_c, r, s_v in blocks:
+                np.multiply(zs_b, r_c, out=zc_b)
+                np.multiply(zv_b, r, out=tmp_b)
+                np.add(tmp_b, zc_b, out=zc_b)             # z_c = rho*z_v + rho_c*z_s
                 np.maximum(v_b, 0.0, out=vp_b)
                 np.multiply(vp_b, dt, out=sq_b)
                 np.sqrt(sq_b, out=sq_b)
                 np.multiply(vp_b, half_dt, out=tmp_b)
                 np.subtract(drift_dt, tmp_b, out=tmp_b)
-                np.multiply(sq_b, zs_b, out=zs_b)
-                np.add(tmp_b, zs_b, out=tmp_b)
+                np.multiply(sq_b, zc_b, out=zc_b)
+                np.add(tmp_b, zc_b, out=tmp_b)
                 np.add(x_b, tmp_b, out=x_b)
                 np.subtract(theta, vp_b, out=tmp_b)
                 np.multiply(tmp_b, kappa, out=tmp_b)
                 np.multiply(tmp_b, dt, out=tmp_b)
-                np.multiply(sq_b, zv_b, out=zv_b)
-                np.multiply(zv_b, sigma_v, out=zv_b)
-                np.add(tmp_b, zv_b, out=tmp_b)
+                np.multiply(sq_b, zv_b, out=w_b)
+                np.multiply(w_b, s_v, out=w_b)
+                np.add(tmp_b, w_b, out=tmp_b)
                 np.add(v_b, tmp_b, out=v_b)
         # jumps are independent of the diffusion, so the interval's compound-
         # Poisson total may be added once at the interval end (exact in law

@@ -2,8 +2,8 @@
 
 Heavy criteria run one million antithetic paths and several of them share
 simulations through module-scoped fixtures. Full module wall time is roughly
-10-20 minutes; SVJD_THREADS (default 2 here) spreads path chunks over threads
-without changing any result.
+10-20 minutes; SVJD_THREADS (2 for this module's tests when unset) spreads path
+chunks over threads without changing any result.
 """
 import math
 import os
@@ -12,8 +12,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-
-os.environ.setdefault("SVJD_THREADS", "2")
 
 import svjd.montecarlo
 from svjd.black_scholes import implied_vol
@@ -42,6 +40,16 @@ from conftest import ALL_ROWS, PARAM_ROWS, EveryDateBatch, cumulants_kou, pure_j
 
 CTX = MarketContext(spot=100.0, rate=0.05, div_yield=0.0)
 N_PATHS = 1_000_000
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _two_threads():
+    """SVJD_THREADS=2 for this module only, unless the environment sets it; set at
+    import it would reach every test collected beside this module."""
+    with pytest.MonkeyPatch.context() as patch:
+        if "SVJD_THREADS" not in os.environ:
+            patch.setenv("SVJD_THREADS", "2")
+        yield
 
 
 def _report(num, ok, detail):
