@@ -12,6 +12,7 @@ Each frozen parameter class is the single definition of its model and carries:
 - ``FIELDS``: the flat parameter names, in JSON and calibration-vector order;
 - ``flat()`` / ``from_flat(x)``: the parameter values in ``FIELDS`` order and back;
 - ``exponent(ctx, xi, t)``: the characteristic exponent psi(xi, t);
+- ``log_modulus_bound(xi, t)``: a bound on log|phi(xi)|, xi >= 0, that never rises with xi;
 - ``frequency_scale()``: the scale in xi over which psi varies (sets FD steps);
 - ``omega()``: the drift compensator that makes exp(-(r-q)t) S_t a martingale.
 
@@ -116,6 +117,18 @@ class HestonParams(_FlatFields):
         a = self.kappa * self.theta / sv2 * (bmd * t - 2.0 * log_term)
         b = bmd / sv2 * (1.0 - edt) / (1.0 - g_edt)
         return ixi * (math.log(ctx.spot) + (ctx.rate - ctx.div_yield) * t) + a + b * self.v0
+
+    def log_modulus_bound(self, xi, t: float):
+        """log E[exp(-s int_0^t V)], s = (1 - rho^2) xi^2 / 2 (Cox, Ingersoll & Ross 1985), where
+        nothing cancels: given the path of V, ln S_t is normal with variance (1 - rho^2) int V."""
+        sv2 = self.sigma_v * self.sigma_v
+        s = 0.5 * (1.0 - self.rho * self.rho) * np.square(xi)
+        g = np.sqrt(self.kappa * self.kappa + 2.0 * sv2 * s)
+        q = 2.0 * s / (g + self.kappa)          # (g - kappa) / sigma_v^2
+        one_e = -np.expm1(-g * t)
+        z = -0.5 * sv2 * q * one_e / g  # den/(2g) - 1, den = (g + kappa)(1 - e^-gt) + 2g e^-gt
+        return (-self.kappa * self.theta * (2.0 / sv2 * np.log1p(z) + q * t)
+                - s * one_e * self.v0 / (g * (1.0 + z)))
 
     def frequency_scale(self) -> float:
         return 1.0
@@ -263,6 +276,9 @@ class _HestonWithJumps:
     def exponent(self, ctx: MarketContext, xi, t: float):
         return self.heston.exponent(ctx, xi, t) + self.jumps.exponent(xi, t)
 
+    def log_modulus_bound(self, xi, t: float):     # a compound-Poisson leg has |phi| <= 1
+        return self.heston.log_modulus_bound(xi, t)
+
     def frequency_scale(self) -> float:
         return min(1.0, self.jumps.frequency_scale())
 
@@ -311,6 +327,12 @@ class BGMParams(_FlatFields):
                + self.alpha_m * (np.log(self.lam_m) - np.log(self.lam_m + ix))
                + ix * self.omega())
         return ix * (math.log(ctx.spot) + (ctx.rate - ctx.div_yield) * t) + t * psi
+
+    def log_modulus_bound(self, xi, t: float):
+        """log|phi| exactly: the Brownian and both gamma legs' moduli."""
+        gamma = (self.alpha_p * np.log1p(np.square(xi / self.lam_p))
+                 + self.alpha_m * np.log1p(np.square(xi / self.lam_m)))
+        return -0.5 * t * (math.pow(self.sigma, 2) * np.square(xi) + gamma)
 
     def frequency_scale(self) -> float:
         return min(1.0, self.lam_p, self.lam_m)

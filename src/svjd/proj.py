@@ -258,9 +258,15 @@ class FrozenSlice:
     [0, k) is kept: k is one past the last node where the base model's |h|
     exceeds LIVE_NODE_CUTOFF times its maximum (all N if phi does not decay there).
     A dropped node j moves a price by at most |h_j| max_s sum_i |L_is|.
-    Each build evaluates the base model's exponent on all N nodes once; any
-    model of the tenor whose grid stays near this one can then be priced on
-    the live nodes alone, by `price_frozen` together with the other held tenors.
+    A build evaluates the base model's exponent and D only on a prefix [0, K)
+    that holds every live node: past K, |phi| <= exp(`log_modulus_bound`) and
+    D <= 2520 / (136 xi^4) hold |h| under 1e-3 (a rounding margin) of the cutoff
+    times |h_0| = 1 / (32 a^4), read on every 32nd node. K = N where nothing is
+    certified (rho = +-1, a cutoff of 0, no decay within the grid) or no node of
+    [0, K) is live (an all-N slice); a base exponent NaN only past K, which gave
+    an all-N slice priced NaN, is not evaluated there. Any model of the tenor
+    whose grid stays near this one is then priced on the live nodes alone, by
+    `price_frozen` with the other held tenors.
     """
     ctx: MarketContext
     t: float
@@ -286,11 +292,18 @@ class FrozenSlice:
         payoff *= (32.0 * grid.a**4.5 / n) * disc * grid.delta * math.sqrt(grid.a)
 
         xi = grid.delta_xi * np.arange(n)
-        zeta = dual_zeta(xi, grid.a)
+        with np.errstate(divide="ignore"):      # a cutoff of 0 certifies nothing
+            dead = (model.log_modulus_bound(xi[32::32], t) - 4.0 * np.log(xi[32::32] / grid.a)
+                    <= np.log(1e-3 * LIVE_NODE_CUTOFF * 136.0 / (32.0 * 2520.0)))
+        cut = 32 * (int(dead.argmax()) + 1) if dead.any() else n
+        zeta = dual_zeta(xi[:cut], grid.a)
         zeta[0] *= 0.5          # trapezoid half weight on the first node
-        mag = np.exp(char_exponent(model, ctx, xi, t).real) * zeta     # |h|
+        mag = np.exp(char_exponent(model, ctx, xi[:cut], t).real) * zeta     # |h|
         live = np.flatnonzero(mag > LIVE_NODE_CUTOFF * mag.max())
         k = live[-1] + 1 if live.size else n
+        if k > cut:             # no node of [0, cut) is live: all n, as before the cut
+            zeta = dual_zeta(xi, grid.a)
+            zeta[0] *= 0.5
         # L is real: its spectrum's first n/2 + 1 nodes are the cheaper rfft
         spectrum = (np.fft.rfft if k <= n // 2 + 1 else np.fft.fft)(payoff, n, axis=1)
         return cls(ctx, t, grid, xi[:k], zeta[:k] * np.exp(-1j * xi[:k] * grid.x1),

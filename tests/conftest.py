@@ -12,6 +12,7 @@ from svjd.models import (
     HestonParams,
     HKDEParams,
     KouJumpParams,
+    MODELS,
     MarketContext,
     NormalJumpParams,
 )
@@ -91,6 +92,19 @@ def count_exponent_nodes(monkeypatch) -> list:
 
     monkeypatch.setattr(svjd.proj, "char_exponent", counted)
     return nodes
+
+
+def certify_nothing(monkeypatch) -> None:
+    """Give every model the trivial bound log|phi| <= 0, from now on. It certifies
+    no node of a default grid dead, so FrozenSlice.at evaluates all N nodes."""
+    for cls in MODELS.values():
+        monkeypatch.setattr(cls, "log_modulus_bound", lambda self, xi, t: np.zeros_like(xi))
+
+
+def slice_bytes(frozen) -> tuple:
+    """A FrozenSlice's grid and the bytes of each of its arrays."""
+    return (frozen.grid,) + tuple(a.tobytes() for a in (frozen.xi, frozen.weight,
+                                                        frozen.gain, frozen.offset))
 
 
 class EveryDateBatch(svjd.montecarlo.PathBatch):

@@ -27,7 +27,8 @@ from svjd.models import (MODELS, MODEL_NAMES, HestonParams, HKDEParams, KouJumpP
                          MarketContext, model_to_dict)
 from svjd.proj import FrozenSlice, GridSpec, price_frozen, price_strike_slice
 
-from conftest import PARAM_ROWS, count_exponent_nodes, degenerate_hkde
+from conftest import (PARAM_ROWS, certify_nothing, count_exponent_nodes, degenerate_hkde,
+                      slice_bytes)
 
 MONEYNESS = np.linspace(-0.25, 0.25, 7)
 
@@ -711,9 +712,12 @@ def test_jacobian_after_residuals_prices_only_live_nodes(heston_surface, monkeyp
     nodes = count_exponent_nodes(monkeypatch)
     held = svjd.calibration._HeldSlices(heston_surface, GridSpec())
     held.residuals(model)
-    # each tenor anchors (all N nodes), then one call prices the model on the
-    # live prefixes of all tenors at once
-    assert nodes == [GridSpec().n] * len(live) + [sum(live)]
+    # each tenor anchors on a prefix that holds its live nodes, short of all N
+    # where the bound certifies the rest dead, then one call prices the model on
+    # the live prefixes of all tenors at once
+    anchors = nodes[:len(live)]
+    assert all(k <= cut < GridSpec().n for k, cut in zip(live, anchors))
+    assert nodes[len(live):] == [sum(live)]
     nodes.clear()
     _jacobian("hkde", np.asarray(model.flat(), dtype=float), heston_surface, held)
     # one call on the summed live prefixes for the base and each of the nine bumped models
@@ -832,18 +836,22 @@ def _pass_events(monkeypatch) -> list:
     return events
 
 
+def _start_2024() -> HKDEParams:
+    """The criterion-08 round trip's start: the truth's fields scaled by seed-2024 factors."""
+    lo, hi = default_bounds("hkde")
+    factors = np.random.default_rng(2024).uniform(0.5, 2.0, 9)
+    return HKDEParams.from_flat(np.clip(np.asarray(PARAM_ROWS["hkde"]["SPOT"].flat()) * factors,
+                                        lo, hi))
+
+
 def test_the_hkde_round_trip_runs_one_solver_pass(spot_hkde_surface, monkeypatch):
     # the criterion-08 round trip from start 2024
-    truth = PARAM_ROWS["hkde"]["SPOT"]
-    lo, hi = default_bounds("hkde")
-    x = np.clip(np.asarray(truth.flat()) * np.random.default_rng(2024).uniform(0.5, 2.0, 9),
-                lo, hi)
     events = _pass_events(monkeypatch)
     nodes = count_exponent_nodes(monkeypatch)
-    result = calibrate("hkde", spot_hkde_surface, init=HKDEParams.from_flat(x))
+    result = calibrate("hkde", spot_hkde_surface, init=_start_2024())
     assert events.count("pass") == 1 and events[-1] == "pass"
     # held tenors are priced together, but no exponent call spans more nodes
-    # than one grid has (the fit anchors some tenors on all of them)
+    # than one grid has (the start and the result are priced on all of them)
     assert max(nodes) == GridSpec().n
     assert len(result.trace) == 2 and result.trace[1] <= 1e-18 * max(1.0, result.trace[0])
     assert result.n_residuals == 1 + events.count("r")
@@ -852,6 +860,26 @@ def test_the_hkde_round_trip_runs_one_solver_pass(spot_hkde_surface, monkeypatch
     assert np.array_equal(result.per_quote_residuals, residuals(result.params, spot_hkde_surface))
     assert result.objective == objective(result.params, spot_hkde_surface)
     assert result.rmse == error_metrics(result.params, spot_hkde_surface).rmse < 1e-3
+
+
+def test_hkde_round_trip_anchors_equal_the_all_node_builds(spot_hkde_surface, monkeypatch):
+    # every anchor of the criterion-08 fit from start 2024, rebuilt on all N nodes
+    anchors, anchored, build = [], [], FrozenSlice.at
+    nodes = count_exponent_nodes(monkeypatch)
+
+    def recorded(cls, *args):
+        calls = len(nodes)
+        anchors.append((args, build(*args)))
+        anchored.extend(nodes[calls:])
+        return anchors[-1][1]
+
+    monkeypatch.setattr(FrozenSlice, "at", classmethod(recorded))
+    result = calibrate("hkde", spot_hkde_surface, init=_start_2024())
+    # 113 anchors, 462,848 nodes when each evaluated all N
+    assert result.n_anchors == len(anchors) == len(anchored) and sum(anchored) <= 100_000
+    certify_nothing(monkeypatch)
+    for args, frozen in anchors:
+        assert slice_bytes(frozen) == slice_bytes(build(*args))
 
 
 def test_a_misspecified_fit_runs_one_solver_pass(spot_hkde_surface, monkeypatch):

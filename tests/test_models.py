@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from svjd.calibration import default_bounds
 from svjd.models import (
     BGMParams,
     BatesParams,
     HestonParams,
     HKDEParams,
     KouJumpParams,
+    MODELS,
     MarketContext,
     NormalJumpParams,
     _clog1p,
@@ -326,6 +328,29 @@ def test_heston_exponent_equals_frozen_copy(ctx, kind, name, model):
                                 -1j * np.linspace(-3.0, 3.0, 61)])
             assert (heston.exponent(market, z, t).tobytes()
                     == _frozen_heston_exponent(heston, market, z, t).tobytes()), (market, t)
+
+
+# ---------------------------------------------------------------------------
+# The bound on log|phi| that certifies dead projection nodes
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(MODELS)), t=st.floats(0.02, 5.0),
+       u=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9))
+def test_log_modulus_bound_holds_and_never_rises(kind, t, u):
+    # anywhere in the calibration bounds: Re psi = log|phi| <= bound wherever psi
+    # is finite, and the bound does not rise with xi. The slack grows with |bound|
+    # at rounding scale: BGM's bound is log|phi| itself, about -2e10 at xi = 3e4
+    lo, hi = default_bounds(kind)
+    model = MODELS[kind].from_flat(lo + np.asarray(u[:lo.size]) * (hi - lo))
+    xi = np.concatenate([[0.0], np.geomspace(1e-3, 3e4, 241)])
+    with np.errstate(all="ignore"):
+        psi = char_exponent(model, MarketContext(100.0, 0.05, 0.02), xi, t)
+        bound = model.log_modulus_bound(xi, t)
+    finite = np.isfinite(psi)
+    slack = 1e-9 + 1e-14 * np.abs(bound)
+    assert np.all(psi.real[finite] <= (bound + slack)[finite]), model
+    assert bound[0] == 0.0 and np.all(np.diff(bound) <= 1e-12 * (1.0 + np.abs(bound[1:]))), model
 
 
 # ---------------------------------------------------------------------------

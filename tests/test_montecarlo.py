@@ -906,8 +906,9 @@ def _reference_chunk(model, ctx, schedule, sub, n, rng, antithetic):
 @pytest.mark.parametrize("block", [96, None])    # 96: ten cache blocks and a short tail
 def test_chunk_kernel_equals_allocating_reference(ctx, monkeypatch, kind, name, antithetic, n,
                                                   block):
-    if block is not None:
+    if block is not None:   # the Euler kernel's blocks and the jump legs' blocks alike
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        monkeypatch.setattr(models, "_BLOCK", block)
     monkeypatch.setattr(montecarlo, "PathBatch", EveryDateBatch)
     model = PARAM_ROWS[kind][name]
     sched = MonitoringSchedule.uniform(1.0, 4)

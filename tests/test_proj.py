@@ -26,7 +26,8 @@ from svjd.proj import (
     proj_coefficients,
 )
 
-from conftest import ALL_ROWS, PARAM_ROWS, count_exponent_nodes, degenerate_hkde
+from conftest import (ALL_ROWS, PARAM_ROWS, certify_nothing, count_exponent_nodes, degenerate_hkde,
+                      slice_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +429,62 @@ def test_strike_outside_grid_raises(ctx):
     # a slice names its first off-grid strike
     with pytest.raises(ValueError, match=r"strike 250\.0 .*L1"):
         price_strike_slice(tiny, ctx, 0.25, [100.0, 250.0, 300.0], [True] * 3)
+
+
+def test_frozen_slice_certified_prefix_equals_the_all_node_build(monkeypatch):
+    # the bound only skips nodes that cannot be live: each of the 80 slices is
+    # the build that evaluates all N nodes, byte for byte, on most of the nodes fewer
+    ctx = MarketContext(100.0, 0.05, 0.0)
+    strikes = np.arange(60.0, 160.5, 5.0)
+    cases = [(model, t) for rows in PARAM_ROWS.values() for model in rows.values()
+             for t in (0.1, 0.25, 0.5, 1.0, 2.0)]
+    nodes = count_exponent_nodes(monkeypatch)
+    certified = [FrozenSlice.at(m, ctx, t, strikes, strikes >= ctx.forward(t)) for m, t in cases]
+    cuts = list(nodes)
+    certify_nothing(monkeypatch)
+    nodes.clear()
+    for (m, t), frozen, cut in zip(cases, certified, cuts):
+        assert slice_bytes(frozen) == slice_bytes(
+            FrozenSlice.at(m, ctx, t, strikes, strikes >= ctx.forward(t))), (m, t)
+        assert frozen.xi.size <= cut and cut % 32 == 0
+    assert nodes == [GridSpec().n] * len(cases) and len(cases) == 80
+    assert sum(cuts) < 0.2 * sum(nodes)
+
+
+def test_frozen_slice_does_not_evaluate_the_certified_tail(monkeypatch):
+    # an exponent that is NaN only on nodes the bound certifies dead: the all-N
+    # build sees the NaN and keeps every node, priced NaN; the certified build
+    # never evaluates them and prices as the exponent without the NaN does. A
+    # NaN inside the prefix leaves no node live there, and both keep all N
+    model, ctx, t = PARAM_ROWS["heston"]["SPOT"], MarketContext(100.0, 0.05, 0.0), 0.5
+    strikes = np.array([90.0, 100.0, 110.0])
+    flags = strikes >= ctx.forward(t)
+    nodes = count_exponent_nodes(monkeypatch)
+    clean = FrozenSlice.at(model, ctx, t, strikes, flags)
+    exponent, step = svjd.proj.char_exponent, clean.grid.delta_xi
+
+    def nan_where(lo, hi):
+        """The exponent, NaN on the nodes strictly between lo and hi."""
+        def exponent_with_nan(m, c, xi, tt):
+            return np.where((xi > lo * step) & (xi < hi * step), np.nan, exponent(m, c, xi, tt))
+        return exponent_with_nan
+
+    tail, head = nan_where(nodes[0] - 0.5, np.inf), nan_where(0.5, 1.5)
+    builds = {}
+    for nan_on in (tail, head):
+        monkeypatch.setattr(svjd.proj, "char_exponent", nan_on)
+        builds[nan_on] = FrozenSlice.at(model, ctx, t, strikes, flags)
+    # neither evaluates past the clean build's prefix; node 1's NaN leaves no node live
+    assert nodes == [nodes[0]] * 3 and nodes[0] < builds[head].xi.size == GridSpec().n
+    assert slice_bytes(builds[tail]) == slice_bytes(clean)
+    monkeypatch.setattr(svjd.proj, "char_exponent", tail)
+    assert np.isfinite(price_frozen([builds[tail]], [[model]])[0]).all()
+    certify_nothing(monkeypatch)
+    full = FrozenSlice.at(model, ctx, t, strikes, flags)
+    with np.errstate(invalid="ignore"):
+        assert full.xi.size == GridSpec().n and np.isnan(price_frozen([full], [[model]])[0]).all()
+    monkeypatch.setattr(svjd.proj, "char_exponent", head)
+    assert slice_bytes(builds[head]) == slice_bytes(FrozenSlice.at(model, ctx, t, strikes, flags))
 
 
 def test_frozen_slice_raises_the_slice_pricers_off_grid_message(ctx):
